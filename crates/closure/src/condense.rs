@@ -5,7 +5,9 @@
 //! accordingly and builds the component DAG with topological levels — the
 //! analyses the `program_analysis` example performs, packaged.
 
+use crate::csr::CsrGraph;
 use crate::graph::{DiGraph, Reachability};
+use crate::sparse::condense_csr;
 use systolic_semiring::BitMatrix;
 
 /// SCC condensation of a closed graph.
@@ -51,22 +53,7 @@ impl Condensation {
             }
         }
         let dag_edges: Vec<(usize, usize)> = edge_set.into_iter().collect();
-        // Longest-path levels over the component DAG.
-        let c = components.len();
-        let mut levels = vec![0usize; c];
-        // The DAG edges derived from a transitive closure are transitively
-        // closed, so level = number of distinct predecessors on the longest
-        // chain; iterate to a fixed point (≤ c rounds).
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &(a, b) in &dag_edges {
-                if levels[b] < levels[a] + 1 {
-                    levels[b] = levels[a] + 1;
-                    changed = true;
-                }
-            }
-        }
+        let levels = longest_path_levels(components.len(), &dag_edges);
         Self {
             component_of,
             components,
@@ -75,102 +62,30 @@ impl Condensation {
         }
     }
 
-    /// Builds the condensation directly from a graph's edges (iterative
-    /// Tarjan), without needing a closure first — the entry point of the
-    /// delete-fallback recompute path: condense the *current* graph, close
-    /// the (much smaller) component DAG, expand back to vertex pairs.
+    /// Builds the condensation directly from a graph's edges
+    /// ([`condense_csr`] on its CSR form), without needing a closure
+    /// first — the entry point of the delete-fallback recompute path:
+    /// condense the *current* graph, close the (much smaller) component
+    /// DAG, expand back to vertex pairs.
     ///
     /// Unlike [`Condensation::new`], `dag_edges` here are the graph's own
-    /// inter-component edges (deduplicated), not their transitive closure.
-    /// Component ids come out in reverse topological order (every DAG edge
-    /// runs from a higher id to a lower one), which
+    /// inter-component edges (deduplicated, sorted), not their transitive
+    /// closure. Component ids come out in reverse topological order
+    /// (every DAG edge runs from a higher id to a lower one), which
     /// [`closure_via_condensation`] exploits.
     pub fn from_graph(g: &DiGraph) -> Self {
-        let n = g.n();
-        const UNVISITED: usize = usize::MAX;
-        let mut index = vec![UNVISITED; n];
-        let mut lowlink = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut component_of = vec![UNVISITED; n];
-        let mut components: Vec<Vec<usize>> = Vec::new();
-        let mut next_index = 0usize;
-        // Explicit DFS frames: (vertex, next successor position).
-        let mut frames: Vec<(usize, usize)> = Vec::new();
-        for root in 0..n {
-            if index[root] != UNVISITED {
-                continue;
-            }
-            frames.push((root, 0));
-            while let Some(&(v, succ_pos)) = frames.last() {
-                if succ_pos == 0 {
-                    index[v] = next_index;
-                    lowlink[v] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                }
-                if let Some(&w) = g.successors(v).get(succ_pos) {
-                    frames.last_mut().expect("frame present").1 += 1;
-                    if index[w] == UNVISITED {
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        lowlink[v] = lowlink[v].min(index[w]);
-                    }
-                } else {
-                    // v is finished: pop its SCC if it is a root.
-                    if lowlink[v] == index[v] {
-                        let id = components.len();
-                        let mut scc = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("Tarjan stack underflow");
-                            on_stack[w] = false;
-                            component_of[w] = id;
-                            scc.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        scc.sort_unstable();
-                        components.push(scc);
-                    }
-                    frames.pop();
-                    if let Some(&(parent, _)) = frames.last() {
-                        lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                    }
-                }
-            }
-        }
-        // Inter-component edges of the graph itself, deduplicated.
-        let mut edge_set = std::collections::BTreeSet::new();
-        for u in 0..n {
-            for &v in g.successors(u) {
-                let (cu, cv) = (component_of[u], component_of[v]);
-                if cu != cv {
-                    edge_set.insert((cu, cv));
-                }
-            }
-        }
-        let dag_edges: Vec<(usize, usize)> = edge_set.into_iter().collect();
-        // Longest-path levels (same fixed point as `new`; the DAG is acyclic
-        // so this terminates in ≤ len rounds).
-        let c = components.len();
-        let mut levels = vec![0usize; c];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &(a, b) in &dag_edges {
-                if levels[b] < levels[a] + 1 {
-                    levels[b] = levels[a] + 1;
-                    changed = true;
-                }
-            }
-        }
+        let sc = condense_csr(&CsrGraph::from_digraph(g));
+        let widen = |ids: &[u32]| ids.iter().map(|&x| x as usize).collect::<Vec<_>>();
+        let dag_edges: Vec<(usize, usize)> = sc
+            .dag
+            .edges()
+            .map(|(a, b)| (a as usize, b as usize))
+            .collect();
         Self {
-            component_of,
-            components,
+            component_of: widen(&sc.comp_of),
+            components: sc.components().map(widen).collect(),
+            levels: longest_path_levels(sc.len(), &dag_edges),
             dag_edges,
-            levels,
         }
     }
 
@@ -235,29 +150,39 @@ impl Condensation {
     }
 }
 
+/// Longest-path level of each of `c` components over the acyclic
+/// `dag_edges` (sources at level 0), iterated to a fixed point (≤ c
+/// rounds). Edges are scanned last to first, so a reverse-topological
+/// list sorted by source settles in one round.
+fn longest_path_levels(c: usize, dag_edges: &[(usize, usize)]) -> Vec<usize> {
+    let mut levels = vec![0usize; c];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &(a, b) in dag_edges.iter().rev() {
+            if levels[b] < levels[a] + 1 {
+                levels[b] = levels[a] + 1;
+                changed = true;
+            }
+        }
+    }
+    levels
+}
+
 /// Full reflexive-transitive closure computed through the condensation:
-/// Tarjan SCCs, bitset closure of the (reverse-topological) component DAG,
-/// then expansion back to vertex pairs. This is the software reference for
-/// the service's delete-fallback path; the served variant routes the DAG
-/// closure through the admission batcher instead.
+/// SCCs by [`condense_csr`], bitset closure of the (reverse-topological)
+/// component DAG, then expansion back to vertex pairs. This is the
+/// software reference for the service's delete-fallback path; the served
+/// variant routes the DAG closure through the admission batcher instead.
 pub fn closure_via_condensation(g: &DiGraph) -> BitMatrix {
     let cond = Condensation::from_graph(g);
-    let c = cond.len();
-    if c == 0 {
-        return BitMatrix::zeros(0);
-    }
-    // Component ids are emitted sinks-first, so every DAG edge (a, b) has
-    // a > b: sweep ids upward and each successor row is already complete.
-    let mut dag_closed = BitMatrix::identity(c);
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); c];
+    // Component ids are emitted sinks-first and the edges are sorted by
+    // source, so every edge (a, b) has a > b: row b is complete by the
+    // time an edge out of a reads it, and holds no bit above column b.
+    let mut dag_closed = BitMatrix::identity(cond.len());
     for &(a, b) in &cond.dag_edges {
-        debug_assert!(a > b, "Tarjan ids must be reverse-topological");
-        succs[a].push(b);
-    }
-    for (a, row_succs) in succs.into_iter().enumerate() {
-        for s in row_succs {
-            dag_closed.or_row_into(s, a);
-        }
+        debug_assert!(a > b, "ids must be reverse-topological");
+        dag_closed.or_row_prefix_into(b, a, b / 64 + 1);
     }
     cond.expand_closure(&dag_closed)
 }

@@ -22,9 +22,9 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CsrGraph {
     /// `row_ptr[u]..row_ptr[u+1]` spans `col_idx` entries of vertex `u`.
-    row_ptr: Vec<usize>,
+    pub(crate) row_ptr: Vec<usize>,
     /// Edge targets, sorted and deduplicated within each row.
-    col_idx: Vec<u32>,
+    pub(crate) col_idx: Vec<u32>,
 }
 
 impl CsrGraph {

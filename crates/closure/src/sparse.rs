@@ -5,14 +5,16 @@
 //! The pipeline is the same condensation story as
 //! [`crate::closure_via_condensation`], rebuilt for the sparse data plane:
 //!
-//! 1. **Condense on CSR** ([`condense_csr`]): an iterative Tarjan pass
-//!    over [`CsrGraph`] emits component ids in *reverse topological*
-//!    order (every condensed-DAG edge runs from a higher id to a lower
-//!    one), in `O(n + e)` with flat `u32` arrays.
+//! 1. **Condense on CSR** ([`condense_csr`]): an iterative, single-array
+//!    Tarjan pass (Pearce's variant) over [`CsrGraph`] emits component
+//!    ids in *reverse topological* order (every condensed-DAG edge runs
+//!    from a higher id to a lower one), in `O(n + e)` with one `u32` per
+//!    vertex, then writes the condensed DAG's CSR rows directly.
 //! 2. **Close the DAG**: in *Exact* mode a `c×c` [`BitMatrix`] is filled
 //!    by one ascending-id row-union sweep — when row `a` is processed,
-//!    every successor row is already complete, so the sweep is
-//!    `O(e_dag · c/64)` with no fixed point iteration. In *OnDemand* mode
+//!    every successor row is already complete, and row `b` has no bit
+//!    above column `b`, so the sweep is at most `O(e_dag · c/64)` with no
+//!    fixed point iteration. In *OnDemand* mode
 //!    (chosen when `c²` bits would blow the memory budget) no closure
 //!    matrix exists at all; queries run a DFS over the condensed DAG with
 //!    an id-order early exit (`x < target` prunes — lower ids can only
@@ -27,6 +29,8 @@
 //! closure of the *component* DAG, never `n²/8` for the vertex closure.
 
 use crate::csr::CsrGraph;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use systolic_semiring::BitMatrix;
 
 /// SCC condensation of a [`CsrGraph`], with components grouped in flat
@@ -71,64 +75,96 @@ impl SparseCondensation {
     }
 }
 
-/// Iterative Tarjan SCC over CSR. Component ids come out sinks-first
-/// (reverse topological), matching [`crate::Condensation::from_graph`].
+/// SCC condensation of a CSR graph by Pearce's single-array variant of
+/// Tarjan's algorithm (D. J. Pearce, *A space-efficient algorithm for
+/// finding strongly connected components*, IPL 2016). Component ids come
+/// out sinks-first (reverse topological): the `k`-th component to
+/// complete gets id `k`, so every condensed edge runs from a higher id
+/// to a lower one.
+///
+/// One `u32` per vertex replaces Tarjan's index, low-link, on-stack flag
+/// and component map: an active vertex holds its DFS index, lowered to
+/// its low-link as its successors finish; a member of the `k`-th
+/// completed component holds `n − k`, which is above every active index,
+/// so a finished successor never lowers a low-link and needs no on-stack
+/// test. The array becomes `comp_of` in place at the end.
+///
+/// # Panics
+/// Panics if `n` does not fit in `u32`.
 pub fn condense_csr(g: &CsrGraph) -> SparseCondensation {
     let n = g.n();
-    const UNVISITED: u32 = u32::MAX;
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut comp_of = vec![UNVISITED; n];
-    let mut comp_count = 0u32;
-    let mut next_index = 0u32;
-    // Explicit DFS frames: (vertex, next successor position).
-    let mut frames: Vec<(u32, usize)> = Vec::new();
+    let n32 = u32::try_from(n).expect("vertex count fits the u32 id space");
+    let (row_ptr, col_idx) = (&g.row_ptr, &g.col_idx);
+    // 0 = unvisited. Indices are reused: the active vertices' DFS indices
+    // are always 1..=index, so none reaches a completed component's value.
+    let mut rindex = vec![0u32; n];
+    let mut index = 0u32;
+    let mut next_comp = n32;
+    // Finished non-root vertices, waiting for their component's root.
+    let mut waiting: Vec<u32> = Vec::new();
+    // DFS frames: (vertex, its DFS index, absolute cursor into col_idx,
+    // end of its row).
+    let mut frames: Vec<(u32, u32, usize, usize)> = Vec::new();
     for root in 0..n {
-        if index[root] != UNVISITED {
+        if rindex[root] != 0 {
             continue;
         }
-        frames.push((root as u32, 0));
-        while let Some(&(v, succ_pos)) = frames.last() {
-            let v = v as usize;
-            if succ_pos == 0 {
-                index[v] = next_index;
-                lowlink[v] = next_index;
-                next_index += 1;
-                stack.push(v as u32);
-                on_stack[v] = true;
+        index += 1;
+        rindex[root] = index;
+        frames.push((root as u32, index, row_ptr[root], row_ptr[root + 1]));
+        while let Some(frame) = frames.last_mut() {
+            let (v, own, end) = (frame.0 as usize, frame.1, frame.3);
+            // Fold visited successors into v's low-link up to the first
+            // unvisited one, which becomes a tree child.
+            let mut pos = frame.2;
+            let mut low = rindex[v];
+            while pos < end {
+                let r = rindex[col_idx[pos] as usize];
+                if r == 0 {
+                    break;
+                }
+                low = low.min(r);
+                pos += 1;
             }
-            if let Some(&w) = g.successors(v).get(succ_pos) {
-                frames.last_mut().expect("frame present").1 += 1;
-                let w = w as usize;
-                if index[w] == UNVISITED {
-                    frames.push((w as u32, 0));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            } else {
-                if lowlink[v] == index[v] {
-                    let id = comp_count;
-                    comp_count += 1;
-                    loop {
-                        let w = stack.pop().expect("Tarjan stack underflow") as usize;
-                        on_stack[w] = false;
-                        comp_of[w] = id;
-                        if w == v {
-                            break;
-                        }
-                    }
-                }
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    let p = parent as usize;
-                    lowlink[p] = lowlink[p].min(lowlink[v]);
-                }
+            rindex[v] = low;
+            if pos < end {
+                frame.2 = pos + 1;
+                let w = col_idx[pos] as usize;
+                index += 1;
+                rindex[w] = index;
+                frames.push((w as u32, index, row_ptr[w], row_ptr[w + 1]));
+                continue;
             }
+            frames.pop();
+            if low < own {
+                // Not a root: wait for it, and fold its low-link into the
+                // parent's.
+                waiting.push(v as u32);
+                if let Some(&(p, ..)) = frames.last() {
+                    rindex[p as usize] = rindex[p as usize].min(low);
+                }
+                continue;
+            }
+            // v roots a component: it and every waiting vertex visited
+            // after it. They were the newest active vertices, so the next
+            // DFS index reuses `own`.
+            rindex[v] = next_comp;
+            while let Some(&w) = waiting.last() {
+                if rindex[w as usize] < own {
+                    break;
+                }
+                waiting.pop();
+                rindex[w as usize] = next_comp;
+            }
+            next_comp -= 1;
+            index = own - 1;
         }
     }
-    let c = comp_count as usize;
+    let c = (n32 - next_comp) as usize;
+    for r in &mut rindex {
+        *r = n32 - *r;
+    }
+    let comp_of = rindex;
     // Group vertices by component with a counting-sort scatter; visiting
     // sources ascending leaves each group sorted.
     let mut comp_ptr = vec![0usize; c + 1];
@@ -144,21 +180,33 @@ pub fn condense_csr(g: &CsrGraph) -> SparseCondensation {
         comp_vertices[cursor[cid as usize]] = u as u32;
         cursor[cid as usize] += 1;
     }
-    // Condensed DAG: inter-component edges, deduplicated by the CSR
-    // builder. Every edge (a, b) has a > b by the reverse-topological id
-    // order.
-    let mut dag_edges: Vec<(u32, u32)> = Vec::new();
-    for u in 0..n {
-        let cu = comp_of[u];
-        for &v in g.successors(u) {
-            let cv = comp_of[v as usize];
-            if cu != cv {
-                debug_assert!(cu > cv, "Tarjan ids must be reverse-topological");
-                dag_edges.push((cu, cv));
+    // Condensed DAG, one row per component: `stamp[b] == a` marks target
+    // `b` as already in row `a` (and `a` itself, so no self-loop enters).
+    // Every edge (a, b) has a > b by the reverse-topological id order.
+    let mut dag_ptr = Vec::with_capacity(c + 1);
+    dag_ptr.push(0);
+    let mut dag_idx: Vec<u32> = Vec::new();
+    let mut stamp = vec![u32::MAX; c];
+    for a in 0..c {
+        stamp[a] = a as u32;
+        let start = dag_idx.len();
+        for &u in &comp_vertices[comp_ptr[a]..comp_ptr[a + 1]] {
+            for &v in g.successors(u as usize) {
+                let b = comp_of[v as usize];
+                if stamp[b as usize] != a as u32 {
+                    debug_assert!((b as usize) < a, "ids must be reverse-topological");
+                    stamp[b as usize] = a as u32;
+                    dag_idx.push(b);
+                }
             }
         }
+        dag_idx[start..].sort_unstable();
+        dag_ptr.push(dag_idx.len());
     }
-    let dag = CsrGraph::from_edges(c, &dag_edges);
+    let dag = CsrGraph {
+        row_ptr: dag_ptr,
+        col_idx: dag_idx,
+    };
     SparseCondensation {
         comp_of,
         comp_ptr,
@@ -240,7 +288,9 @@ pub struct SparseStats {
 pub struct SparseClosure {
     cond: SparseCondensation,
     closed: DagClosure,
+    /// Footprint and edge count of the input graph, which is not kept.
     graph_bytes: usize,
+    graph_edges: usize,
 }
 
 impl SparseClosure {
@@ -262,11 +312,13 @@ impl SparseClosure {
                 }
                 None => {
                     // Ascending-id sweep: every condensed edge (a, b) has
-                    // a > b, so row b is complete before row a reads it.
+                    // a > b, so row b is complete before row a reads it,
+                    // and holds no bit above column b.
                     let mut m = BitMatrix::identity(c);
                     for a in 0..c {
                         for &b in cond.dag.successors(a) {
-                            m.or_row_into(b as usize, a);
+                            let b = b as usize;
+                            m.or_row_prefix_into(b, a, b / 64 + 1);
                         }
                     }
                     m
@@ -276,11 +328,11 @@ impl SparseClosure {
         } else {
             DagClosure::OnDemand
         };
-        let graph_bytes = g.memory_bytes();
         Self {
             cond,
             closed,
-            graph_bytes,
+            graph_bytes: g.memory_bytes(),
+            graph_edges: g.edge_count(),
         }
     }
 
@@ -401,12 +453,7 @@ impl SparseClosure {
     /// the sparse replacement for a dense closure row.
     pub fn row(&self, u: usize) -> Vec<u32> {
         let comps = self.reach_comps(self.cond.comp_of[u] as usize);
-        let mut out = Vec::new();
-        for &cid in &comps {
-            out.extend_from_slice(self.cond.component(cid as usize));
-        }
-        out.sort_unstable();
-        out
+        merge_runs(comps.iter().map(|&cid| self.cond.component(cid as usize)))
     }
 
     /// Number of vertices reachable from `u` (including `u`) without
@@ -478,7 +525,7 @@ impl SparseClosure {
     pub fn stats(&self, fill_samples: usize, seed: u64) -> SparseStats {
         SparseStats {
             n: self.n(),
-            edges: self.graph_edges(),
+            edges: self.graph_edges,
             scc_count: self.cond.len(),
             nontrivial_sccs: self.cond.nontrivial_count(),
             dag_edges: self.cond.dag.edge_count(),
@@ -488,12 +535,6 @@ impl SparseClosure {
         }
     }
 
-    fn graph_edges(&self) -> usize {
-        // The input graph is not retained; recover the edge count from the
-        // stored byte figure (row_ptr (n+1)·8 + col_idx e·4).
-        (self.graph_bytes - (self.n() + 1) * std::mem::size_of::<usize>()) / 4
-    }
-
     /// Expands to the dense vertex-level closure — **test/oracle use
     /// only**, defeats the entire point at scale.
     ///
@@ -501,14 +542,14 @@ impl SparseClosure {
     /// Panics in OnDemand mode (the expansion would imply the budget was
     /// wrong) — use Exact mode for oracle comparisons.
     pub fn to_bitmatrix(&self) -> BitMatrix {
-        let DagClosure::Exact(m) = &self.closed else {
-            panic!("to_bitmatrix on an OnDemand closure");
-        };
+        assert!(
+            self.mode() == ClosureMode::Exact,
+            "to_bitmatrix on an OnDemand closure"
+        );
         let n = self.n();
         let mut out = BitMatrix::zeros(n);
         for cu in 0..self.cond.len() {
             let comps = self.reach_comps(cu);
-            let _ = m; // closure matrix consumed through reach_comps
             for &u in self.cond.component(cu) {
                 for &cid in &comps {
                     for &v in self.cond.component(cid as usize) {
@@ -526,6 +567,28 @@ pub fn sparse_closure(g: &CsrGraph) -> SparseClosure {
     SparseClosure::new(g)
 }
 
+/// Merges nonempty, ascending, pairwise disjoint runs (component member
+/// lists) into one ascending vector. A min-heap holds the rest of each
+/// run (disjoint runs differ in their first element, so slices order by
+/// it); the smallest run gives up everything below the next-smallest head
+/// in one copy, so a row that is mostly one giant component costs about
+/// one heap step per vertex of the small ones.
+fn merge_runs<'a>(runs: impl Iterator<Item = &'a [u32]>) -> Vec<u32> {
+    let mut heap: BinaryHeap<Reverse<&[u32]>> = runs.map(Reverse).collect();
+    let mut out = Vec::with_capacity(heap.iter().map(|r| r.0.len()).sum());
+    while let Some(Reverse(run)) = heap.pop() {
+        let take = match heap.peek() {
+            Some(Reverse(next)) => run.partition_point(|&x| x < next[0]),
+            None => run.len(),
+        };
+        out.extend_from_slice(&run[..take]);
+        if take < run.len() {
+            heap.push(Reverse(&run[take..]));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,21 +599,33 @@ mod tests {
     }
 
     #[test]
-    fn condense_csr_matches_dense_condensation() {
-        let g = gnp_csr(80, 0.05, 21);
-        let sparse = condense_csr(&g);
-        let dense = crate::Condensation::from_graph(&g.to_digraph());
-        let mut a: Vec<Vec<u32>> = sparse.components().map(|s| s.to_vec()).collect();
-        let mut b: Vec<Vec<u32>> = dense
-            .components
-            .iter()
-            .map(|c| c.iter().map(|&v| v as u32).collect())
-            .collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        for (a, b) in sparse.dag.edges() {
-            assert!(a > b, "edge {a}→{b} not reverse-topological");
+    fn components_are_warshall_mutual_reachability() {
+        for g in [gnp_csr(80, 0.05, 21), powerlaw(150, 3, 2), bowtie(120, 4)] {
+            let cond = condense_csr(&g);
+            let mut reach = BitMatrix::identity(g.n());
+            for (u, v) in g.edges() {
+                reach.set(u as usize, v as usize, true);
+            }
+            reach.warshall_in_place();
+            for u in 0..g.n() {
+                let scc: Vec<u32> = (0..g.n())
+                    .filter(|&v| reach.get(u, v) && reach.get(v, u))
+                    .map(|v| v as u32)
+                    .collect();
+                assert_eq!(cond.component(cond.comp_of[u] as usize), scc, "vertex {u}");
+            }
+            // The DAG is exactly the inter-component edges, deduplicated,
+            // every one running from a higher id to a lower one.
+            let mut want: Vec<(u32, u32)> = g
+                .edges()
+                .map(|(u, v)| (cond.comp_of[u as usize], cond.comp_of[v as usize]))
+                .filter(|(a, b)| a != b)
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            let got: Vec<(u32, u32)> = cond.dag.edges().collect();
+            assert_eq!(got, want);
+            assert!(got.iter().all(|(a, b)| a > b), "not reverse-topological");
         }
     }
 

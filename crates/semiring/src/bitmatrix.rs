@@ -396,15 +396,27 @@ impl BitMatrix {
 
     /// ORs row `src` into row `dst` (a no-op when they coincide).
     pub fn or_row_into(&mut self, src: usize, dst: usize) {
+        self.or_row_prefix_into(src, dst, self.words_per_row);
+    }
+
+    /// ORs the first `words` words of row `src` into row `dst` — the
+    /// whole row when the caller knows `src` has no bit at column
+    /// `64·words` or above (a lower-triangular closure row `b` needs only
+    /// `b/64 + 1` words).
+    ///
+    /// # Panics
+    /// Panics if a row is out of range or `words` exceeds the row width.
+    pub fn or_row_prefix_into(&mut self, src: usize, dst: usize, words: usize) {
         assert!(src < self.n && dst < self.n, "row out of range");
+        assert!(words <= self.words_per_row, "prefix wider than the row");
         if src == dst {
             return;
         }
         let wpr = self.words_per_row;
         let (lo, hi) = (src.min(dst), src.max(dst));
         let (head, tail) = self.words.split_at_mut(hi * wpr);
-        let lo_row = &mut head[lo * wpr..(lo + 1) * wpr];
-        let hi_row = &mut tail[..wpr];
+        let lo_row = &mut head[lo * wpr..lo * wpr + words];
+        let hi_row = &mut tail[..words];
         let (dst_row, src_row) = if dst == hi {
             (hi_row, &*lo_row)
         } else {
@@ -658,6 +670,18 @@ mod tests {
         m.set(3, 64, true);
         assert_eq!(m.row_words(3), &[1u64, 1u64]);
         assert_eq!(m.row_words(4), &[0u64, 0u64]);
+    }
+
+    #[test]
+    fn or_row_prefix_into_stops_at_the_prefix() {
+        let mut m = BitMatrix::zeros(130);
+        m.set(5, 1, true);
+        m.set(5, 65, true);
+        m.set(5, 129, true);
+        m.or_row_prefix_into(5, 7, 2);
+        assert_eq!(m.row_words(7), &[2u64, 2, 0]);
+        m.or_row_into(5, 7);
+        assert_eq!(m.row_words(7), m.row_words(5));
     }
 
     #[test]

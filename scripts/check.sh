@@ -10,14 +10,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo test -q --workspace
+# The benchmark is a package of its own, outside the workspace: its tests
+# include a scaled-down run of every workload.
+cargo test -q --manifest-path benchmark/Cargo.toml
 
 # The widened data plane's equivalence suites, named explicitly so a
 # failure points straight at the plane that diverged (they also run
 # as part of the workspace suite above). proptest_sparse pins the sparse
 # CSR pipeline to the dense oracle and the tiled bridge to the untiled
-# closure.
+# closure; condense_ids pins the component ids the DAG sweep relies on.
 cargo test -q --test proptest_lanes --test proptest_swar --test proptest_laws \
-    --test proptest_sparse --test proptest_durations
+    --test proptest_sparse --test proptest_durations --test condense_ids
 
 # Perf smoke (non-gating: wall-clock numbers are machine-dependent).
 ./scripts/bench_smoke.sh || echo "check.sh: bench_smoke failed (non-gating)"

@@ -1,10 +1,11 @@
 //! Property-based equivalence for the sparse data plane.
 //!
-//! Three independent closure paths must agree bit-for-bit on random
-//! graphs: the sparse CSR pipeline (`sparse_closure`, Tarjan on CSR +
-//! component-DAG row-union), the dense condensation path
-//! (`closure_via_condensation`), and the `BitMatrix` pivot sweep — all
-//! reflexive. On top of that: the on-demand DFS mode must answer every
+//! Three closure paths must agree bit-for-bit on random graphs: the
+//! sparse CSR pipeline (`sparse_closure`, Tarjan on CSR + component-DAG
+//! row-union), the dense condensation path (`closure_via_condensation`,
+//! which shares the SCC pass but closes and expands the DAG on its own),
+//! and the independent `BitMatrix` pivot sweep — all reflexive. On top of
+//! that: the on-demand DFS mode must answer every
 //! pair exactly like the materialized closure, the Matrix-Market
 //! loader must round-trip bit-identically (and reject malformed input
 //! with errors, never panics), and the tiled systolic bridge must match
