@@ -132,75 +132,17 @@ pub struct Fabric<'a, S: Semiring> {
     pub now: u64,
     /// Active fault injector, if a fault plan was set on the array.
     pub inject: Option<&'a mut FaultInjector>,
-    /// Ready-tracking mode: the cell currently stepping. Failed readiness
-    /// checks park that cell on the stream it needs; `None` (dense polling)
-    /// makes every hook a no-op.
-    pub watch: Option<u32>,
-    /// Wake-ups scheduled this step: `(cycle, cell)`. Drained by the
-    /// simulator's ready-tracking loop.
-    pub wakes: &'a mut Vec<(u64, u32)>,
     /// Net words added to bank residence (bank writes minus bank reads),
     /// for incremental `peak_bank_resident` accounting.
     pub bank_delta: isize,
 }
 
 impl<S: Semiring> Fabric<'_, S> {
-    fn src_ready(&mut self, src: &StreamSrc, cell: usize) -> bool {
+    fn src_ready(&self, src: &StreamSrc, cell: usize) -> bool {
         match *src {
-            StreamSrc::Bank { bank, slot } => {
-                let b = &mut self.banks[bank];
-                if b.can_read(slot, self.now) {
-                    return true;
-                }
-                if let Some(watch) = self.watch {
-                    match b.front_ready(slot) {
-                        // A word is in flight: wake exactly when it lands.
-                        Some(ready) => self.wakes.push((ready, watch)),
-                        // Empty stream: park until the next write. An
-                        // evicted contender is woken next cycle so it can
-                        // keep polling (no wake is ever lost).
-                        None => {
-                            if let Some(evicted) = b.park_reader(slot, watch) {
-                                self.wakes.push((self.now + 1, evicted));
-                            }
-                        }
-                    }
-                }
-                false
-            }
-            StreamSrc::Link(l) => {
-                let link = &mut self.links[l];
-                if link.can_read(self.now) {
-                    return true;
-                }
-                if let Some(watch) = self.watch {
-                    match link.front_ready() {
-                        Some(ready) => self.wakes.push((ready, watch)),
-                        None => {
-                            if let Some(evicted) = link.park_reader(watch) {
-                                self.wakes.push((self.now + 1, evicted));
-                            }
-                        }
-                    }
-                }
-                false
-            }
-            StreamSrc::Host { slot } => {
-                if self.host.can_read(cell, slot, self.now) {
-                    return true;
-                }
-                if let Some(watch) = self.watch {
-                    // A word already in transit has a known arrival: wake
-                    // exactly then. With an empty FIFO the cell sleeps and
-                    // the next injection bound for it wakes it (the host
-                    // injects ≤ 1 word/cycle, and every failed step
-                    // re-registers, so no arrival is ever missed).
-                    if let Some(ready) = self.host.front_ready(cell, slot) {
-                        self.wakes.push((ready, watch));
-                    }
-                }
-                false
-            }
+            StreamSrc::Bank { bank, slot } => self.banks[bank].can_read(slot, self.now),
+            StreamSrc::Link(l) => self.links[l].can_read(self.now),
+            StreamSrc::Host { slot } => self.host.can_read(cell, slot, self.now),
         }
     }
 
@@ -212,22 +154,9 @@ impl<S: Semiring> Fabric<'_, S> {
                     .read(slot, self.now)
                     .expect("bank readiness checked")
             }
-            StreamSrc::Link(l) => {
-                let link = &mut self.links[l];
-                let e = link.read(self.now).expect("link readiness checked");
-                if let Some(w) = link.take_writer() {
-                    // Freed register space is visible to a writer polled
-                    // later in this same cycle, one cycle later otherwise
-                    // (cells are polled in index order).
-                    let at = if w > cell as u32 {
-                        self.now
-                    } else {
-                        self.now + 1
-                    };
-                    self.wakes.push((at, w));
-                }
-                e
-            }
+            StreamSrc::Link(l) => self.links[l]
+                .read(self.now)
+                .expect("link readiness checked"),
             StreamSrc::Host { slot } => self
                 .host
                 .read(cell, slot, self.now)
@@ -235,29 +164,10 @@ impl<S: Semiring> Fabric<'_, S> {
         }
     }
 
-    fn dst_ready(&mut self, dst: &StreamDst) -> bool {
+    fn dst_ready(&self, dst: &StreamDst) -> bool {
         match *dst {
-            StreamDst::Link(l) => {
-                let link = &mut self.links[l];
-                if link.can_write() {
-                    return true;
-                }
-                if let Some(watch) = self.watch {
-                    if let Some(evicted) = link.park_writer(watch) {
-                        self.wakes.push((self.now + 1, evicted));
-                    }
-                }
-                false
-            }
+            StreamDst::Link(l) => self.links[l].can_write(),
             StreamDst::Bank { .. } | StreamDst::Output { .. } | StreamDst::Sink => true,
-        }
-    }
-
-    fn link_write(&mut self, l: usize, e: S::Elem) {
-        let link = &mut self.links[l];
-        link.write(self.now, e);
-        if let Some(w) = link.take_reader() {
-            self.wakes.push((self.now + link.delay(), w));
         }
     }
 
@@ -275,7 +185,7 @@ impl<S: Semiring> Fabric<'_, S> {
                         LinkFate::Deliver => {}
                         LinkFate::Drop => return,
                         LinkFate::Duplicate => {
-                            self.link_write(l, e.clone());
+                            self.links[l].write(self.now, e.clone());
                             self.links[l].force_write(self.now, e);
                             return;
                         }
@@ -285,15 +195,10 @@ impl<S: Semiring> Fabric<'_, S> {
         }
         match *dst {
             StreamDst::Bank { bank, slot } => {
-                let b = &mut self.banks[bank];
-                b.write(slot, self.now, e);
+                self.banks[bank].write(slot, self.now, e);
                 self.bank_delta += 1;
-                if let Some(w) = b.take_reader(slot) {
-                    // Bank writes land with one cycle of latency.
-                    self.wakes.push((self.now + 1, w));
-                }
             }
-            StreamDst::Link(l) => self.link_write(l, e),
+            StreamDst::Link(l) => self.links[l].write(self.now, e),
             StreamDst::Output { stream } => self.outputs[stream].push(e),
             StreamDst::Sink => {}
         }
@@ -377,7 +282,7 @@ impl<S: Semiring> Cell<S> {
 
     /// Longest per-element duration in this cell's program (`1` when the
     /// program is empty). Bounds how long a busy cell can stay silent, so
-    /// the run loops fold it into their deadlock grace period.
+    /// the run loop folds it into its deadlock grace period.
     pub fn max_task_duration(&self) -> u64 {
         self.program
             .tasks()
@@ -667,7 +572,6 @@ mod tests {
         let mut banks: Vec<Bank<bool>> = vec![];
         let mut host = Host::<Bool>::new(0, 0);
         let mut outputs: Vec<Vec<bool>> = vec![];
-        let mut wakes = Vec::new();
         let mut fab = Fabric::<Bool> {
             links: &mut links,
             banks: &mut banks,
@@ -675,8 +579,6 @@ mod tests {
             outputs: &mut outputs,
             now: 0,
             inject: None,
-            watch: None,
-            wakes: &mut wakes,
             bank_delta: 0,
         };
         assert_eq!(cell.step(&mut fab), Step::Done);

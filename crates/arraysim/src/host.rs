@@ -18,16 +18,6 @@ use systolic_semiring::Semiring;
 /// Per-cell R-block memory: `stream slot → FIFO of (ready_cycle, word)`.
 type RBlock<E> = Vec<VecDeque<(u64, E)>>;
 
-/// The landing site of one injected word, for wake scheduling: the word
-/// becomes readable by `cell` at cycle `arrival`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Injection {
-    /// Destination cell.
-    pub cell: usize,
-    /// Cycle at which the word becomes readable.
-    pub arrival: u64,
-}
-
 /// Host feeder with per-cell R-block memories.
 #[derive(Clone, Debug)]
 pub struct Host<S: Semiring> {
@@ -81,9 +71,11 @@ impl<S: Semiring> Host<S> {
         self.queue.len()
     }
 
-    /// Injects at most one word into the chain; reports where it lands.
-    pub fn tick(&mut self, now: u64) -> Option<Injection> {
-        let (cell, slot, w) = self.queue.pop_front()?;
+    /// Injects at most one word into the chain; reports whether it did.
+    pub fn tick(&mut self, now: u64) -> bool {
+        let Some((cell, slot, w)) = self.queue.pop_front() else {
+            return false;
+        };
         let arrival = now + self.base_latency + cell as u64 + 1;
         let rblock = &mut self.rblocks[cell];
         if rblock.len() <= slot {
@@ -95,7 +87,7 @@ impl<S: Semiring> Host<S> {
         self.last_injection = Some(now);
         self.resident += 1;
         self.peak_resident = self.peak_resident.max(self.resident);
-        Some(Injection { cell, arrival })
+        true
     }
 
     /// True when cell `cell` can read the next word of stream `slot`.
@@ -104,15 +96,6 @@ impl<S: Semiring> Host<S> {
             .get(slot)
             .and_then(VecDeque::front)
             .is_some_and(|(ready, _)| *ready <= now)
-    }
-
-    /// Arrival cycle of the next word of stream `slot` at cell `cell`
-    /// (already landed or still in transit), if any word has been injected.
-    pub fn front_ready(&self, cell: usize, slot: usize) -> Option<u64> {
-        self.rblocks[cell]
-            .get(slot)
-            .and_then(VecDeque::front)
-            .map(|(ready, _)| *ready)
     }
 
     /// Reads the next word of stream `slot` at cell `cell`, if arrived.
@@ -162,22 +145,10 @@ mod tests {
     fn injection_is_one_word_per_cycle_with_chain_latency() {
         let mut h = Host::<MinPlus>::new(3, 0);
         h.enqueue_stream(2, 7, [10u64, 20]);
+        assert!(h.tick(0));
+        assert!(h.tick(1));
+        assert!(!h.tick(2), "queue drained");
         // Word for cell 2 arrives at cycle 0 + 2 + 1 = 3.
-        assert_eq!(
-            h.tick(0),
-            Some(Injection {
-                cell: 2,
-                arrival: 3
-            })
-        );
-        assert_eq!(
-            h.tick(1),
-            Some(Injection {
-                cell: 2,
-                arrival: 4
-            })
-        );
-        assert_eq!(h.tick(2), None, "queue drained");
         assert!(!h.can_read(2, 7, 2));
         assert!(h.can_read(2, 7, 3));
         assert_eq!(h.read(2, 7, 3), Some(10));

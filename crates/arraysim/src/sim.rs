@@ -1,5 +1,11 @@
 //! The simulation driver.
 //!
+//! [`ArraySim::run`] is one cycle loop that polls every cell every cycle,
+//! for clean and fault-armed runs alike. The paper's partitioned arrays
+//! keep almost every cell busy almost every cycle, so there are few
+//! stalled cells to skip, and a plain poll beats tracking which cells are
+//! ready on every closure shape measured (DESIGN §9).
+//!
 //! The whole data plane — cell payloads, link words, bank slots, host
 //! streams, output collectors — is generic over the semiring element
 //! `S::Elem` and never branches on its value, so the element's *lane
@@ -17,8 +23,6 @@ use crate::inject::{
 };
 use crate::stats::{PhaseStats, RunStats, BUSY_HISTOGRAM_BUCKETS};
 use crate::stream::{Bank, Link};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use systolic_semiring::Semiring;
 
@@ -63,9 +67,6 @@ impl std::fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
-
-/// Not scheduled / not asleep sentinel for the ready-tracking loop.
-const IDLE: u64 = u64::MAX;
 
 /// A configured systolic array: cells, links, banks, host and collectors.
 pub struct ArraySim<S: Semiring> {
@@ -236,28 +237,18 @@ impl<S: Semiring> ArraySim<S> {
 
     /// Runs the simulation to completion.
     ///
-    /// Clean runs use the ready-tracking loop (blocked cells are parked on
-    /// the stream they wait for and skipped until it changes); runs with an
-    /// armed fault plan use the dense reference loop, whose poll-every-cell
-    /// order the fault plan's decision stream is keyed to.
+    /// One loop serves clean and armed runs alike: every cycle the host
+    /// injects at most one word, then every cell is polled in ascending
+    /// index order. An armed fault plan draws its decisions in that poll
+    /// order, so the same plan over the same programs replays the same
+    /// faults. The loop's own bookkeeping is O(1) per cycle: it counts the
+    /// cells with work left and accumulates bank residency from the
+    /// fabric's per-cycle delta.
     ///
     /// # Errors
     /// [`SimError::Deadlock`] when dataflow can no longer progress,
     /// [`SimError::Timeout`] when the cycle budget is exceeded.
     pub fn run(&mut self) -> Result<RunStats, SimError> {
-        if self.injector.is_some() {
-            self.run_dense()
-        } else {
-            self.run_ready()
-        }
-    }
-
-    /// The ready-tracking cycle loop. Semantically identical to
-    /// [`ArraySim::run_dense`] (verified by property test): every readiness
-    /// transition schedules a wake-up, parked cells accrue their skipped
-    /// stall cycles lazily on wake, and in-cycle wake order reproduces the
-    /// dense loop's ascending-cell-index polling.
-    fn run_ready(&mut self) -> Result<RunStats, SimError> {
         let started = std::time::Instant::now();
         let mut now: u64 = 0;
         let mut quiet_cycles: u64 = 0;
@@ -276,204 +267,11 @@ impl<S: Semiring> ArraySim<S> {
             .max(max_link_delay)
             .max(max_task_dur)
             + 2;
-
-        // Scheduling state: `sched[c]` is the cycle cell `c` will next be
-        // stepped (IDLE = parked or retired); `sleep_from[c]` is the cycle
-        // it parked, for lazy stall accounting. Heap entries not matching
-        // `sched` are stale and skipped.
-        let ncells = self.cells.len();
-        let mut sched = vec![IDLE; ncells];
-        let mut sleep_from = vec![IDLE; ncells];
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::with_capacity(ncells + 4);
-        let mut remaining = 0usize;
-        for c in &self.cells {
-            if c.pending() > 0 {
-                remaining += 1;
-                sched[c.id] = 0;
-                heap.push(Reverse((0, c.id as u32)));
-            }
-        }
-        let mut wakes: Vec<(u64, u32)> = Vec::new();
+        let mut remaining = self.cells.iter().filter(|c| c.pending() > 0).count();
         let mut bank_resident: isize =
             self.banks.iter().map(Bank::resident).sum::<usize>() as isize;
-        let mut peak_resident = self.peak_bank_resident as isize;
-
-        macro_rules! wake {
-            ($cell:expr, $at:expr) => {{
-                let (w, at) = ($cell as usize, $at);
-                // Retired cells and cells already due at or before `at`
-                // need no entry; a spurious earlier wake is harmless.
-                if self.cells[w].pending() > 0 && sched[w] > at {
-                    sched[w] = at;
-                    heap.push(Reverse((at, w as u32)));
-                }
-            }};
-        }
 
         while remaining > 0 {
-            if now >= self.max_cycles {
-                return Err(SimError::Timeout {
-                    max_cycles: self.max_cycles,
-                });
-            }
-
-            let injected = match self.host.tick(now) {
-                Some(inj) => {
-                    // The word's arrival cycle is known at injection time:
-                    // wake its destination cell exactly then.
-                    wake!(inj.cell, inj.arrival);
-                    true
-                }
-                None => false,
-            };
-
-            let mut cell_fired = false;
-            let bank_delta: isize;
-            {
-                let mut fab = Fabric::<S> {
-                    links: &mut self.links,
-                    banks: &mut self.banks,
-                    host: &mut self.host,
-                    outputs: &mut self.outputs,
-                    now,
-                    inject: None,
-                    watch: None,
-                    wakes: &mut wakes,
-                    bank_delta: 0,
-                };
-                while let Some(&Reverse((t, c))) = heap.peek() {
-                    if t > now {
-                        break;
-                    }
-                    heap.pop();
-                    let ci = c as usize;
-                    if sched[ci] != t {
-                        continue; // stale entry
-                    }
-                    // Lazily charge the stall cycles this cell slept
-                    // through: +1 was counted when it parked, the step
-                    // below re-counts the current cycle if it stalls again.
-                    if sleep_from[ci] != IDLE {
-                        self.cells[ci].stall_cycles += now - sleep_from[ci] - 1;
-                        sleep_from[ci] = IDLE;
-                    }
-                    fab.watch = Some(c);
-                    match self.cells[ci].step(&mut fab) {
-                        Step::Worked => {
-                            cell_fired = true;
-                            if self.cells[ci].pending() == 0 {
-                                remaining -= 1;
-                                sched[ci] = IDLE;
-                            } else {
-                                // A multi-cycle element keeps the cell busy
-                                // until `busy_until`; stepping earlier would
-                                // only observe `Step::Busy`.
-                                let next = (now + 1).max(self.cells[ci].busy_until);
-                                sched[ci] = next;
-                                heap.push(Reverse((next, c)));
-                            }
-                        }
-                        Step::Busy => {
-                            // Spurious wake (e.g. a stream event) while the
-                            // ALU is occupied: try again when it frees.
-                            let next = self.cells[ci].busy_until;
-                            sched[ci] = next;
-                            heap.push(Reverse((next, c)));
-                        }
-                        Step::Stalled => {
-                            sched[ci] = IDLE;
-                            sleep_from[ci] = now;
-                        }
-                        Step::Done => {
-                            remaining -= 1;
-                            sched[ci] = IDLE;
-                        }
-                    }
-                    while let Some((at, w)) = fab.wakes.pop() {
-                        wake!(w, at);
-                    }
-                }
-                bank_delta = fab.bank_delta;
-                // (fab drops here; `wakes` is empty between cycles.)
-            }
-
-            if cell_fired {
-                first_fire.get_or_insert(now);
-                last_fire = Some(now);
-            }
-            for b in &mut self.banks {
-                b.tick();
-            }
-            if injected || cell_fired {
-                quiet_cycles = 0;
-            } else {
-                quiet_cycles += 1;
-                if quiet_cycles > grace {
-                    return Err(SimError::Deadlock {
-                        cycle: now,
-                        pending: self.cells.iter().map(Cell::pending).collect(),
-                        blocked: self
-                            .cells
-                            .iter()
-                            .filter_map(Cell::describe_blocked)
-                            .collect(),
-                    });
-                }
-            }
-            now += 1;
-            bank_resident += bank_delta;
-            peak_resident = peak_resident.max(bank_resident);
-        }
-        self.peak_bank_resident = peak_resident as usize;
-
-        let phases = match (first_fire, last_fire) {
-            (Some(f), Some(l)) => PhaseStats {
-                load_cycles: f,
-                compute_cycles: l - f + 1,
-                drain_cycles: now - l - 1,
-            },
-            _ => PhaseStats {
-                load_cycles: now,
-                compute_cycles: 0,
-                drain_cycles: 0,
-            },
-        };
-        Ok(self.collect_stats(now, phases, started.elapsed().as_nanos() as u64))
-    }
-
-    /// The dense reference loop: polls every cell, every cycle. Kept both
-    /// as the executable specification the ready-tracking loop is verified
-    /// against and as the execution path for fault-injected runs, whose
-    /// per-cycle decision stream is keyed to this poll order.
-    ///
-    /// # Errors
-    /// Same contract as [`ArraySim::run`].
-    pub fn run_dense(&mut self) -> Result<RunStats, SimError> {
-        let started = std::time::Instant::now();
-        let mut now: u64 = 0;
-        let mut quiet_cycles: u64 = 0;
-        let mut first_fire: Option<u64> = None;
-        let mut last_fire: Option<u64> = None;
-        let max_link_delay = self.links.iter().map(Link::delay).max().unwrap_or(1);
-        let max_task_dur = self
-            .cells
-            .iter()
-            .map(Cell::max_task_duration)
-            .max()
-            .unwrap_or(1);
-        let grace = self
-            .host
-            .max_latency()
-            .max(max_link_delay)
-            .max(max_task_dur)
-            + 2;
-        let mut wakes: Vec<(u64, u32)> = Vec::new();
-
-        loop {
-            let work_left = self.cells.iter().any(|c| c.pending() > 0);
-            if !work_left {
-                break;
-            }
             if now >= self.max_cycles {
                 return Err(SimError::Timeout {
                     max_cycles: self.max_cycles,
@@ -494,8 +292,7 @@ impl<S: Semiring> ArraySim<S> {
                 }
             }
 
-            let injected = self.host.tick(now).is_some();
-            let mut any_worked = injected;
+            let injected = self.host.tick(now);
             let mut cell_fired = false;
             {
                 let mut fab = Fabric::<S> {
@@ -505,8 +302,6 @@ impl<S: Semiring> ArraySim<S> {
                     outputs: &mut self.outputs,
                     now,
                     inject: self.injector.as_mut(),
-                    watch: None,
-                    wakes: &mut wakes,
                     bank_delta: 0,
                 };
                 for cell in &mut self.cells {
@@ -523,10 +318,14 @@ impl<S: Semiring> ArraySim<S> {
                         continue;
                     }
                     if cell.step(&mut fab) == Step::Worked {
-                        any_worked = true;
                         cell_fired = true;
+                        // Only a working step retires a cell's last task.
+                        if cell.pending() == 0 {
+                            remaining -= 1;
+                        }
                     }
                 }
+                bank_resident += fab.bank_delta;
             }
             if cell_fired {
                 first_fire.get_or_insert(now);
@@ -539,7 +338,7 @@ impl<S: Semiring> ArraySim<S> {
             // deadlock grace period from firing while a stick longer than
             // `grace` plays out.
             let stick_pending = self.injector.as_ref().is_some_and(|i| i.any_stuck(now));
-            if any_worked || stick_pending {
+            if injected || cell_fired || stick_pending {
                 quiet_cycles = 0;
             } else {
                 quiet_cycles += 1;
@@ -556,9 +355,7 @@ impl<S: Semiring> ArraySim<S> {
                 }
             }
             now += 1;
-            self.peak_bank_resident = self
-                .peak_bank_resident
-                .max(self.banks.iter().map(Bank::resident).sum());
+            self.peak_bank_resident = self.peak_bank_resident.max(bank_resident as usize);
         }
 
         let phases = match (first_fire, last_fire) {
@@ -574,6 +371,14 @@ impl<S: Semiring> ArraySim<S> {
             },
         };
         Ok(self.collect_stats(now, phases, started.elapsed().as_nanos() as u64))
+    }
+
+    /// Alias of [`ArraySim::run`], the only cycle loop.
+    ///
+    /// # Errors
+    /// As [`ArraySim::run`].
+    pub fn run_dense(&mut self) -> Result<RunStats, SimError> {
+        self.run()
     }
 
     fn collect_stats(&self, cycles: u64, phases: PhaseStats, wall_nanos: u64) -> RunStats {
@@ -701,6 +506,11 @@ mod tests {
         assert_eq!(sim.outputs()[0], vec![true, false, true]);
         assert_eq!(stats.useful_ops, 1);
         assert!(stats.link_words >= 3);
+        assert_eq!(stats.busy, vec![3, 4]);
+        // The fuse cell waits one cycle for the first pivot word.
+        assert_eq!(stats.stalls, vec![0, 1]);
+        assert_eq!(stats.cycles, 5);
+        assert_eq!(stats.peak_bank_resident, 5);
     }
 
     #[test]
@@ -834,72 +644,28 @@ mod tests {
         assert_eq!(stats.cycles, 7);
     }
 
-    /// Builds the pivot-head/fuse scenario twice and checks the ready
-    /// loop against the dense reference, stats included.
     #[test]
-    fn ready_loop_matches_dense_reference() {
-        let build = || {
-            let mut sim = ArraySim::<Bool>::new(2);
-            let b = sim.add_bank();
-            let l = sim.add_link();
-            let o = sim.add_outputs(1);
-            for w in [true, true, false] {
-                sim.bank_mut(b).preload(0, w);
-            }
-            for w in [true, false, false] {
-                sim.bank_mut(b).preload(1, w);
-            }
-            let mut head = task(TaskKind::PivotHead, 3);
-            head.col_in = Some(StreamSrc::Bank { bank: b, slot: 0 });
-            head.pivot_out = Some(StreamDst::Link(l));
-            sim.push_task(0, head);
-            let mut fuse = task(TaskKind::Fuse, 3);
-            fuse.col_in = Some(StreamSrc::Bank { bank: b, slot: 1 });
-            fuse.pivot_in = Some(StreamSrc::Link(l));
-            fuse.col_out = Some(StreamDst::Output { stream: o });
-            fuse.useful_ops = 1;
-            sim.push_task(1, fuse);
-            sim
-        };
-        let mut ready = build();
-        let mut dense = build();
-        let rs = ready.run().unwrap();
-        let ds = dense.run_dense().unwrap();
-        assert_eq!(ready.outputs(), dense.outputs());
-        // PartialEq on RunStats ignores wall time.
-        assert_eq!(rs, ds);
-        assert_eq!(rs.stalls, ds.stalls, "lazy stall accounting must match");
-        assert_eq!(rs.peak_bank_resident, ds.peak_bank_resident);
-    }
-
-    #[test]
-    fn multi_cycle_duration_throttles_and_matches_dense() {
-        let build = || {
-            let mut sim = ArraySim::<MinPlus>::new(1);
-            let b = sim.add_bank();
-            let o = sim.add_outputs(1);
-            for w in [1u64, 2, 3, 4] {
-                sim.bank_mut(b).preload(0, w);
-            }
-            let mut t = task(TaskKind::Pass, 4);
-            t.duration = 3;
-            t.col_in = Some(StreamSrc::Bank { bank: b, slot: 0 });
-            t.col_out = Some(StreamDst::Output { stream: o });
-            sim.push_task(0, t);
-            sim
-        };
-        let mut ready = build();
-        let mut dense = build();
-        let rs = ready.run().unwrap();
-        let ds = dense.run_dense().unwrap();
-        assert_eq!(ready.outputs(), dense.outputs());
-        assert_eq!(rs, ds);
-        assert_eq!(ready.outputs()[0], vec![1, 2, 3, 4]);
+    fn multi_cycle_duration_throttles() {
+        let mut sim = ArraySim::<MinPlus>::new(1);
+        let b = sim.add_bank();
+        let o = sim.add_outputs(1);
+        for w in [1u64, 2, 3, 4] {
+            sim.bank_mut(b).preload(0, w);
+        }
+        let mut t = task(TaskKind::Pass, 4);
+        t.duration = 3;
+        t.col_in = Some(StreamSrc::Bank { bank: b, slot: 0 });
+        t.col_out = Some(StreamDst::Output { stream: o });
+        sim.push_task(0, t);
+        let stats = sim.run().unwrap();
+        assert_eq!(sim.outputs()[0], vec![1, 2, 3, 4]);
         // Each of the 4 elements holds the ALU for 3 cycles.
-        assert_eq!(rs.busy[0], 12);
+        assert_eq!(stats.busy[0], 12);
         // Elements fire 3 cycles apart, so the makespan stretches past the
-        // single-cycle case (which finishes in ~5 cycles).
-        assert!(rs.cycles >= 10, "cycles = {}", rs.cycles);
+        // single-cycle case (which finishes in ~5 cycles); a busy cell is
+        // not stalled.
+        assert_eq!(stats.cycles, 10);
+        assert_eq!(stats.stalls, vec![0]);
     }
 
     #[test]

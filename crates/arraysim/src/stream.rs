@@ -11,19 +11,8 @@
 //! Direct (non-compiled) users simply use small integers as slots; the
 //! tables auto-extend, with the slot index doubling as the fault-visit
 //! sort key.
-//!
-//! Links and bank slots also carry *waiter* registration used by the
-//! ready-tracking simulator loop ([`crate::ArraySim::run`]): a blocked
-//! cell parks itself on the stream it needs, and the next write (or read,
-//! for backpressure) schedules its wake-up. A second cell parking on an
-//! already-claimed stream evicts the first with an immediate wake, so a
-//! contended stream degrades to per-cycle polling instead of ever losing
-//! a wake.
 
 use std::collections::VecDeque;
-
-/// Sentinel slot-waiter value: no cell is parked here.
-pub(crate) const NO_WAITER: u32 = u32::MAX;
 
 /// A neighbor register chain: a word written at cycle `t` becomes readable
 /// at `t + delay` (default delay 1 — a single register).
@@ -42,8 +31,6 @@ pub struct Link<E> {
     cap: usize,
     /// Total words transported.
     pub words: u64,
-    read_waiter: u32,
-    write_waiter: u32,
 }
 
 impl<E> Default for Link<E> {
@@ -66,8 +53,6 @@ impl<E> Link<E> {
             delay,
             cap: delay as usize + 1,
             words: 0,
-            read_waiter: NO_WAITER,
-            write_waiter: NO_WAITER,
         }
     }
 
@@ -108,13 +93,6 @@ impl<E> Link<E> {
         self.fifo.front().is_some_and(|(ready, _)| *ready <= now)
     }
 
-    /// The cycle at which the oldest in-flight word becomes readable, if
-    /// any word is in flight.
-    #[inline]
-    pub(crate) fn front_ready(&self) -> Option<u64> {
-        self.fifo.front().map(|(ready, _)| *ready)
-    }
-
     /// Consumes the word readable at cycle `now`, if any.
     pub fn read(&mut self, now: u64) -> Option<E> {
         if self.can_read(now) {
@@ -129,41 +107,11 @@ impl<E> Link<E> {
         self.fifo.is_empty()
     }
 
-    /// Parks `cell` until the next word lands; returns an evicted waiter.
-    pub(crate) fn park_reader(&mut self, cell: u32) -> Option<u32> {
-        let old = self.read_waiter;
-        self.read_waiter = cell;
-        (old != NO_WAITER && old != cell).then_some(old)
-    }
-
-    /// Unparks the cell waiting for a word, if any.
-    pub(crate) fn take_reader(&mut self) -> Option<u32> {
-        let old = self.read_waiter;
-        self.read_waiter = NO_WAITER;
-        (old != NO_WAITER).then_some(old)
-    }
-
-    /// Parks `cell` until backpressure clears; returns an evicted waiter.
-    pub(crate) fn park_writer(&mut self, cell: u32) -> Option<u32> {
-        let old = self.write_waiter;
-        self.write_waiter = cell;
-        (old != NO_WAITER && old != cell).then_some(old)
-    }
-
-    /// Unparks the cell waiting to write, if any.
-    pub(crate) fn take_writer(&mut self) -> Option<u32> {
-        let old = self.write_waiter;
-        self.write_waiter = NO_WAITER;
-        (old != NO_WAITER).then_some(old)
-    }
-
-    /// Clears all dynamic state (words in flight, counters, waiters) while
-    /// keeping the link's structure and allocations.
+    /// Clears all dynamic state (words in flight, counters) while keeping
+    /// the link's structure and allocations.
     pub fn reset(&mut self) {
         self.fifo.clear();
         self.words = 0;
-        self.read_waiter = NO_WAITER;
-        self.write_waiter = NO_WAITER;
     }
 }
 
@@ -182,7 +130,6 @@ impl<E> Link<E> {
 pub struct Bank<E> {
     fifos: Vec<VecDeque<(u64, E)>>,
     sort_keys: Vec<u64>,
-    waiters: Vec<u32>,
     /// Total words written.
     pub writes: u64,
     /// Total words read.
@@ -211,7 +158,6 @@ impl<E> Bank<E> {
     pub fn with_slots(sort_keys: Vec<u64>) -> Self {
         Self {
             fifos: sort_keys.iter().map(|_| VecDeque::new()).collect(),
-            waiters: vec![NO_WAITER; sort_keys.len()],
             sort_keys,
             writes: 0,
             reads: 0,
@@ -231,7 +177,6 @@ impl<E> Bank<E> {
         while self.fifos.len() <= slot {
             self.sort_keys.push(self.fifos.len() as u64);
             self.fifos.push(VecDeque::new());
-            self.waiters.push(NO_WAITER);
         }
     }
 
@@ -262,16 +207,6 @@ impl<E> Bank<E> {
             .is_some_and(|(ready, _)| *ready <= now)
     }
 
-    /// The cycle at which stream `slot`'s oldest word becomes readable, if
-    /// the stream holds any word.
-    #[inline]
-    pub(crate) fn front_ready(&self, slot: usize) -> Option<u64> {
-        self.fifos
-            .get(slot)
-            .and_then(VecDeque::front)
-            .map(|(ready, _)| *ready)
-    }
-
     /// Consumes the next word of stream `slot` if readable.
     pub fn read(&mut self, slot: usize, now: u64) -> Option<E> {
         let fifo = self.fifos.get_mut(slot)?;
@@ -291,8 +226,8 @@ impl<E> Bank<E> {
         self.writes_this_cycle = 0;
     }
 
-    /// Number of words currently resident (peak external-memory footprint is
-    /// tracked by the simulator). O(1): the simulator polls this every cycle.
+    /// Number of words currently resident. O(1): the simulator sums it
+    /// once per run and tracks the global peak from per-cycle deltas.
     pub fn resident(&self) -> usize {
         self.resident
     }
@@ -305,34 +240,12 @@ impl<E> Bank<E> {
         self.peak_resident
     }
 
-    /// Parks `cell` until stream `slot` is next written; returns an
-    /// evicted waiter.
-    pub(crate) fn park_reader(&mut self, slot: usize, cell: u32) -> Option<u32> {
-        self.ensure_slot(slot);
-        let old = self.waiters[slot];
-        self.waiters[slot] = cell;
-        (old != NO_WAITER && old != cell).then_some(old)
-    }
-
-    /// Unparks the cell waiting on stream `slot`, if any.
-    pub(crate) fn take_reader(&mut self, slot: usize) -> Option<u32> {
-        match self.waiters.get_mut(slot) {
-            Some(w) if *w != NO_WAITER => {
-                let old = *w;
-                *w = NO_WAITER;
-                Some(old)
-            }
-            _ => None,
-        }
-    }
-
-    /// Clears all dynamic state (stream contents, counters, waiters) while
-    /// keeping the slot table and its allocations.
+    /// Clears all dynamic state (stream contents, counters) while keeping
+    /// the slot table and its allocations.
     pub fn reset(&mut self) {
         for fifo in &mut self.fifos {
             fifo.clear();
         }
-        self.waiters.fill(NO_WAITER);
         self.writes = 0;
         self.reads = 0;
         self.writes_this_cycle = 0;
@@ -548,29 +461,5 @@ mod tests {
         assert_eq!(b.reads, 0);
         assert_eq!(b.max_writes_per_cycle, 0);
         assert_eq!(b.read(0, 10), None);
-    }
-
-    #[test]
-    fn parked_cells_are_woken_once_and_evicted_on_contention() {
-        let mut l = Link::<u32>::new();
-        assert_eq!(l.park_reader(4), None);
-        assert_eq!(
-            l.park_reader(4),
-            None,
-            "re-parking the same cell is a no-op"
-        );
-        assert_eq!(
-            l.park_reader(6),
-            Some(4),
-            "contention evicts the old waiter"
-        );
-        assert_eq!(l.take_reader(), Some(6));
-        assert_eq!(l.take_reader(), None);
-
-        let mut b = Bank::<u32>::new();
-        assert_eq!(b.park_reader(2, 1), None);
-        assert_eq!(b.park_reader(2, 5), Some(1));
-        assert_eq!(b.take_reader(2), Some(5));
-        assert_eq!(b.take_reader(2), None);
     }
 }

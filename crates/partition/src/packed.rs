@@ -7,9 +7,8 @@
 //! [`systolic_semiring::swar`]). A `closure_many` batch need not chain its
 //! instances through the array one scalar element per stream event:
 //! [`PackedEngine`] transposes each group of `≤ LANE_COUNT` instances into
-//! a single lane matrix, runs the wrapped [`LinearEngine`]'s
-//! ready-tracking loop **once** per group against the cached
-//! single-instance plan, and transposes the result back — the same
+//! a single lane matrix, runs the wrapped [`LinearEngine`]'s simulator
+//! **once** per group against the cached single-instance plan, and transposes the result back — the same
 //! simulated events now carry one result per lane.
 //!
 //! `PackedEngine` (no type argument) is the original 64-lane Boolean

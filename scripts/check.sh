@@ -18,9 +18,12 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # failure points straight at the plane that diverged (they also run
 # as part of the workspace suite above). proptest_sparse pins the sparse
 # CSR pipeline to the dense oracle and the tiled bridge to the untiled
-# closure; condense_ids pins the component ids the DAG sweep relies on.
+# closure; condense_ids pins the component ids the DAG sweep relies on;
+# determinism_and_goldens pins every simulator path (clean and
+# fault-armed runs, all mappings, timed elimination) bit for bit.
 cargo test -q --test proptest_lanes --test proptest_swar --test proptest_laws \
-    --test proptest_sparse --test proptest_durations --test condense_ids
+    --test proptest_sparse --test proptest_durations --test condense_ids \
+    --test determinism_and_goldens
 
 # Perf smoke (non-gating: wall-clock numbers are machine-dependent).
 ./scripts/bench_smoke.sh || echo "check.sh: bench_smoke failed (non-gating)"

@@ -101,73 +101,55 @@ fn positive(what: &str, v: usize) -> usize {
     v
 }
 
-fn parse_backend(spec: &str) -> Backend {
+/// Array names `closure --backend` accepts.
+const BACKENDS: &[&str] = &[
+    "linear",
+    "grid",
+    "lsgp",
+    "fixed",
+    "fixed-linear",
+    "reference",
+    "bit",
+    "blocked",
+];
+/// Array names `closure --mapping` accepts: the mapping layer's names.
+const MAPPINGS: &[&str] = &["lpgs", "lsgp", "grid", "fixed", "fixed-linear"];
+/// Array names `algo --mapping` accepts.
+const ALGO_MAPPINGS: &[&str] = &["lpgs", "grid"];
+
+/// Parses a `name[:N]` array spec, the one grammar of `closure --backend`,
+/// `closure --mapping` and `algo --mapping`; each flag passes the names it
+/// accepts. `lpgs` is the mapping layer's name for the `linear` array. A
+/// bare sized name takes its one default: 4 cells for `linear`, `lpgs` and
+/// `lsgp`, side 2 for `grid` (the same 4 cells), tile 4 for `blocked`.
+fn parse_array(flag: &str, spec: &str, names: &[&str]) -> Backend {
     let (name, arg) = match spec.split_once(':') {
         Some((n, a)) => (n, Some(a)),
         None => (spec, None),
     };
-    let num = |d: usize| -> usize {
-        arg.and_then(|a| a.parse().ok()).unwrap_or_else(|| {
-            if arg.is_none() {
-                d
-            } else {
-                fail("bad backend argument")
-            }
-        })
+    if !names.contains(&name) {
+        fail(&format!(
+            "unknown {flag} `{spec}` (expected one of {})",
+            names.join(", ")
+        ));
+    }
+    let size = |default: usize| -> usize {
+        let v = arg.map_or(default, |a| {
+            a.parse()
+                .unwrap_or_else(|_| fail(&format!("bad {flag} argument `{spec}`")))
+        });
+        positive(&format!("{flag} `{name}` size"), v)
     };
     match name {
-        "linear" => Backend::Linear {
-            cells: positive("backend `linear` cell count", num(4)),
-        },
-        "grid" => Backend::Grid {
-            side: positive("backend `grid` side", num(2)),
-        },
-        "lsgp" => Backend::Lsgp {
-            cells: positive("backend `lsgp` cell count", num(4)),
-        },
+        "linear" | "lpgs" => Backend::Linear { cells: size(4) },
+        "lsgp" => Backend::Lsgp { cells: size(4) },
+        "grid" => Backend::Grid { side: size(2) },
+        "blocked" => Backend::Blocked { tile: size(4) },
         "fixed" => Backend::FixedArray,
         "fixed-linear" => Backend::FixedLinear,
         "reference" => Backend::Reference,
         "bit" => Backend::BitParallel,
-        "blocked" => Backend::Blocked {
-            tile: positive("backend `blocked` tile size", num(4)),
-        },
-        _ => fail(&format!("unknown backend `{spec}`")),
-    }
-}
-
-/// `--mapping` speaks the mapping layer's vocabulary (`lpgs` is the
-/// paper's name for the cut-and-pile linear array) and resolves to the
-/// same simulated backends.
-fn parse_mapping(spec: &str) -> Backend {
-    let (name, arg) = match spec.split_once(':') {
-        Some((n, a)) => (n, Some(a)),
-        None => (spec, None),
-    };
-    let num = |d: usize| -> usize {
-        arg.and_then(|a| a.parse().ok()).unwrap_or_else(|| {
-            if arg.is_none() {
-                d
-            } else {
-                fail("bad mapping argument")
-            }
-        })
-    };
-    match name {
-        "lpgs" => Backend::Linear {
-            cells: positive("mapping `lpgs` cell count", num(4)),
-        },
-        "lsgp" => Backend::Lsgp {
-            cells: positive("mapping `lsgp` cell count", num(4)),
-        },
-        "grid" => Backend::Grid {
-            side: positive("mapping `grid` side", num(2)),
-        },
-        "fixed" => Backend::FixedArray,
-        "fixed-linear" => Backend::FixedLinear,
-        _ => fail(&format!(
-            "unknown mapping `{spec}` (expected lpgs[:M], lsgp[:M], grid[:S], fixed, fixed-linear)"
-        )),
+        _ => unreachable!("`{name}` is in no flag's name list"),
     }
 }
 
@@ -222,19 +204,23 @@ fn cmd_closure(args: &[String]) {
         match args[i].as_str() {
             "--backend" => {
                 i += 1;
-                backend = parse_backend(
+                backend = parse_array(
+                    "backend",
                     args.get(i)
                         .map(String::as_str)
                         .unwrap_or_else(|| fail("--backend needs a value")),
+                    BACKENDS,
                 );
                 backend_explicit = true;
             }
             "--mapping" => {
                 i += 1;
-                backend = parse_mapping(
+                backend = parse_array(
+                    "mapping",
                     args.get(i)
                         .map(String::as_str)
                         .unwrap_or_else(|| fail("--mapping needs a value")),
+                    MAPPINGS,
                 );
                 backend_explicit = true;
             }
@@ -537,18 +523,10 @@ fn cmd_algo(args: &[String]) {
             "faddeev" => algo = Some(Algo::Faddeev),
             "--mapping" => {
                 i += 1;
-                let spec = value(i);
-                let (name, arg) = spec.split_once(':').unwrap_or((spec, "4"));
-                let c = positive(
-                    "algo mapping size",
-                    arg.parse().unwrap_or_else(|_| fail("bad mapping argument")),
-                );
-                mapping = match name {
-                    "lpgs" => EliminationMapping::Linear { m: c },
-                    "grid" => EliminationMapping::Grid { s: c },
-                    _ => fail(&format!(
-                        "unknown algo mapping `{spec}` (expected lpgs[:M] or grid[:S])"
-                    )),
+                mapping = match parse_array("algo mapping", value(i), ALGO_MAPPINGS) {
+                    Backend::Linear { cells } => EliminationMapping::Linear { m: cells },
+                    Backend::Grid { side } => EliminationMapping::Grid { s: side },
+                    _ => unreachable!("ALGO_MAPPINGS names only lpgs and grid"),
                 };
             }
             "-n" | "--n" => {

@@ -512,6 +512,31 @@ fn algo_timed_runs_vary_the_gnode_durations() {
 }
 
 #[test]
+fn bare_grid_is_a_four_cell_array_in_every_command() {
+    // One `name[:N]` grammar with one default per name: a bare `grid` is
+    // the 2×2 array, the same 4 cells as a bare `lpgs`.
+    let f = write_temp("edges-bare-grid", "0 1\n1 2\n2 0\n2 3\n");
+    for flag in ["--backend", "--mapping"] {
+        let out = bin()
+            .args(["closure", flag, "grid"])
+            .arg(&f)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "closure {flag} grid");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("on 4 cells"), "closure {flag} grid: {text}");
+    }
+    std::fs::remove_file(f).ok();
+    let out = bin()
+        .args(["algo", "lu", "-n", "6", "--mapping", "grid"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "algo --mapping grid");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("grid-partitioned (4 cells)"), "{text}");
+}
+
+#[test]
 fn algo_bad_usage_exits_cleanly() {
     for args in [
         vec!["algo"],
