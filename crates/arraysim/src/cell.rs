@@ -104,6 +104,64 @@ impl Program {
     }
 }
 
+/// A task's firing rules, decoded from its kind and ports once, when the
+/// program is installed, so the per-element step reads them instead of
+/// matching the task kind again.
+#[derive(Copy, Clone, Debug)]
+struct Rule {
+    /// Column input consumed by every element (`None`: the role reads none).
+    col_in: Option<StreamSrc>,
+    /// Pivot input consumed by every element (`None`: the role reads none).
+    piv_in: Option<StreamSrc>,
+    /// The role needs an input port the task leaves unset: it never fires.
+    unwired: bool,
+    /// Where the latched head goes after the last element (`Fuse`,
+    /// `ElimFuse`, `DelayTail`).
+    head_out: Option<StreamDst>,
+    /// Link the column port writes, when it writes one; links are the only
+    /// destinations that can refuse a word.
+    col_link: Option<usize>,
+    /// First element that writes the column port (the rotating roles
+    /// defer element 0's word, the head).
+    col_from: usize,
+    /// Link the pivot port writes, when it writes one.
+    piv_link: Option<usize>,
+    /// Cycles per element, at least 1.
+    dur: u32,
+}
+
+impl Rule {
+    fn decode(t: &Task) -> Self {
+        use TaskKind::*;
+        let reads_col = !matches!(t.kind, DelayTail | EmitAcc);
+        let reads_piv = matches!(t.kind, Fuse | ElimFuse | DelayTail | Mac);
+        let link = |d: Option<StreamDst>| match d {
+            Some(StreamDst::Link(l)) => Some(l),
+            _ => None,
+        };
+        Rule {
+            col_in: t.col_in.filter(|_| reads_col),
+            piv_in: t.pivot_in.filter(|_| reads_piv),
+            unwired: (reads_col && t.col_in.is_none()) || (reads_piv && t.pivot_in.is_none()),
+            head_out: match t.kind {
+                Fuse | ElimFuse => t.head_out.or(t.col_out),
+                DelayTail => t.col_out,
+                _ => None,
+            },
+            col_link: match t.kind {
+                PivotHead | DivHead | LoadAcc => None,
+                _ => link(t.col_out),
+            },
+            col_from: usize::from(matches!(t.kind, Fuse | ElimFuse | DelayTail)),
+            piv_link: match t.kind {
+                PivotHead | DivHead | Fuse | ElimFuse | Mac => link(t.pivot_out),
+                _ => None,
+            },
+            dur: t.duration.max(1),
+        }
+    }
+}
+
 /// Progress made by a cell in one cycle.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Step {
@@ -138,16 +196,18 @@ pub struct Fabric<'a, S: Semiring> {
 }
 
 impl<S: Semiring> Fabric<'_, S> {
-    fn src_ready(&self, src: &StreamSrc, cell: usize) -> bool {
-        match *src {
+    #[inline(always)]
+    fn src_ready(&self, src: StreamSrc, cell: usize) -> bool {
+        match src {
             StreamSrc::Bank { bank, slot } => self.banks[bank].can_read(slot, self.now),
             StreamSrc::Link(l) => self.links[l].can_read(self.now),
             StreamSrc::Host { slot } => self.host.can_read(cell, slot, self.now),
         }
     }
 
-    fn src_take(&mut self, src: &StreamSrc, cell: usize) -> S::Elem {
-        match *src {
+    #[inline(always)]
+    fn src_take(&mut self, src: StreamSrc, cell: usize) -> S::Elem {
+        match src {
             StreamSrc::Bank { bank, slot } => {
                 self.bank_delta -= 1;
                 self.banks[bank]
@@ -164,36 +224,58 @@ impl<S: Semiring> Fabric<'_, S> {
         }
     }
 
-    fn dst_ready(&self, dst: &StreamDst) -> bool {
-        match *dst {
+    #[inline(always)]
+    fn link_free(&self, link: Option<usize>) -> bool {
+        link.is_none_or(|l| self.links[l].can_write())
+    }
+
+    #[inline(always)]
+    fn dst_ready(&self, dst: StreamDst) -> bool {
+        match dst {
             StreamDst::Link(l) => self.links[l].can_write(),
             StreamDst::Bank { .. } | StreamDst::Output { .. } | StreamDst::Sink => true,
         }
     }
 
-    fn dst_put(&mut self, dst: &StreamDst, e: S::Elem, cell: usize) {
-        let mut e = e;
+    #[inline(always)]
+    fn dst_put(&mut self, dst: StreamDst, e: S::Elem, cell: usize) {
         // Sink writes have no physical register, so no fault can land there
         // (and an unobservable corruption would poison coverage accounting).
-        if !matches!(dst, StreamDst::Sink) {
-            if let Some(inj) = self.inject.as_deref_mut() {
-                if inj.on_emit(self.now, cell) {
-                    e = corrupt_value_in_lane::<S>(&e, inj.target_lane());
-                }
-                if let StreamDst::Link(l) = *dst {
-                    match inj.on_link_write(self.now, l) {
-                        LinkFate::Deliver => {}
-                        LinkFate::Drop => return,
-                        LinkFate::Duplicate => {
-                            self.links[l].write(self.now, e.clone());
-                            self.links[l].force_write(self.now, e);
-                            return;
-                        }
-                    }
+        if self.inject.is_some() && dst != StreamDst::Sink {
+            self.put_armed(dst, e, cell);
+        } else {
+            self.deliver(dst, e);
+        }
+    }
+
+    /// An armed emit: the injector rolls for corruption, then a link-bound
+    /// word's fate, in that order.
+    #[inline(never)]
+    fn put_armed(&mut self, dst: StreamDst, mut e: S::Elem, cell: usize) {
+        let inj = self
+            .inject
+            .as_deref_mut()
+            .expect("armed put has an injector");
+        if inj.on_emit(self.now, cell) {
+            e = corrupt_value_in_lane::<S>(&e, inj.target_lane());
+        }
+        if let StreamDst::Link(l) = dst {
+            match inj.on_link_write(self.now, l) {
+                LinkFate::Deliver => {}
+                LinkFate::Drop => return,
+                LinkFate::Duplicate => {
+                    self.links[l].write(self.now, e.clone());
+                    self.links[l].force_write(self.now, e);
+                    return;
                 }
             }
         }
-        match *dst {
+        self.deliver(dst, e);
+    }
+
+    #[inline(always)]
+    fn deliver(&mut self, dst: StreamDst, e: S::Elem) {
+        match dst {
             StreamDst::Bank { bank, slot } => {
                 self.banks[bank].write(slot, self.now, e);
                 self.bank_delta += 1;
@@ -211,6 +293,8 @@ pub struct Cell<S: Semiring> {
     /// Cell index within the array.
     pub id: usize,
     program: Program,
+    /// The program's firing rules, one per task.
+    rules: Vec<Rule>,
     /// Next task to execute.
     cursor: usize,
     /// Element index within the current task.
@@ -242,6 +326,7 @@ impl<S: Semiring> Cell<S> {
         Self {
             id,
             program: Program::Owned(Vec::new()),
+            rules: Vec::new(),
             cursor: 0,
             pos: 0,
             latch: None,
@@ -262,35 +347,40 @@ impl<S: Semiring> Cell<S> {
     pub fn push_task(&mut self, t: Task) {
         debug_assert!(t.len >= 1, "streams must be non-empty");
         match &mut self.program {
-            Program::Owned(v) => v.push(t),
+            Program::Owned(v) => {
+                self.rules.push(Rule::decode(&t));
+                v.push(t);
+            }
             Program::Shared(_) => panic!("cannot extend a shared compiled program"),
         }
     }
 
     /// Installs a compiled program shared by reference (replacing any
-    /// previous program) and rewinds execution to its start.
+    /// previous program) and rewinds execution to its start. Each task's
+    /// firing rules are decoded here, once per simulator, not on every
+    /// element.
     pub fn set_program(&mut self, tasks: Arc<[Task]>) {
+        self.rules = tasks.iter().map(Rule::decode).collect();
         self.program = Program::Shared(tasks);
         self.cursor = 0;
         self.pos = 0;
     }
 
     /// Remaining task count (a pending deferred head counts as work).
+    #[inline]
     pub fn pending(&self) -> usize {
-        (self.program.tasks().len() - self.cursor) + usize::from(self.deferred.is_some())
+        (self.rules.len() - self.cursor) + usize::from(self.deferred.is_some())
     }
 
     /// Longest per-element duration in this cell's program (`1` when the
     /// program is empty). Bounds how long a busy cell can stay silent, so
     /// the run loop folds it into its deadlock grace period.
     pub fn max_task_duration(&self) -> u64 {
-        self.program
-            .tasks()
+        self.rules
             .iter()
-            .map(|t| u64::from(t.duration))
+            .map(|r| u64::from(r.dur))
             .max()
             .unwrap_or(1)
-            .max(1)
     }
 
     /// Rewinds the program and clears all dynamic state and counters,
@@ -337,6 +427,7 @@ impl<S: Semiring> Cell<S> {
     }
 
     /// Executes at most one stream element of the current task.
+    #[inline]
     pub fn step(&mut self, fab: &mut Fabric<'_, S>) -> Step {
         // A multi-cycle element occupies the ALU until `busy_until`; the
         // cell cannot consume, stall or flush before then.
@@ -349,14 +440,13 @@ impl<S: Semiring> Cell<S> {
         // Flush the previous task's trailing head first; it uses the output
         // port this cycle, so a failed flush stalls the cell.
         if let Some((dst, _)) = &self.deferred {
-            let dst = *dst;
-            if fab.dst_ready(&dst) {
+            if fab.dst_ready(*dst) {
                 let (dst, e) = self.deferred.take().expect("checked above");
-                fab.dst_put(&dst, e, self.id);
+                fab.dst_put(dst, e, self.id);
                 self.busy_cycles += 1;
                 // The current task's first element may fire in the same
                 // cycle (r = 0 never writes the column port); fall through.
-                if self.program.tasks().len() == self.cursor {
+                if self.rules.len() == self.cursor {
                     return Step::Worked;
                 }
             } else {
@@ -367,71 +457,29 @@ impl<S: Semiring> Cell<S> {
         let Some(task) = self.program.tasks().get(self.cursor) else {
             return Step::Done;
         };
+        let rule = &self.rules[self.cursor];
         let cell = self.id;
         let r = self.pos;
-        let n = task.len;
-        let last = r + 1 == n;
+        let last = r + 1 == task.len;
 
-        // Readiness of every lane this element touches.
-        let need_col = matches!(
-            task.kind,
-            TaskKind::PivotHead
-                | TaskKind::Fuse
-                | TaskKind::DivHead
-                | TaskKind::ElimFuse
-                | TaskKind::Pass
-                | TaskKind::LoadAcc
-                | TaskKind::Mac
-        );
-        let need_piv = matches!(
-            task.kind,
-            TaskKind::Fuse | TaskKind::ElimFuse | TaskKind::DelayTail | TaskKind::Mac
-        );
-        let emits_col = match task.kind {
-            TaskKind::Fuse | TaskKind::ElimFuse | TaskKind::DelayTail => r >= 1, // head deferred
-            TaskKind::Pass | TaskKind::EmitAcc => true,
-            TaskKind::Mac => task.col_out.is_some(),
-            TaskKind::PivotHead | TaskKind::DivHead | TaskKind::LoadAcc => false,
-        };
-        let emits_piv = match task.kind {
-            TaskKind::PivotHead | TaskKind::DivHead => true,
-            TaskKind::Fuse | TaskKind::ElimFuse | TaskKind::Mac => task.pivot_out.is_some(),
-            _ => false,
-        };
-
-        let col_in = task.col_in;
-        let piv_in = task.pivot_in;
-        let col_out = task.col_out;
-        let piv_out = task.pivot_out;
-
-        let ready = (!need_col || col_in.as_ref().is_some_and(|s| fab.src_ready(s, cell)))
-            && (!need_piv || piv_in.as_ref().is_some_and(|s| fab.src_ready(s, cell)))
-            && (!emits_col || col_out.as_ref().is_none_or(|d| fab.dst_ready(d)))
-            && (!emits_piv || piv_out.as_ref().is_none_or(|d| fab.dst_ready(d)));
+        // Readiness of every port this element touches.
+        let ready = !rule.unwired
+            && rule.col_in.is_none_or(|s| fab.src_ready(s, cell))
+            && rule.piv_in.is_none_or(|s| fab.src_ready(s, cell))
+            && (r < rule.col_from || fab.link_free(rule.col_link))
+            && fab.link_free(rule.piv_link);
         if !ready {
             self.stall_cycles += 1;
             return Step::Stalled;
         }
 
-        let kind = task.kind;
-        let useful = task.useful_ops;
-        let dur = task.duration.max(1);
-        let head_dst = task.head_out.or(task.col_out);
-        let c = if need_col {
-            Some(fab.src_take(col_in.as_ref().expect("col_in required"), cell))
-        } else {
-            None
-        };
-        let p = if need_piv {
-            Some(fab.src_take(piv_in.as_ref().expect("pivot_in required"), cell))
-        } else {
-            None
-        };
+        let c = rule.col_in.map(|s| fab.src_take(s, cell));
+        let p = rule.piv_in.map(|s| fab.src_take(s, cell));
 
-        match kind {
+        match task.kind {
             TaskKind::PivotHead => {
                 let c = c.expect("pivot head consumes the column");
-                if let Some(d) = &piv_out {
+                if let Some(d) = task.pivot_out {
                     fab.dst_put(d, c, cell);
                 }
             }
@@ -444,12 +492,12 @@ impl<S: Semiring> Cell<S> {
                     self.latch = Some(c);
                 } else {
                     let q = self.latch.as_ref().expect("head latched at r=0");
-                    let v = if kind == TaskKind::ElimFuse {
+                    let v = if task.kind == TaskKind::ElimFuse {
                         S::elim(&c, &p, q)
                     } else {
                         S::fuse(&c, &p, q)
                     };
-                    if let Some(d) = &col_out {
+                    if let Some(d) = task.col_out {
                         fab.dst_put(d, v, cell);
                     }
                 }
@@ -457,11 +505,9 @@ impl<S: Semiring> Cell<S> {
                     // Re-emit the latched head as the final (rotated) slot,
                     // one cycle later (deferred write).
                     let q = self.latch.take().expect("head latched at r=0");
-                    if let Some(d) = &head_dst {
-                        self.deferred = Some((*d, q));
-                    }
+                    self.deferred = rule.head_out.map(|d| (d, q));
                 }
-                if let Some(d) = &piv_out {
+                if let Some(d) = task.pivot_out {
                     fab.dst_put(d, p, cell);
                 }
             }
@@ -470,13 +516,13 @@ impl<S: Semiring> Cell<S> {
                 if r == 0 {
                     // Latch the pivot element x_kk and echo it unchanged.
                     self.latch = Some(c.clone());
-                    if let Some(d) = &piv_out {
+                    if let Some(d) = task.pivot_out {
                         fab.dst_put(d, c, cell);
                     }
                 } else {
                     let q = self.latch.as_ref().expect("pivot latched at r=0");
                     let v = S::div(&c, q);
-                    if let Some(d) = &piv_out {
+                    if let Some(d) = task.pivot_out {
                         fab.dst_put(d, v, cell);
                     }
                 }
@@ -488,19 +534,17 @@ impl<S: Semiring> Cell<S> {
                 let p = p.expect("delay tail consumes the pivot");
                 if r == 0 {
                     self.latch = Some(p);
-                } else if let Some(d) = &col_out {
+                } else if let Some(d) = task.col_out {
                     fab.dst_put(d, p, cell);
                 }
                 if last {
                     let head = self.latch.take().expect("head latched at r=0");
-                    if let Some(d) = &col_out {
-                        self.deferred = Some((*d, head));
-                    }
+                    self.deferred = rule.head_out.map(|d| (d, head));
                 }
             }
             TaskKind::Pass => {
                 let c = c.expect("pass consumes the column");
-                if let Some(d) = &col_out {
+                if let Some(d) = task.col_out {
                     fab.dst_put(d, c, cell);
                 }
             }
@@ -512,39 +556,38 @@ impl<S: Semiring> Cell<S> {
                 let b = p.expect("mac consumes the b operand");
                 let acc = self.latch.take().unwrap_or_else(S::zero);
                 self.latch = Some(S::fuse(&acc, &a, &b));
-                if let Some(d) = &col_out {
+                if let Some(d) = task.col_out {
                     fab.dst_put(d, a, cell);
                 }
-                if let Some(d) = &piv_out {
+                if let Some(d) = task.pivot_out {
                     fab.dst_put(d, b, cell);
                 }
             }
             TaskKind::EmitAcc => {
                 let acc = self.latch.take().unwrap_or_else(S::zero);
-                if let Some(d) = &col_out {
+                if let Some(d) = task.col_out {
                     fab.dst_put(d, acc, cell);
                 }
             }
         }
 
-        self.busy_cycles += u64::from(dur);
+        let dur = u64::from(rule.dur);
+        self.busy_cycles += dur;
         if dur > 1 {
-            self.busy_until = fab.now + u64::from(dur);
+            self.busy_until = fab.now + dur;
         }
-        let _ = kind;
-        if self.pos == 0 {
+        if r == 0 {
             self.cur_start = fab.now;
         }
         self.pos += 1;
-        if self.pos == n {
-            self.useful_ops += useful;
+        if self.pos == task.len {
+            self.useful_ops += task.useful_ops;
             if let Some(spans) = &mut self.spans {
-                let label = self.program.tasks()[self.cursor].label;
                 spans.push(crate::trace::TaskSpan {
                     cell: self.id,
                     start: self.cur_start,
-                    end: fab.now + u64::from(dur),
-                    label,
+                    end: fab.now + dur,
+                    label: task.label,
                 });
             }
             self.pos = 0;

@@ -10,13 +10,17 @@
 //!
 //! Like [`crate::Bank`], R-block memories are Vec-backed slot tables:
 //! stream keys are interned to dense slots at schedule-compile time, so
-//! the per-cycle `can_read`/`read` path never hashes.
+//! the per-cycle `can_read`/`read` path never hashes. Each slot is the
+//! same ring FIFO of `(ready_cycle, word)` entries that links and bank
+//! slots use (see [`crate::stream`]); it keeps its capacity across
+//! [`Host::reset`], so a re-run schedule injects without allocating.
 
+use crate::stream::Fifo;
 use std::collections::VecDeque;
 use systolic_semiring::Semiring;
 
 /// Per-cell R-block memory: `stream slot → FIFO of (ready_cycle, word)`.
-type RBlock<E> = Vec<VecDeque<(u64, E)>>;
+type RBlock<E> = Vec<Fifo<E>>;
 
 /// Host feeder with per-cell R-block memories.
 #[derive(Clone, Debug)]
@@ -72,6 +76,7 @@ impl<S: Semiring> Host<S> {
     }
 
     /// Injects at most one word into the chain; reports whether it did.
+    #[inline]
     pub fn tick(&mut self, now: u64) -> bool {
         let Some((cell, slot, w)) = self.queue.pop_front() else {
             return false;
@@ -79,9 +84,9 @@ impl<S: Semiring> Host<S> {
         let arrival = now + self.base_latency + cell as u64 + 1;
         let rblock = &mut self.rblocks[cell];
         if rblock.len() <= slot {
-            rblock.resize_with(slot + 1, VecDeque::new);
+            rblock.resize_with(slot + 1, Fifo::default);
         }
-        rblock[slot].push_back((arrival, w));
+        rblock[slot].push(arrival, w);
         self.injected += 1;
         self.first_injection.get_or_insert(now);
         self.last_injection = Some(now);
@@ -91,22 +96,17 @@ impl<S: Semiring> Host<S> {
     }
 
     /// True when cell `cell` can read the next word of stream `slot`.
+    #[inline]
     pub fn can_read(&self, cell: usize, slot: usize, now: u64) -> bool {
-        self.rblocks[cell]
-            .get(slot)
-            .and_then(VecDeque::front)
-            .is_some_and(|(ready, _)| *ready <= now)
+        self.rblocks[cell].get(slot).is_some_and(|f| f.ready(now))
     }
 
     /// Reads the next word of stream `slot` at cell `cell`, if arrived.
+    #[inline]
     pub fn read(&mut self, cell: usize, slot: usize, now: u64) -> Option<S::Elem> {
-        let fifo = self.rblocks[cell].get_mut(slot)?;
-        if fifo.front().is_some_and(|(ready, _)| *ready <= now) {
-            self.resident -= 1;
-            fifo.pop_front().map(|(_, e)| e)
-        } else {
-            None
-        }
+        let e = self.rblocks[cell].get_mut(slot)?.pop(now)?;
+        self.resident -= 1;
+        Some(e)
     }
 
     /// Words still in flight or buffered in R-blocks.

@@ -338,6 +338,9 @@ pub struct FaultInjector {
     rng: Rng,
     log: FaultLog,
     stuck_until: Vec<u64>,
+    /// The latest `stuck_until` deadline: some cell is stuck at `now`
+    /// exactly when it lies past `now`.
+    stuck_horizon: u64,
 }
 
 impl FaultInjector {
@@ -349,6 +352,7 @@ impl FaultInjector {
             rng,
             log: FaultLog::default(),
             stuck_until: vec![0; cells],
+            stuck_horizon: 0,
         }
     }
 
@@ -385,6 +389,7 @@ impl FaultInjector {
             if cell < self.stuck_until.len() && self.stuck_until[cell] <= now {
                 let d = self.plan.stick_cycles.max(1);
                 self.stuck_until[cell] = now + d;
+                self.stuck_horizon = self.stuck_horizon.max(now + d);
                 self.record(now, FaultKind::StickCell { cell, cycles: d });
             }
         }
@@ -412,12 +417,13 @@ impl FaultInjector {
     }
 
     /// True when any cell is currently stuck (the deadlock detector treats
-    /// stuck cycles as pending progress, not quiescence).
+    /// stuck cycles as pending progress, not quiescence). O(1).
     pub fn any_stuck(&self, now: u64) -> bool {
-        self.stuck_until.iter().any(|&u| u > now)
+        self.stuck_horizon > now
     }
 
     /// Decides whether the word cell `cell` emits this cycle is corrupted.
+    #[inline]
     pub fn on_emit(&mut self, now: u64, cell: usize) -> bool {
         if self.plan.emit_corrupt <= 0.0 || !self.budget_left() {
             return false;
@@ -437,6 +443,7 @@ impl FaultInjector {
     }
 
     /// Decides the fate of a word written to link `link` this cycle.
+    #[inline]
     pub fn on_link_write(&mut self, now: u64, link: usize) -> LinkFate {
         if (self.plan.link_drop <= 0.0 && self.plan.link_dup <= 0.0) || !self.budget_left() {
             return LinkFate::Deliver;

@@ -181,7 +181,8 @@ impl<S: Semiring> ArraySim<S> {
         self.cells[cell].push_task(t);
     }
 
-    /// Installs a compiled, shared task program on cell `cell`.
+    /// Installs a compiled task program on cell `cell`, decoding each
+    /// task's firing rules once.
     pub fn set_cell_program(&mut self, cell: usize, tasks: Arc<[Task]>) {
         self.cells[cell].set_program(tasks);
     }
@@ -225,11 +226,6 @@ impl<S: Semiring> ArraySim<S> {
             .collect()
     }
 
-    /// Number of cells.
-    pub fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Collected output streams (valid after [`ArraySim::run`]).
     pub fn outputs(&self) -> &[Vec<S::Elem>] {
         &self.outputs
@@ -242,8 +238,10 @@ impl<S: Semiring> ArraySim<S> {
     /// index order. An armed fault plan draws its decisions in that poll
     /// order, so the same plan over the same programs replays the same
     /// faults. The loop's own bookkeeping is O(1) per cycle: it counts the
-    /// cells with work left and accumulates bank residency from the
-    /// fabric's per-cycle delta.
+    /// cells with work left, accumulates bank residency from the fabric's
+    /// per-cycle delta, and asks an armed injector once whether any cell
+    /// is stuck. Banks count their own write bursts as they are written,
+    /// so no per-cycle sweep visits them.
     ///
     /// # Errors
     /// [`SimError::Deadlock`] when dataflow can no longer progress,
@@ -280,6 +278,7 @@ impl<S: Semiring> ArraySim<S> {
 
             // Per-cycle fault rolls: possibly stick a cell, possibly flip a
             // word resident in a bank (before any cell reads this cycle).
+            let mut stuck = false;
             if let Some(inj) = &mut self.injector {
                 if let Some((bank, word)) = inj.begin_cycle(now, self.banks.len()) {
                     let lane = inj.target_lane();
@@ -290,6 +289,9 @@ impl<S: Semiring> ArraySim<S> {
                         inj.log_bank_flip(now, bank);
                     }
                 }
+                // Cells cannot stick or unstick mid-cycle: one check here
+                // covers the whole poll.
+                stuck = inj.any_stuck(now);
             }
 
             let injected = self.host.tick(now);
@@ -307,10 +309,11 @@ impl<S: Semiring> ArraySim<S> {
                 for cell in &mut self.cells {
                     // A stuck cell's sequencer makes no progress: it neither
                     // fires nor flushes, and the lost cycle counts as a stall.
-                    if fab
-                        .inject
-                        .as_deref()
-                        .is_some_and(|i| i.is_stuck(cell.id, now))
+                    if stuck
+                        && fab
+                            .inject
+                            .as_deref()
+                            .is_some_and(|i| i.is_stuck(cell.id, now))
                     {
                         if cell.pending() > 0 {
                             cell.stall_cycles += 1;
@@ -331,14 +334,10 @@ impl<S: Semiring> ArraySim<S> {
                 first_fire.get_or_insert(now);
                 last_fire = Some(now);
             }
-            for b in &mut self.banks {
-                b.tick();
-            }
             // A stuck cell is pending progress, not quiescence: keep the
             // deadlock grace period from firing while a stick longer than
             // `grace` plays out.
-            let stick_pending = self.injector.as_ref().is_some_and(|i| i.any_stuck(now));
-            if injected || cell_fired || stick_pending {
+            if injected || cell_fired || stuck {
                 quiet_cycles = 0;
             } else {
                 quiet_cycles += 1;

@@ -1,8 +1,16 @@
-//! Links, banks and stream endpoints.
+//! Links, banks and stream endpoints, all built on one ring FIFO.
 //!
 //! Stream words are opaque semiring elements: a "word" here is whatever
 //! `S::Elem` is, so one link transfer can carry 64 bit-sliced Boolean
 //! lanes (`systolic_semiring::LaneWord`) as cheaply as one scalar.
+//!
+//! Every store of words in flight — a [`Link`]'s register chain, each
+//! stream slot of a [`Bank`], each stream slot of a host R-block
+//! ([`crate::Host`]) — is the same private power-of-two ring of
+//! `(ready_cycle, word)` entries. It writes an entry's two fields in
+//! place, allocates on its first write, doubles only when full, and keeps
+//! its capacity across `reset`, so a compiled schedule that re-runs on a
+//! reset simulator allocates nothing after its first run.
 //!
 //! Banks (and the host's R-block memories) store logical streams in
 //! Vec-backed *slot tables*: schedule compilation interns each 64-bit
@@ -12,7 +20,111 @@
 //! tables auto-extend, with the slot index doubling as the fault-visit
 //! sort key.
 
-use std::collections::VecDeque;
+/// A power-of-two ring of `(ready_cycle, word)` entries.
+///
+/// Entries are filled in write order: a write lands on a slot a read has
+/// freed, or extends the filled prefix of `slots`, so the ring never needs
+/// a placeholder word. When all `mask + 1` slots hold live words it
+/// unwraps itself and doubles.
+#[derive(Clone, Debug)]
+pub(crate) struct Fifo<E> {
+    /// Filled slots; never longer than the capacity `mask + 1`.
+    slots: Vec<(u64, E)>,
+    /// Slot of the oldest live word.
+    head: usize,
+    /// Live words.
+    len: usize,
+    mask: usize,
+}
+
+impl<E: Clone> Fifo<E> {
+    /// An empty ring holding at least `cap` words before it grows.
+    pub(crate) fn with_capacity(cap: usize) -> Self {
+        let cap = cap.max(1).next_power_of_two();
+        Self {
+            slots: Vec::with_capacity(cap),
+            head: 0,
+            len: 0,
+            mask: cap - 1,
+        }
+    }
+
+    /// Live words.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Appends `e`, readable from cycle `ready`.
+    #[inline]
+    pub(crate) fn push(&mut self, ready: u64, e: E) {
+        if self.len > self.mask {
+            self.grow();
+        }
+        // Writes advance one slot at a time, so the tail is either a slot
+        // filled earlier or the first unfilled one.
+        let tail = (self.head + self.len) & self.mask;
+        if let Some(slot) = self.slots.get_mut(tail) {
+            slot.0 = ready;
+            slot.1 = e;
+        } else {
+            debug_assert_eq!(tail, self.slots.len());
+            self.slots.push((ready, e));
+        }
+        self.len += 1;
+    }
+
+    /// Doubles a full ring, rotating its oldest word to slot 0.
+    #[cold]
+    fn grow(&mut self) {
+        self.slots.rotate_left(self.head);
+        self.head = 0;
+        self.mask = 2 * self.mask + 1;
+        self.slots.reserve_exact(self.mask + 1 - self.slots.len());
+    }
+
+    /// True when the oldest word is readable at cycle `now`.
+    #[inline]
+    pub(crate) fn ready(&self, now: u64) -> bool {
+        self.len > 0 && self.slots[self.head].0 <= now
+    }
+
+    /// Removes and returns the oldest word, if it is readable at `now`.
+    #[inline]
+    pub(crate) fn pop(&mut self, now: u64) -> Option<E> {
+        if !self.ready(now) {
+            return None;
+        }
+        let e = self.slots[self.head].1.clone();
+        self.head = (self.head + 1) & self.mask;
+        self.len -= 1;
+        Some(e)
+    }
+
+    /// The `i`-th oldest live word.
+    pub(crate) fn get_mut(&mut self, i: usize) -> Option<&mut E> {
+        (i < self.len).then(|| &mut self.slots[(self.head + i) & self.mask].1)
+    }
+
+    /// Empties the ring, keeping its capacity and filled slots.
+    pub(crate) fn clear(&mut self) {
+        self.head = 0;
+        self.len = 0;
+    }
+}
+
+impl<E: Clone> Default for Fifo<E> {
+    /// An empty one-word ring that allocates on its first write, so a
+    /// slot no stream ever uses costs no heap block.
+    fn default() -> Self {
+        Self {
+            slots: Vec::new(),
+            head: 0,
+            len: 0,
+            mask: 0,
+        }
+    }
+}
 
 /// A neighbor register chain: a word written at cycle `t` becomes readable
 /// at `t + delay` (default delay 1 — a single register).
@@ -26,20 +138,20 @@ use std::collections::VecDeque;
 /// the caller, so an idle link costs nothing per cycle.
 #[derive(Clone, Debug)]
 pub struct Link<E> {
-    fifo: VecDeque<(u64, E)>,
+    fifo: Fifo<E>,
     delay: u64,
     cap: usize,
     /// Total words transported.
     pub words: u64,
 }
 
-impl<E> Default for Link<E> {
+impl<E: Clone> Default for Link<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> Link<E> {
+impl<E: Clone> Link<E> {
     /// Creates an empty single-register link (1-cycle latency).
     pub fn new() -> Self {
         Self::with_delay(1)
@@ -48,10 +160,12 @@ impl<E> Link<E> {
     /// Creates a link with the given latency in cycles (`≥ 1`).
     pub fn with_delay(delay: u64) -> Self {
         assert!(delay >= 1, "links need at least one register");
+        let cap = delay as usize + 1;
         Self {
-            fifo: VecDeque::new(),
+            // One spare slot for the duplicated word of a forced write.
+            fifo: Fifo::with_capacity(cap + 1),
             delay,
-            cap: delay as usize + 1,
+            cap,
             words: 0,
         }
     }
@@ -72,39 +186,37 @@ impl<E> Link<E> {
     ///
     /// # Panics
     /// Panics if the link is full — callers must check [`Link::can_write`].
+    #[inline]
     pub fn write(&mut self, now: u64, e: E) {
         assert!(self.can_write(), "link overwrite");
-        self.fifo.push_back((now + self.delay, e));
-        self.words += 1;
+        self.force_write(now, e);
     }
 
     /// Writes a word even when the link is nominally full — used by fault
     /// injection to model a duplicated register transfer. May exceed the
     /// register capacity by one word transiently; backpressure reasserts
     /// itself once the extra word drains.
+    #[inline]
     pub fn force_write(&mut self, now: u64, e: E) {
-        self.fifo.push_back((now + self.delay, e));
+        self.fifo.push(now + self.delay, e);
         self.words += 1;
     }
 
     /// True when a word is readable at cycle `now`.
     #[inline]
     pub fn can_read(&self, now: u64) -> bool {
-        self.fifo.front().is_some_and(|(ready, _)| *ready <= now)
+        self.fifo.ready(now)
     }
 
     /// Consumes the word readable at cycle `now`, if any.
+    #[inline]
     pub fn read(&mut self, now: u64) -> Option<E> {
-        if self.can_read(now) {
-            self.fifo.pop_front().map(|(_, e)| e)
-        } else {
-            None
-        }
+        self.fifo.pop(now)
     }
 
     /// True when no word is in flight.
     pub fn is_empty(&self) -> bool {
-        self.fifo.is_empty()
+        self.fifo.len() == 0
     }
 
     /// Clears all dynamic state (words in flight, counters) while keeping
@@ -119,7 +231,9 @@ impl<E> Link<E> {
 /// table.
 ///
 /// Each write lands with one cycle of latency. The bank records its busiest
-/// write cycle so experiments can check the port-width assumptions.
+/// write cycle so experiments can check the port-width assumptions: each
+/// write counts itself against the cycle it is stamped with, so writes
+/// must come in non-decreasing cycle order, as the simulator makes them.
 ///
 /// Slots created by [`Bank::with_slots`] carry an explicit sort key (the
 /// interned 64-bit stream key); slots created by auto-extension use the
@@ -128,26 +242,28 @@ impl<E> Link<E> {
 /// and bit-identical to the historical sorted-`HashMap`-key walk.
 #[derive(Clone, Debug)]
 pub struct Bank<E> {
-    fifos: Vec<VecDeque<(u64, E)>>,
+    fifos: Vec<Fifo<E>>,
     sort_keys: Vec<u64>,
     /// Total words written.
     pub writes: u64,
     /// Total words read.
     pub reads: u64,
-    writes_this_cycle: u64,
+    /// Cycle of the latest write, and the writes stamped with it.
+    burst_cycle: u64,
+    burst: u64,
     /// Maximum words written in any single cycle.
     pub max_writes_per_cycle: u64,
     resident: usize,
     peak_resident: usize,
 }
 
-impl<E> Default for Bank<E> {
+impl<E: Clone> Default for Bank<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> Bank<E> {
+impl<E: Clone> Bank<E> {
     /// Creates an empty bank with no slots (they auto-extend on use).
     pub fn new() -> Self {
         Self::with_slots(Vec::new())
@@ -157,11 +273,12 @@ impl<E> Bank<E> {
     /// slot `i` is visited in `sort_keys[i]` order by fault injection.
     pub fn with_slots(sort_keys: Vec<u64>) -> Self {
         Self {
-            fifos: sort_keys.iter().map(|_| VecDeque::new()).collect(),
+            fifos: sort_keys.iter().map(|_| Fifo::default()).collect(),
             sort_keys,
             writes: 0,
             reads: 0,
-            writes_this_cycle: 0,
+            burst_cycle: 0,
+            burst: 0,
             max_writes_per_cycle: 0,
             resident: 0,
             peak_resident: 0,
@@ -173,27 +290,38 @@ impl<E> Bank<E> {
         self.fifos.len()
     }
 
+    #[cold]
     fn ensure_slot(&mut self, slot: usize) {
         while self.fifos.len() <= slot {
             self.sort_keys.push(self.fifos.len() as u64);
-            self.fifos.push(VecDeque::new());
+            self.fifos.push(Fifo::default());
         }
     }
 
     /// Appends a word to stream `slot`; readable from cycle `now + 1`.
+    #[inline(always)]
     pub fn write(&mut self, slot: usize, now: u64, e: E) {
-        self.ensure_slot(slot);
-        self.fifos[slot].push_back((now + 1, e));
+        if slot >= self.fifos.len() {
+            self.ensure_slot(slot);
+        }
+        self.fifos[slot].push(now + 1, e);
         self.writes += 1;
-        self.writes_this_cycle += 1;
+        if self.burst_cycle != now {
+            self.burst_cycle = now;
+            self.burst = 0;
+        }
+        self.burst += 1;
+        self.max_writes_per_cycle = self.max_writes_per_cycle.max(self.burst);
         self.resident += 1;
         self.peak_resident = self.peak_resident.max(self.resident);
     }
 
     /// Pre-loads a word readable immediately (initial matrix residence).
     pub fn preload(&mut self, slot: usize, e: E) {
-        self.ensure_slot(slot);
-        self.fifos[slot].push_back((0, e));
+        if slot >= self.fifos.len() {
+            self.ensure_slot(slot);
+        }
+        self.fifos[slot].push(0, e);
         self.resident += 1;
         self.peak_resident = self.peak_resident.max(self.resident);
     }
@@ -201,29 +329,16 @@ impl<E> Bank<E> {
     /// True when stream `slot` has a word readable at cycle `now`.
     #[inline]
     pub fn can_read(&self, slot: usize, now: u64) -> bool {
-        self.fifos
-            .get(slot)
-            .and_then(VecDeque::front)
-            .is_some_and(|(ready, _)| *ready <= now)
+        self.fifos.get(slot).is_some_and(|f| f.ready(now))
     }
 
     /// Consumes the next word of stream `slot` if readable.
+    #[inline]
     pub fn read(&mut self, slot: usize, now: u64) -> Option<E> {
-        let fifo = self.fifos.get_mut(slot)?;
-        if fifo.front().is_some_and(|(ready, _)| *ready <= now) {
-            self.reads += 1;
-            self.resident -= 1;
-            fifo.pop_front().map(|(_, e)| e)
-        } else {
-            None
-        }
-    }
-
-    /// End-of-cycle accounting. Only needs to run for cycles in which the
-    /// bank was written.
-    pub fn tick(&mut self) {
-        self.max_writes_per_cycle = self.max_writes_per_cycle.max(self.writes_this_cycle);
-        self.writes_this_cycle = 0;
+        let e = self.fifos.get_mut(slot)?.pop(now)?;
+        self.reads += 1;
+        self.resident -= 1;
+        Some(e)
     }
 
     /// Number of words currently resident. O(1): the simulator sums it
@@ -248,7 +363,8 @@ impl<E> Bank<E> {
         }
         self.writes = 0;
         self.reads = 0;
-        self.writes_this_cycle = 0;
+        self.burst_cycle = 0;
+        self.burst = 0;
         self.max_writes_per_cycle = 0;
         self.resident = 0;
         self.peak_resident = 0;
@@ -269,8 +385,8 @@ impl<E> Bank<E> {
         order.sort_unstable_by_key(|&s| self.sort_keys[s]);
         for slot in order {
             let fifo = &mut self.fifos[slot];
-            if idx < fifo.len() {
-                f(&mut fifo[idx].1);
+            if let Some(e) = fifo.get_mut(idx) {
+                f(e);
                 return true;
             }
             idx -= fifo.len();
@@ -356,8 +472,12 @@ mod tests {
         assert_eq!(b.read(5, 11), Some('a'));
         assert_eq!(b.writes, 1);
         assert_eq!(b.reads, 1);
-        b.tick();
         assert_eq!(b.max_writes_per_cycle, 1);
+        b.write(5, 11, 'b');
+        b.write(6, 11, 'c');
+        assert_eq!(b.max_writes_per_cycle, 2, "two writes stamped cycle 11");
+        b.write(5, 12, 'd');
+        assert_eq!(b.max_writes_per_cycle, 2, "a new cycle restarts the burst");
     }
 
     #[test]
@@ -381,6 +501,70 @@ mod tests {
         assert_eq!(l.read(2), Some(2));
         assert_eq!(l.read(3), Some(3));
         assert_eq!(l.words, 3);
+    }
+
+    #[test]
+    fn delayed_link_takes_a_forced_duplicate() {
+        let mut l = Link::with_delay(3);
+        for (now, v) in [(0, 1u32), (1, 2), (2, 3), (3, 4)] {
+            assert!(l.can_write(), "register {now} free");
+            l.write(now, v);
+        }
+        assert!(!l.can_write(), "four registers full");
+        l.force_write(3, 4);
+        assert_eq!(l.words, 5);
+        assert_eq!(l.read(2), None, "first word lands at 0 + 3");
+        assert_eq!(l.read(3), Some(1));
+        assert!(!l.can_write(), "still over capacity");
+        assert_eq!(l.read(4), Some(2));
+        assert!(
+            l.can_write(),
+            "backpressure lifts once the extra word drains"
+        );
+        assert_eq!(l.read(5), Some(3));
+        assert_eq!(l.read(5), None);
+        assert_eq!(l.read(6), Some(4));
+        assert_eq!(l.read(6), Some(4), "the duplicate follows the original");
+        assert!(l.is_empty());
+    }
+
+    #[test]
+    fn slot_ring_grows_while_wrapped() {
+        use std::collections::VecDeque;
+        let mut b = Bank::with_slots(vec![0]);
+        let mut model = VecDeque::new();
+        let mut wrapped_grows = 0;
+        let mut next = 0u32;
+        // Two writes and one read per cycle: the ring keeps wrapping as
+        // it fills, so it must grow with its oldest word past slot 0.
+        for now in 0..40u64 {
+            for _ in 0..2 {
+                let f = &b.fifos[0];
+                if f.len() > f.mask && f.head != 0 {
+                    wrapped_grows += 1;
+                }
+                b.write(0, now, next);
+                model.push_back(next);
+                next += 1;
+            }
+            assert_eq!(b.read(0, now + 1), model.pop_front());
+        }
+        assert!(wrapped_grows > 0, "no growth happened while wrapped");
+        assert!(b.fifos[0].mask + 1 > 40, "the ring outgrew its start");
+        assert_eq!(b.resident(), model.len());
+        for now in 41..41 + model.len() as u64 {
+            assert_eq!(b.read(0, now), model.pop_front());
+        }
+        assert_eq!(b.read(0, 1000), None);
+
+        let (cap, filled) = (b.fifos[0].mask + 1, b.fifos[0].slots.len());
+        b.reset();
+        assert_eq!(b.fifos[0].mask + 1, cap, "reset keeps the capacity");
+        assert_eq!(b.fifos[0].slots.len(), filled);
+        for v in 0..3 {
+            b.write(0, 0, v);
+        }
+        assert_eq!(b.read(0, 1), Some(0), "a reset ring restarts at its head");
     }
 
     #[test]
@@ -451,7 +635,7 @@ mod tests {
     fn bank_reset_keeps_slots_and_clears_state() {
         let mut b = Bank::with_slots(vec![7, 3]);
         b.write(0, 0, 'a');
-        b.tick();
+        assert_eq!(b.max_writes_per_cycle, 1);
         assert_eq!(b.read(0, 1), Some('a'));
         b.reset();
         assert_eq!(b.slots(), 2);

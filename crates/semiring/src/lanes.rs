@@ -245,6 +245,11 @@ impl<const W: usize> LaneSemiring for BoolLanes<W> {
 /// the empty graph for Boolean lanes, the all-∞ matrix for min-plus
 /// lanes — whose closure under a reflexive convention is the identity.
 ///
+/// The loop is lane-outer: each instance's row-major storage is read in
+/// one linear pass alongside the lane matrix's, so both sides stream
+/// through the cache instead of gathering one element from every
+/// instance per lane word.
+///
 /// # Panics
 /// Panics on an empty batch, more than `L::LANE_COUNT` matrices, or shape
 /// mismatch within the batch.
@@ -260,28 +265,29 @@ pub fn pack_into_lanes<L: LaneSemiring>(mats: &[DenseMatrix<L::Scalar>]) -> Dens
         mats.iter().all(|m| m.rows() == rows && m.cols() == cols),
         "pack_into_lanes requires same-shape matrices"
     );
-    DenseMatrix::from_fn(rows, cols, |i, j| {
-        let mut w = L::zero();
-        for (lane, m) in mats.iter().enumerate() {
-            L::write_lane(&mut w, lane, m.get(i, j));
+    let mut words = vec![L::zero(); rows * cols];
+    for (lane, m) in mats.iter().enumerate() {
+        for (w, v) in words.iter_mut().zip(m.as_slice()) {
+            L::write_lane(w, lane, v);
         }
-        w
-    })
+    }
+    DenseMatrix::from_vec(rows, cols, words)
 }
 
-/// Extracts one lane of a lane matrix as a scalar matrix.
+/// Extracts one lane of a lane matrix as a scalar matrix, in one linear
+/// pass over the lane matrix's row-major storage.
 pub fn unpack_lane_of<L: LaneSemiring>(
     packed: &DenseMatrix<L>,
     lane: usize,
 ) -> DenseMatrix<L::Scalar> {
     assert!(lane < L::LANE_COUNT, "lane {lane} out of range");
-    DenseMatrix::from_fn(packed.rows(), packed.cols(), |i, j| {
-        L::read_lane(packed.get(i, j), lane)
-    })
+    let scalars = packed.as_slice().iter().map(|w| L::read_lane(w, lane));
+    DenseMatrix::from_vec(packed.rows(), packed.cols(), scalars.collect())
 }
 
 /// Extracts the first `count` lanes of a lane matrix, in lane order — the
-/// inverse of [`pack_into_lanes`] for a batch of `count` matrices.
+/// inverse of [`pack_into_lanes`] for a batch of `count` matrices. Lane by
+/// lane, like the packing.
 pub fn unpack_from_lanes<L: LaneSemiring>(
     packed: &DenseMatrix<L>,
     count: usize,

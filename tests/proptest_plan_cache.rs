@@ -3,7 +3,8 @@
 //! bit-identical — results *and* every `RunStats` counter except wall time —
 //! to rebuilding the schedule from scratch, across engines, semirings,
 //! batch shapes, and fault-injection modes. Also pins the hash-free `Bank`
-//! slot table to a hash-map reference model.
+//! slot table, its ring FIFOs and its write-burst counter to a hash-map
+//! reference model.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -138,6 +139,8 @@ fn bank_slot_table_matches_hash_map_model() {
         }
         let mut bank = Bank::<u64>::with_slots(keys.clone());
         let mut model: Model = HashMap::new();
+        // Writes per cycle: the bank's busiest cycle must match it.
+        let mut writes_at: HashMap<u64, u64> = HashMap::new();
         let mut now = 0u64;
         let mut stamp = 0u64; // unique payloads so corruption targets are identifiable
         for _ in 0..200 {
@@ -147,6 +150,7 @@ fn bank_slot_table_matches_hash_map_model() {
                     stamp += 1;
                     bank.write(slot, now, stamp);
                     model.entry(slot).or_default().push_back((now + 1, stamp));
+                    *writes_at.entry(now).or_default() += 1;
                 }
                 1 => {
                     stamp += 1;
@@ -170,6 +174,11 @@ fn bank_slot_table_matches_hash_map_model() {
             );
             let resident: usize = model.values().map(VecDeque::len).sum();
             assert_eq!(bank.resident(), resident, "resident words");
+            assert_eq!(
+                bank.max_writes_per_cycle,
+                writes_at.values().copied().max().unwrap_or(0),
+                "busiest write cycle at cycle {now}"
+            );
         }
         // Fault injection walks resident words in *sorted original-key*
         // order, so the victim is independent of slot-interning order —
