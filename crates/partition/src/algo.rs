@@ -6,7 +6,8 @@
 //! G-graph is a [`GenericGGraph`] elimination trapezoid whose rows shrink
 //! (`len = msize - k`), so G-node computation times *vary* across rows
 //! while staying uniform within a row — exactly the §4.3 situation. The
-//! two mappings mirror their closure counterparts:
+//! two mappings are the closure engines' own G-set assignments, compiled
+//! over the trapezoid:
 //!
 //! * [`EliminationMapping::Linear`] — LPGS onto `m` chained cells: cell
 //!   `c` owns skewed positions `h ≡ c (mod m)`; every G-set is a slice of
@@ -17,21 +18,25 @@
 //!   row times, so fast members idle until the slowest finishes — the
 //!   *time mixing* that §4.3 charges against two-dimensional G-sets.
 //!
-//! Cells run [`TaskKind::DivHead`] / [`TaskKind::ElimFuse`] programs over
-//! the [`Real`] semiring; each fuse's finished
-//! pivot-row element leaves through the task's dedicated `head_out`
-//! stream, each level's pivot stream (the `L` column) drains at the row's
-//! right edge, and the last level's fused sub-columns are the remaining
-//! trailing block. [`run_elimination`] reassembles those streams into the
-//! full in-place elimination state — for LU the compact `L\U` factors,
-//! bit-identical to the straight-line reference (identical expression
-//! trees, same f64 operations in the same order).
+//! Cells run [`DivHead`](systolic_arraysim::TaskKind::DivHead) /
+//! [`ElimFuse`](systolic_arraysim::TaskKind::ElimFuse) programs over the
+//! [`Real`] semiring; each fuse's finished pivot-row element leaves
+//! through the task's dedicated `head_out` stream, each level's pivot
+//! stream (the `L` column) drains at the row's right edge, and the last
+//! level's fused sub-columns are the remaining trailing block.
+//! [`run_elimination`] reassembles those streams into the full in-place
+//! elimination state — for LU the compact `L\U` factors, bit-identical to
+//! the straight-line reference (identical expression trees, same f64
+//! operations in the same order).
 
-use crate::engine::{stream_key, EngineError};
-use crate::plan::{CompiledPlan, PlanBuilder};
-use systolic_arraysim::{RunStats, StreamDst, StreamSrc, Task, TaskKind, TaskLabel};
+use crate::compile::{compile, OutputLayout};
+use crate::engine::EngineError;
+use crate::grid::GridMapping;
+use crate::linear::LpgsMapping;
+use crate::plan::CompiledPlan;
+use systolic_arraysim::RunStats;
 use systolic_semiring::{DenseMatrix, Real};
-use systolic_transform::{GenRole, GenericGGraph};
+use systolic_transform::GenericGGraph;
 
 /// Which elimination algorithm to pipeline.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -127,67 +132,6 @@ impl EliminationMapping {
     }
 }
 
-/// Where the elimination pipeline's result elements land in the output
-/// streams, shared by the plan builders (writing) and the assembler
-/// (reading). Per instance, the streams are laid out as:
-///
-/// 1. one single-word *head* stream per fuse `(k, h)` — the finished
-///    pivot-row element `u_kh`;
-/// 2. one *L-column* stream per level `k` — the pivot stream
-///    `[u_kk, l_{k+1,k}, …]` draining at the row's right edge;
-/// 3. one *tail* stream per trailing column `h ≥ levels` — the last
-///    level's fused sub-column (rows `levels..msize`).
-#[derive(Copy, Clone, Debug)]
-struct OutputLayout {
-    msize: usize,
-    levels: usize,
-    out0: usize,
-}
-
-impl OutputLayout {
-    fn new(msize: usize, levels: usize, out0: usize) -> Self {
-        Self {
-            msize,
-            levels,
-            out0,
-        }
-    }
-
-    /// Streams per instance.
-    fn per_instance(&self) -> usize {
-        self.heads_total() + self.levels + (self.msize - self.levels)
-    }
-
-    fn heads_total(&self) -> usize {
-        // Row k has msize - k - 1 fuses.
-        (0..self.levels).map(|k| self.msize - k - 1).sum()
-    }
-
-    /// Head stream of fuse `(k, h)` (`h > k`).
-    fn head(&self, inst: usize, k: usize, h: usize) -> usize {
-        debug_assert!(k < self.levels && h > k && h < self.msize);
-        let before: usize = (0..k).map(|kk| self.msize - kk - 1).sum();
-        self.out0 + inst * self.per_instance() + before + (h - k - 1)
-    }
-
-    /// L-column stream of level `k` (`msize - k` words).
-    fn lcol(&self, inst: usize, k: usize) -> usize {
-        debug_assert!(k < self.levels);
-        self.out0 + inst * self.per_instance() + self.heads_total() + k
-    }
-
-    /// Trailing-column stream of column `h ≥ levels`
-    /// (`msize - levels` words).
-    fn tail(&self, inst: usize, h: usize) -> usize {
-        debug_assert!(h >= self.levels && h < self.msize);
-        self.out0
-            + inst * self.per_instance()
-            + self.heads_total()
-            + self.levels
-            + (h - self.levels)
-    }
-}
-
 /// Deterministic diagonally-dominant `msize × msize` input matrix —
 /// numerically stable under elimination without pivoting, shared by the
 /// CLI, the benchmarks and the tests so runs are reproducible.
@@ -222,7 +166,7 @@ pub fn elimination_plan(
     mapping: EliminationMapping,
     batch_len: usize,
 ) -> CompiledPlan {
-    plan_for(&algo.graph(n), algo, n, mapping, batch_len)
+    plan_for(&algo.graph(n), mapping, batch_len)
 }
 
 /// [`elimination_plan`] with **varying per-row G-node durations** (§4.3):
@@ -236,270 +180,25 @@ pub fn elimination_plan_timed(
     batch_len: usize,
     durs: &[u32],
 ) -> CompiledPlan {
-    plan_for(
-        &algo.graph(n).with_row_durations(durs),
-        algo,
-        n,
-        mapping,
-        batch_len,
-    )
+    plan_for(&algo.graph(n).with_row_durations(durs), mapping, batch_len)
 }
 
-fn plan_for(
-    gg: &GenericGGraph,
-    algo: Algo,
-    n: usize,
-    mapping: EliminationMapping,
-    batch_len: usize,
-) -> CompiledPlan {
-    match mapping {
-        EliminationMapping::Linear { m } => linear_plan(gg, algo, n, m, batch_len),
-        EliminationMapping::Grid { s } => grid_plan(gg, algo, n, s, batch_len),
-    }
-}
-
-fn cycle_budget(gg: &GenericGGraph, batch_len: usize) -> u64 {
+/// The elimination mappings are the closure engines' own assignments —
+/// LPGS on a chain, cut-and-pile on a grid — over the trapezoid, with a
+/// budget sized from the graph's total G-node time.
+fn plan_for(gg: &GenericGGraph, mapping: EliminationMapping, batch_len: usize) -> CompiledPlan {
+    let assignment = match mapping {
+        EliminationMapping::Linear { m } => LpgsMapping::new(m).assignment(gg),
+        EliminationMapping::Grid { s } => GridMapping::new(s).assignment(gg),
+    };
     let total: u64 = (0..gg.rows())
         .map(|k| gg.row(k).width as u64 * gg.row(k).gnode_time())
         .sum();
-    batch_len as u64 * (total * 40 + 1_000) + 200_000
-}
-
-/// LPGS chain: cell `c` owns `h ≡ c (mod m)`; blocks of `m` consecutive
-/// `h` positions advance left to right, levels top to bottom inside a
-/// block (the Fig. 20a vertical-path schedule on the trapezoid).
-fn linear_plan(
-    gg: &GenericGGraph,
-    algo: Algo,
-    n: usize,
-    m: usize,
-    batch_len: usize,
-) -> CompiledPlan {
-    let msize = algo.msize(n);
-    let levels = algo.levels(n);
-    let blocks = msize.div_ceil(m);
-    let mut plan = PlanBuilder::new(msize, batch_len, m);
-
-    // Neighbor links c → c+1 carry the intra-block pivot chain.
-    let links: Vec<usize> = (0..m.saturating_sub(1)).map(|_| plan.add_link()).collect();
-    // Private column bank per cell plus the shared pivot boundary bank.
-    for _ in 0..=m {
-        plan.add_bank();
-    }
-    let pivot_bank = m;
-    plan.set_memory_connections(m + 1);
-    let layout = OutputLayout::new(msize, levels, plan.add_outputs(0));
-    plan.add_outputs(batch_len * layout.per_instance());
-
-    // Host demands in schedule order: level 0 reads whole input columns.
-    for inst in 0..batch_len {
-        for b in 0..blocks {
-            for c in 0..m {
-                let h = b * m + c;
-                if h < msize {
-                    plan.feed_host(c, stream_key(inst, 0, h), inst, h);
-                }
-            }
-        }
-    }
-
-    for inst in 0..batch_len {
-        for b in 0..blocks {
-            for k in 0..levels {
-                for c in 0..m {
-                    let h = b * m + c;
-                    let Some(role) = gg.at_h(k, h) else { continue };
-                    let row = gg.row(k);
-                    let kind = match role {
-                        GenRole::Head => TaskKind::DivHead,
-                        GenRole::Fuse => TaskKind::ElimFuse,
-                        GenRole::Tail => unreachable!("elimination rows have no tail"),
-                    };
-                    let col_in = if k == 0 {
-                        Some(plan.host_src(c, stream_key(inst, 0, h)))
-                    } else {
-                        Some(plan.bank_src(c, stream_key(inst, k - 1, h)))
-                    };
-                    let pivot_in = match role {
-                        GenRole::Head => None,
-                        _ if c > 0 => Some(StreamSrc::Link(links[c - 1])),
-                        _ => Some(plan.bank_src(pivot_bank, stream_key(inst, k, h - 1))),
-                    };
-                    // The fused sub-column: down to the next level, or out
-                    // as a trailing column after the last level.
-                    let col_out = match role {
-                        GenRole::Head => None,
-                        _ if k == levels - 1 => Some(StreamDst::Output {
-                            stream: layout.tail(inst, h),
-                        }),
-                        _ => Some(plan.bank_dst(c, stream_key(inst, k, h))),
-                    };
-                    // The pivot stream: right along the row, draining as
-                    // the finished L column at the row's last position.
-                    let pivot_out = if h == msize - 1 {
-                        Some(StreamDst::Output {
-                            stream: layout.lcol(inst, k),
-                        })
-                    } else if c < m - 1 {
-                        Some(StreamDst::Link(links[c]))
-                    } else {
-                        Some(plan.bank_dst(pivot_bank, stream_key(inst, k, h)))
-                    };
-                    let head_out = match role {
-                        GenRole::Fuse => Some(StreamDst::Output {
-                            stream: layout.head(inst, k, h),
-                        }),
-                        _ => None,
-                    };
-                    plan.push_task(
-                        c,
-                        Task {
-                            kind,
-                            len: row.len,
-                            col_in,
-                            pivot_in,
-                            col_out,
-                            pivot_out,
-                            head_out,
-                            duration: row.duration,
-                            useful_ops: gg.useful_ops(k, h),
-                            label: TaskLabel {
-                                k: k as u32,
-                                h: h as u32,
-                            },
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    plan.set_max_cycles(cycle_budget(gg, batch_len));
-    plan.finish()
-}
-
-/// Cut-and-pile grid: G-node `(k, h)` runs on cell `(k mod s, h mod s)`;
-/// `h`-blocks advance left to right, `k`-blocks top to bottom inside.
-fn grid_plan(gg: &GenericGGraph, algo: Algo, n: usize, s: usize, batch_len: usize) -> CompiledPlan {
-    let msize = algo.msize(n);
-    let levels = algo.levels(n);
-    let bcols = msize.div_ceil(s);
-    let brows = levels.div_ceil(s);
-    let cell_id = |ri: usize, ci: usize| ri * s + ci;
-    let mut plan = PlanBuilder::new(msize, batch_len, s * s);
-
-    // Horizontal pivot links (ri,ci) → (ri,ci+1); vertical column links
-    // (ri,ci) → (ri+1,ci).
-    let mut hl = vec![usize::MAX; s * s];
-    let mut vl = vec![usize::MAX; s * s];
-    for ri in 0..s {
-        for ci in 0..s {
-            if ci + 1 < s {
-                hl[cell_id(ri, ci)] = plan.add_link();
-            }
-            if ri + 1 < s {
-                vl[cell_id(ri, ci)] = plan.add_link();
-            }
-        }
-    }
-    for _ in 0..2 * s {
-        plan.add_bank();
-    }
-    let col_bank = |ci: usize| ci;
-    let piv_bank = |ri: usize| s + ri;
-    plan.set_memory_connections(2 * s);
-    let layout = OutputLayout::new(msize, levels, plan.add_outputs(0));
-    plan.add_outputs(batch_len * layout.per_instance());
-
-    for inst in 0..batch_len {
-        for bc in 0..bcols {
-            for ci in 0..s {
-                let h = bc * s + ci;
-                if h < msize {
-                    plan.feed_host(cell_id(0, ci), stream_key(inst, 0, h), inst, h);
-                }
-            }
-        }
-    }
-
-    for inst in 0..batch_len {
-        for bc in 0..bcols {
-            for br in 0..brows {
-                for ri in 0..s {
-                    for ci in 0..s {
-                        let k = br * s + ri;
-                        let h = bc * s + ci;
-                        if k >= levels {
-                            continue;
-                        }
-                        let Some(role) = gg.at_h(k, h) else { continue };
-                        let row = gg.row(k);
-                        let kind = match role {
-                            GenRole::Head => TaskKind::DivHead,
-                            GenRole::Fuse => TaskKind::ElimFuse,
-                            GenRole::Tail => unreachable!("elimination rows have no tail"),
-                        };
-                        let col_in = if k == 0 {
-                            Some(plan.host_src(cell_id(ri, ci), stream_key(inst, 0, h)))
-                        } else if ri > 0 {
-                            Some(StreamSrc::Link(vl[cell_id(ri - 1, ci)]))
-                        } else {
-                            Some(plan.bank_src(col_bank(ci), stream_key(inst, k - 1, h)))
-                        };
-                        let pivot_in = match role {
-                            GenRole::Head => None,
-                            _ if ci > 0 => Some(StreamSrc::Link(hl[cell_id(ri, ci - 1)])),
-                            _ => Some(plan.bank_src(piv_bank(ri), stream_key(inst, k, h - 1))),
-                        };
-                        let col_out = match role {
-                            GenRole::Head => None,
-                            _ if k == levels - 1 => Some(StreamDst::Output {
-                                stream: layout.tail(inst, h),
-                            }),
-                            _ if ri + 1 < s => Some(StreamDst::Link(vl[cell_id(ri, ci)])),
-                            _ => Some(plan.bank_dst(col_bank(ci), stream_key(inst, k, h))),
-                        };
-                        let pivot_out = if h == msize - 1 {
-                            Some(StreamDst::Output {
-                                stream: layout.lcol(inst, k),
-                            })
-                        } else if ci + 1 < s {
-                            Some(StreamDst::Link(hl[cell_id(ri, ci)]))
-                        } else {
-                            Some(plan.bank_dst(piv_bank(ri), stream_key(inst, k, h)))
-                        };
-                        let head_out = match role {
-                            GenRole::Fuse => Some(StreamDst::Output {
-                                stream: layout.head(inst, k, h),
-                            }),
-                            _ => None,
-                        };
-                        plan.push_task(
-                            cell_id(ri, ci),
-                            Task {
-                                kind,
-                                len: row.len,
-                                col_in,
-                                pivot_in,
-                                col_out,
-                                pivot_out,
-                                head_out,
-                                duration: row.duration,
-                                useful_ops: gg.useful_ops(k, h),
-                                label: TaskLabel {
-                                    k: k as u32,
-                                    h: h as u32,
-                                },
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    plan.set_max_cycles(cycle_budget(gg, batch_len));
-    plan.finish()
+    compile(
+        &assignment,
+        batch_len,
+        batch_len as u64 * (total * 40 + 1_000) + 200_000,
+    )
 }
 
 /// Runs one elimination instance through the simulated partitioned array
@@ -591,7 +290,7 @@ fn run_impl(
     let stats = sim.run()?;
 
     let levels = algo.levels(n);
-    let layout = OutputLayout::new(msize, levels, 0);
+    let layout = OutputLayout::new(&algo.graph(n));
     let outs = sim.outputs();
     let expect = |stream: usize, want: usize| -> Result<&Vec<f64>, EngineError> {
         let s = &outs[stream];

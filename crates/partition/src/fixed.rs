@@ -12,16 +12,19 @@
 //!   single cell: `n` cells, throughput `1/(n(n+1))`, with the row's pivot
 //!   stream recirculating through a per-cell loopback buffer.
 //!
-//! Both are thin [`Mapping`] impls over the shared [`MappedEngine`]
-//! executor: schedules compile once per `(n, batch_len)` shape into a
-//! memoized `CompiledPlan` and reuse a reset simulator across calls (see
-//! [`crate::plan`]).
+//! Both are G-set assignments — the fixed array is one G-set spanning the
+//! whole graph, the linear fixed array steps along the Fig. 20 wavefront —
+//! compiled by the shared plan compiler, and thin [`Mapping`] impls over
+//! the shared [`MappedEngine`] executor: plans compile once per
+//! `(n, batch_len)` shape into a memoized `CompiledPlan` and reuse a reset
+//! simulator across calls (see [`crate::plan`]).
 
-use crate::engine::{ideal_cycles_per_instance, stream_key};
+use crate::compile::{compile, Assignment, Input};
+use crate::engine::ideal_cycles_per_instance;
 use crate::mapping::{MappedEngine, Mapping};
-use crate::plan::{CompiledPlan, PlanBuilder};
-use systolic_arraysim::{StreamDst, StreamSrc, Task, TaskKind, TaskLabel};
-use systolic_transform::{GGraph, GNodeRole, GnodeId};
+use crate::plan::CompiledPlan;
+use crate::schedule::{GsetSchedule, Placed};
+use systolic_transform::GenericGGraph;
 
 /// The Fig. 17 mapping: one cell per G-node, neighbor links only.
 #[derive(Clone, Debug, Default)]
@@ -43,90 +46,51 @@ impl Mapping for FixedArrayMapping {
         0 // problem-size dependent; see cells_for
     }
 
+    /// The whole G-graph is one G-set, G-node `(k, g)` on cell
+    /// `k(n+1) + g`: pivot links `(k,g) → (k,g+1)` and column links
+    /// `(k,g) → (k+1,g-1)` carry every stream, and row 0 reads `n`
+    /// preloaded boundary ports.
     fn build_plan(&self, n: usize, batch_len: usize) -> CompiledPlan {
-        let gg = GGraph::new(n);
+        let gg = GenericGGraph::closure(n);
         let w = n + 1;
-        let cell_of = |id: GnodeId| id.k * w + id.g;
-
-        let mut plan = PlanBuilder::new(n, batch_len, n * w);
-
-        // Pivot links (k,g) → (k,g+1) and column links (k,g) → (k+1,g-1).
-        let mut pl = vec![usize::MAX; n * w];
-        let mut cl = vec![usize::MAX; n * w];
+        let mut schedule = GsetSchedule::new(&gg, n * w);
+        schedule.push(
+            (0..n)
+                .flat_map(|k| {
+                    (0..w).map(move |g| Placed {
+                        k,
+                        h: k + g,
+                        cell: k * w + g,
+                    })
+                })
+                .collect(),
+        );
+        let mut links = Vec::new();
         for k in 0..n {
             for g in 0..w {
+                let cell = k * w + g;
                 if g + 1 < w {
-                    pl[k * w + g] = plan.add_link();
+                    links.push((cell, cell + 1, 1));
                 }
                 if k + 1 < n && g >= 1 {
-                    cl[k * w + g] = plan.add_link();
+                    links.push((cell, cell + w - 1, 1));
                 }
             }
         }
-
-        // n parallel boundary input ports, one per row-0 column cell.
-        let ports: Vec<usize> = (0..n).map(|_| plan.add_bank()).collect();
-        plan.set_memory_connections(0);
-        let out0 = plan.add_outputs(batch_len * n);
-
-        for inst in 0..batch_len {
-            for (g, &port) in ports.iter().enumerate() {
-                plan.feed_preload(port, stream_key(inst, 0, g), inst, g);
-            }
-        }
-
-        for inst in 0..batch_len {
-            for id in gg.iter() {
-                let (k, g) = (id.k, id.g);
-                let role = gg.role(id);
-                let kind = match role {
-                    GNodeRole::PivotHead => TaskKind::PivotHead,
-                    GNodeRole::Fuse => TaskKind::Fuse,
-                    GNodeRole::DelayTail => TaskKind::DelayTail,
-                };
-                let col_in = match role {
-                    GNodeRole::DelayTail => None,
-                    _ if k == 0 => Some(plan.bank_src(ports[g], stream_key(inst, 0, g))),
-                    _ => Some(StreamSrc::Link(cl[(k - 1) * w + g + 1])),
-                };
-                let pivot_in = match role {
-                    GNodeRole::PivotHead => None,
-                    _ => Some(StreamSrc::Link(pl[k * w + g - 1])),
-                };
-                let col_out = match role {
-                    GNodeRole::PivotHead => None,
-                    _ if k == n - 1 => Some(StreamDst::Output {
-                        stream: out0 + inst * n + (g - 1),
-                    }),
-                    _ => Some(StreamDst::Link(cl[k * w + g])),
-                };
-                let pivot_out = match role {
-                    GNodeRole::DelayTail => None,
-                    _ => Some(StreamDst::Link(pl[k * w + g])),
-                };
-                plan.push_task(
-                    cell_of(id),
-                    Task {
-                        kind,
-                        len: n,
-                        col_in,
-                        pivot_in,
-                        col_out,
-                        pivot_out,
-                        head_out: None,
-                        duration: 1,
-                        useful_ops: gg.useful_ops(id) as u64,
-                        label: TaskLabel {
-                            k: k as u32,
-                            h: gg.h_of(id) as u32,
-                        },
-                    },
-                );
-            }
-        }
-
-        plan.set_max_cycles((batch_len as u64 + 8) * (n as u64) * 40 + 100_000);
-        plan.finish()
+        let assignment = Assignment {
+            schedule,
+            links,
+            banks: n,
+            col_bank: Vec::new(),
+            pivot_bank: Vec::new(),
+            input: Input::Ports,
+            memory_connections: 0,
+        };
+        compile(
+            &assignment,
+            batch_len,
+            (batch_len as u64 + 8) * (n as u64) * 40 + 100_000,
+        )
     }
 }
 
@@ -158,82 +122,43 @@ impl Mapping for FixedLinearMapping {
         0 // n cells for problem size n
     }
 
+    /// Cell `k` runs row `k`, one G-node per step on the Fig. 20
+    /// wavefront: step `t` holds `(k, g)` with `2k + g = t`. No links:
+    /// cell `k`'s pivot stream loops back through bank `k` and its column
+    /// streams reach row `k + 1` through bank `n + k`. The collapsed row 0
+    /// consumes one host column at a time, so the single-injection host
+    /// keeps up (rate 1/(n+1) of a word per cycle).
     fn build_plan(&self, n: usize, batch_len: usize) -> CompiledPlan {
-        let gg = GGraph::new(n);
-
-        let mut plan = PlanBuilder::new(n, batch_len, n);
-        // Bank k: cell k's pivot loopback; bank n+k: row k → k+1 columns.
-        for _ in 0..2 * n {
-            plan.add_bank();
+        let gg = GenericGGraph::closure(n);
+        let mut schedule = GsetSchedule::new(&gg, n);
+        for t in 0..3 * n - 1 {
+            schedule.push(
+                (0..n)
+                    .filter(|&k| t >= 2 * k && t - 2 * k <= n)
+                    .map(|k| Placed {
+                        k,
+                        h: t - k,
+                        cell: k,
+                    })
+                    .collect(),
+            );
         }
-        let loop_bank = |k: usize| k;
-        let col_bank = |k: usize| n + k;
-        plan.set_memory_connections(2 * n);
-        let out0 = plan.add_outputs(batch_len * n);
-
-        // Host: the collapsed row 0 consumes one column at a time, so the
-        // single-injection host keeps up (rate 1/(n+1) of a word per cycle).
-        for inst in 0..batch_len {
-            for g in 0..n {
-                plan.feed_host(0, stream_key(inst, 0, g), inst, g);
-            }
-        }
-
-        for inst in 0..batch_len {
-            for id in gg.iter() {
-                let (k, g) = (id.k, id.g);
-                let h = gg.h_of(id);
-                let role = gg.role(id);
-                let kind = match role {
-                    GNodeRole::PivotHead => TaskKind::PivotHead,
-                    GNodeRole::Fuse => TaskKind::Fuse,
-                    GNodeRole::DelayTail => TaskKind::DelayTail,
-                };
-                let col_in = match role {
-                    GNodeRole::DelayTail => None,
-                    _ if k == 0 => Some(plan.host_src(0, stream_key(inst, 0, g))),
-                    _ => Some(plan.bank_src(col_bank(k - 1), stream_key(inst, k - 1, h))),
-                };
-                let pivot_in = match role {
-                    GNodeRole::PivotHead => None,
-                    _ => Some(plan.bank_src(loop_bank(k), stream_key(inst, k, h - 1))),
-                };
-                let col_out = match role {
-                    GNodeRole::PivotHead => None,
-                    _ if k == n - 1 => Some(StreamDst::Output {
-                        stream: out0 + inst * n + (h - n),
-                    }),
-                    _ => Some(plan.bank_dst(col_bank(k), stream_key(inst, k, h))),
-                };
-                let pivot_out = match role {
-                    GNodeRole::DelayTail => None,
-                    _ => Some(plan.bank_dst(loop_bank(k), stream_key(inst, k, h))),
-                };
-                plan.push_task(
-                    k,
-                    Task {
-                        kind,
-                        len: n,
-                        col_in,
-                        pivot_in,
-                        col_out,
-                        pivot_out,
-                        head_out: None,
-                        duration: 1,
-                        useful_ops: gg.useful_ops(id) as u64,
-                        label: TaskLabel {
-                            k: k as u32,
-                            h: h as u32,
-                        },
-                    },
-                );
-            }
-        }
-
+        let assignment = Assignment {
+            schedule,
+            links: Vec::new(),
+            banks: 2 * n,
+            col_bank: (n..2 * n).collect(),
+            pivot_bank: (0..n).collect(),
+            input: Input::Host,
+            memory_connections: 2 * n,
+        };
         // The m = 1 (per-column) case of the shared budget formula.
         let ideal = ideal_cycles_per_instance(n, 1);
-        plan.set_max_cycles(batch_len as u64 * ideal * 20 + 100_000);
-        plan.finish()
+        compile(
+            &assignment,
+            batch_len,
+            batch_len as u64 * ideal * 20 + 100_000,
+        )
     }
 }
 
@@ -308,20 +233,22 @@ mod tests {
 
     #[test]
     fn fixed_linear_throughput_is_one_over_n_n_plus_1() {
-        let n = 4;
-        let a = bool_adj(n, &[(0, 1), (1, 2), (2, 3)]);
-        let insts = 6;
-        let eng = FixedLinearEngine::new();
-        let batch: Vec<_> = (0..insts).map(|_| a.clone()).collect();
-        let (_, stats) = ClosureEngine::<Bool>::closure_many(&eng, &batch).unwrap();
-        let per_instance = stats.cycles as f64 / insts as f64;
-        let ideal = (n * (n + 1)) as f64 * 1.0; // (n+1) G-nodes × n cycles / n cells… per row
-                                                // Each cell executes (n+1) tasks of n cycles per instance.
-        let ideal = ideal * n as f64 / n as f64;
-        assert!(
-            per_instance < 1.5 * (n * (n + 1)) as f64,
-            "per-instance {per_instance} vs ideal {ideal}"
-        );
+        // Each cell runs its row's n + 1 G-nodes of n words per instance,
+        // so chained instances cost at least n(n+1) cycles each; pipeline
+        // fill keeps the measured cost within 1.5× of that.
+        for n in [3usize, 4, 6] {
+            let a = bool_adj(n, &[(0, 1), (1, 2), (2, 0)]);
+            let insts = 6;
+            let eng = FixedLinearEngine::new();
+            let batch: Vec<_> = (0..insts).map(|_| a.clone()).collect();
+            let (_, stats) = ClosureEngine::<Bool>::closure_many(&eng, &batch).unwrap();
+            let per_instance = stats.cycles as f64 / insts as f64;
+            let ideal = (n * (n + 1)) as f64;
+            assert!(
+                (ideal..1.5 * ideal).contains(&per_instance),
+                "n={n}: per-instance {per_instance} vs n(n+1) = {ideal}"
+            );
+        }
     }
 
     #[test]

@@ -13,14 +13,17 @@
 //! Blocks are scheduled by vertical paths: `h`-block-major, `k`-blocks
 //! top-to-bottom inside (the 2-D analogue of Fig. 20b).
 //!
-//! The geometry lives in [`GridMapping`]; execution is the shared
-//! [`MappedEngine`].
+//! [`GridMapping`] is that assignment — the grid G-set schedule, its links
+//! and its `2√m` banks — which the shared plan compiler turns into task
+//! programs; execution is the shared [`MappedEngine`]. The elimination
+//! pipelines' `Grid` mapping reuses the same assignment.
 
-use crate::engine::{ideal_cycles_per_instance, stream_key, EngineError};
+use crate::compile::{compile, Assignment, Input};
+use crate::engine::{ideal_cycles_per_instance, EngineError};
 use crate::mapping::{MappedEngine, Mapping};
-use crate::plan::{CompiledPlan, PlanBuilder};
-use systolic_arraysim::{StreamDst, StreamSrc, Task, TaskKind, TaskLabel};
-use systolic_transform::{GGraph, GNodeRole};
+use crate::plan::CompiledPlan;
+use crate::schedule::GsetSchedule;
+use systolic_transform::GenericGGraph;
 
 /// The cut-and-pile mapping onto a `√m × √m` grid.
 #[derive(Clone, Debug)]
@@ -40,6 +43,33 @@ impl GridMapping {
     /// Grid side length `√m`.
     pub fn side(&self) -> usize {
         self.s
+    }
+
+    /// Cut-and-pile of any G-graph onto the grid: the grid G-set schedule,
+    /// horizontal pivot links `(ri,ci) → (ri,ci+1)` and vertical column
+    /// links `(ri,ci) → (ri+1,ci)` created row-major, column banks `0..s`
+    /// on the top/bottom edge and pivot banks `s..2s` on the left/right
+    /// edge (`2s` memory connections).
+    pub(crate) fn assignment(&self, gg: &GenericGGraph) -> Assignment {
+        let s = self.s;
+        let mut links = Vec::new();
+        for c in 0..s * s {
+            if c % s + 1 < s {
+                links.push((c, c + 1, 1));
+            }
+            if c / s + 1 < s {
+                links.push((c, c + s, 1));
+            }
+        }
+        Assignment {
+            schedule: GsetSchedule::grid_of(gg, s),
+            links,
+            banks: 2 * s,
+            col_bank: (0..s * s).map(|c| c % s).collect(),
+            pivot_bank: (0..s * s).map(|c| s + c / s).collect(),
+            input: Input::Host,
+            memory_connections: 2 * s,
+        }
     }
 }
 
@@ -61,122 +91,13 @@ impl Mapping for GridMapping {
         Ok(())
     }
 
-    /// Compiles the grid schedule for one `(n, batch_len)` shape.
     fn build_plan(&self, n: usize, batch_len: usize) -> CompiledPlan {
-        let s = self.s;
-        let gg = GGraph::new(n);
-        let bcols = (2 * n).div_ceil(s);
-        let brows = n.div_ceil(s);
-        let cell_id = |ri: usize, ci: usize| ri * s + ci;
-
-        let mut plan = PlanBuilder::new(n, batch_len, s * s);
-        // Horizontal pivot links (ri,ci) → (ri,ci+1); vertical column links
-        // (ri,ci) → (ri+1,ci).
-        let mut hl = vec![usize::MAX; s * s];
-        let mut vl = vec![usize::MAX; s * s];
-        for ri in 0..s {
-            for ci in 0..s {
-                if ci + 1 < s {
-                    hl[cell_id(ri, ci)] = plan.add_link();
-                }
-                if ri + 1 < s {
-                    vl[cell_id(ri, ci)] = plan.add_link();
-                }
-            }
-        }
-        // Column banks (top/bottom edge) 0..s, pivot banks (left/right edge)
-        // s..2s.
-        for _ in 0..2 * s {
-            plan.add_bank();
-        }
-        let col_bank = |ci: usize| ci;
-        let piv_bank = |ri: usize| s + ri;
-        plan.set_memory_connections(2 * s);
-        let out0 = plan.add_outputs(batch_len * n);
-
-        // Host demands in schedule order (instance, h-block, cell column).
-        for inst in 0..batch_len {
-            for bc in 0..bcols {
-                for ci in 0..s {
-                    let h = bc * s + ci;
-                    if h < n {
-                        plan.feed_host(cell_id(0, ci), stream_key(inst, 0, h), inst, h);
-                    }
-                }
-            }
-        }
-
-        for inst in 0..batch_len {
-            for bc in 0..bcols {
-                for br in 0..brows {
-                    for ri in 0..s {
-                        for ci in 0..s {
-                            let k = br * s + ri;
-                            let h = bc * s + ci;
-                            if k >= n {
-                                continue;
-                            }
-                            let Some(id) = gg.at_h(k, h) else { continue };
-                            let role = gg.role(id);
-                            let kind = match role {
-                                GNodeRole::PivotHead => TaskKind::PivotHead,
-                                GNodeRole::Fuse => TaskKind::Fuse,
-                                GNodeRole::DelayTail => TaskKind::DelayTail,
-                            };
-                            let col_in = match role {
-                                GNodeRole::DelayTail => None,
-                                _ if k == 0 => {
-                                    Some(plan.host_src(cell_id(ri, ci), stream_key(inst, 0, h)))
-                                }
-                                _ if ri > 0 => Some(StreamSrc::Link(vl[cell_id(ri - 1, ci)])),
-                                _ => Some(plan.bank_src(col_bank(ci), stream_key(inst, k - 1, h))),
-                            };
-                            let pivot_in = match role {
-                                GNodeRole::PivotHead => None,
-                                _ if ci > 0 => Some(StreamSrc::Link(hl[cell_id(ri, ci - 1)])),
-                                _ => Some(plan.bank_src(piv_bank(ri), stream_key(inst, k, h - 1))),
-                            };
-                            let col_out = match role {
-                                GNodeRole::PivotHead => None,
-                                _ if k == n - 1 => Some(StreamDst::Output {
-                                    stream: out0 + inst * n + (h - n),
-                                }),
-                                _ if ri + 1 < s => Some(StreamDst::Link(vl[cell_id(ri, ci)])),
-                                _ => Some(plan.bank_dst(col_bank(ci), stream_key(inst, k, h))),
-                            };
-                            let pivot_out = match role {
-                                GNodeRole::DelayTail => None,
-                                _ if ci + 1 < s => Some(StreamDst::Link(hl[cell_id(ri, ci)])),
-                                _ => Some(plan.bank_dst(piv_bank(ri), stream_key(inst, k, h))),
-                            };
-                            plan.push_task(
-                                cell_id(ri, ci),
-                                Task {
-                                    kind,
-                                    len: n,
-                                    col_in,
-                                    pivot_in,
-                                    col_out,
-                                    pivot_out,
-                                    head_out: None,
-                                    duration: 1,
-                                    useful_ops: gg.useful_ops(id) as u64,
-                                    label: TaskLabel {
-                                        k: k as u32,
-                                        h: h as u32,
-                                    },
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        let m = s * s;
-        let ideal = ideal_cycles_per_instance(n, m) + 1;
-        plan.set_max_cycles(batch_len as u64 * ideal * 40 + 200_000);
-        plan.finish()
+        let ideal = ideal_cycles_per_instance(n, self.s * self.s) + 1;
+        compile(
+            &self.assignment(&GenericGGraph::closure(n)),
+            batch_len,
+            batch_len as u64 * ideal * 40 + 200_000,
+        )
     }
 }
 

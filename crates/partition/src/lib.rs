@@ -22,8 +22,12 @@
 //!   with `h ≡ c (mod m)`, buffering its own column streams locally
 //!   (`Θ(n²/m)` words per cell, measured) while pivots ride a ring.
 //!
-//! [`schedule`] exposes the G-set schedule itself (Fig. 20) with a
-//! dependence-legality checker, used by experiment E10.
+//! Each mapping is a G-set assignment: a [`GsetSchedule`] (Fig. 20) that
+//! places every G-node on a cell, plus the mapping's links and boundary
+//! banks. One private plan compiler turns any assignment into a
+//! [`CompiledPlan`]; debug builds run the schedule's dependence-legality
+//! check on every plan, so the schedule experiment E10 reports is the one
+//! that runs.
 //!
 //! [`ParallelEngine`] wraps any of the engines above and shards a batch of
 //! instances across engine replicas on a persistent host-side worker pool:
@@ -56,6 +60,7 @@
 
 pub mod admission;
 pub mod algo;
+mod compile;
 pub mod engine;
 pub mod fault;
 pub mod fixed;
@@ -87,6 +92,6 @@ pub use packed::PackedEngine;
 pub use parallel::ParallelEngine;
 pub use plan::CompiledPlan;
 pub use recover::{Escalation, FaultAware, RecoveringEngine, RecoveryPolicy};
-pub use schedule::{GsetSchedule, ScheduleEntry};
+pub use schedule::{GsetSchedule, Placed, ScheduleEntry};
 pub use tiled::{tiled_dag_closure, tiled_dag_closure_with_engine, TileStats};
 pub use verify::{col_folds, row_folds, Verifier};

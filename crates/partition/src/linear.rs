@@ -16,22 +16,27 @@
 //! * row 0 reads its columns from the host R-chain (Fig. 21) and row `n-1`
 //!   writes the result columns to the output collectors.
 //!
-//! The schedule is pure geometry, so it lives in [`LpgsMapping`] and the
-//! shared [`MappedEngine`] executor does everything else: the plan is
-//! compiled once per `(n, batch_len)` into a [`CompiledPlan`] and
-//! memoized; repeat calls reset and reload a cached simulator instead of
-//! rebuilding anything. It also never inspects *values*, so the engine is
-//! generic over the semiring — including the 64-lane `BoolLanes` packing
-//! [`crate::PackedEngine`] drives through it, which shares this engine's
-//! plan cache (a packed group and a scalar single run use the same
-//! `(n, 1)` plan).
+//! [`LpgsMapping`] states only the G-set assignment — the linear G-set
+//! schedule, the chain's links and its `m + 1` banks — and the shared
+//! plan compiler derives the streams above from it (see `compile`); the
+//! elimination pipelines' `Linear` mapping reuses the same assignment on
+//! their G-graphs. The shared [`MappedEngine`] executor does everything
+//! else: the plan is compiled once per `(n, batch_len)` into a
+//! [`CompiledPlan`] and memoized; repeat calls reset and reload a cached
+//! simulator instead of rebuilding anything. The plan never inspects
+//! *values*, so the engine is generic over the semiring — including the
+//! 64-lane `BoolLanes` packing [`crate::PackedEngine`] drives through it,
+//! which shares this engine's plan cache (a packed group and a scalar
+//! single run use the same `(n, 1)` plan).
 
-use crate::engine::{ideal_cycles_per_instance, stream_key};
+use crate::compile::{compile, Assignment, Input};
+use crate::engine::ideal_cycles_per_instance;
 use crate::mapping::{MappedEngine, Mapping};
-use crate::plan::{CompiledPlan, PlanBuilder};
-use systolic_arraysim::{FaultEvent, StreamDst, StreamSrc, Task, TaskKind, TaskLabel};
+use crate::plan::CompiledPlan;
+use crate::schedule::GsetSchedule;
+use systolic_arraysim::FaultEvent;
 use systolic_semiring::PathSemiring;
-use systolic_transform::{GGraph, GNodeRole};
+use systolic_transform::GenericGGraph;
 
 /// The cut-and-pile (LPGS) mapping onto a linear chain of `m` cells.
 #[derive(Clone, Debug)]
@@ -72,6 +77,27 @@ impl LpgsMapping {
     pub fn blocks(&self, n: usize) -> usize {
         (2 * n).div_ceil(self.m)
     }
+
+    /// Cut-and-pile of any G-graph onto the chain: the linear G-set
+    /// schedule, pivot links `c → c+1`, one private column bank per cell
+    /// and one shared pivot boundary bank (`m + 1` memory connections).
+    pub(crate) fn assignment(&self, gg: &GenericGGraph) -> Assignment {
+        let m = self.m;
+        Assignment {
+            schedule: GsetSchedule::linear_of(gg, m),
+            links: self
+                .link_delays
+                .iter()
+                .enumerate()
+                .map(|(c, &delay)| (c, c + 1, delay))
+                .collect(),
+            banks: m + 1,
+            col_bank: (0..m).collect(),
+            pivot_bank: vec![m; m],
+            input: Input::Host,
+            memory_connections: m + 1,
+        }
+    }
 }
 
 impl Mapping for LpgsMapping {
@@ -92,105 +118,14 @@ impl Mapping for LpgsMapping {
         Ok(())
     }
 
-    /// Compiles the schedule for one `(n, batch_len)` shape: the full task
-    /// program of every cell, the host demand order and the stream wiring,
-    /// with all stream keys interned to dense slots.
     fn build_plan(&self, n: usize, batch_len: usize) -> CompiledPlan {
-        let m = self.m;
-        let gg = GGraph::new(n);
-        let blocks = self.blocks(n);
-
-        let mut plan = PlanBuilder::new(n, batch_len, m);
-        // Pivot links cell c → c+1 (delayed where faulty cells are bypassed).
-        let links: Vec<usize> = self
-            .link_delays
-            .iter()
-            .map(|&d| plan.add_link_with_delay(d))
-            .collect();
-        // Cell banks 0..m, pivot bank m.
-        for _ in 0..=m {
-            plan.add_bank();
-        }
-        let pivot_bank = m;
-        plan.set_memory_connections(m + 1);
-        let out0 = plan.add_outputs(batch_len * n);
-
-        // Host demand order mirrors the schedule: instance, block, cell.
-        for inst in 0..batch_len {
-            for b in 0..blocks {
-                for c in 0..m {
-                    let h = b * m + c;
-                    if h < n && gg.at_h(0, h).is_some() {
-                        // Row 0 consumes column h in natural row order.
-                        plan.feed_host(c, stream_key(inst, 0, h), inst, h);
-                    }
-                }
-            }
-        }
-
-        // Task programs.
-        for inst in 0..batch_len {
-            for b in 0..blocks {
-                for k in 0..n {
-                    for c in 0..m {
-                        let h = b * m + c;
-                        let Some(id) = gg.at_h(k, h) else { continue };
-                        let role = gg.role(id);
-                        let kind = match role {
-                            GNodeRole::PivotHead => TaskKind::PivotHead,
-                            GNodeRole::Fuse => TaskKind::Fuse,
-                            GNodeRole::DelayTail => TaskKind::DelayTail,
-                        };
-                        let col_in = match role {
-                            GNodeRole::DelayTail => None,
-                            _ if k == 0 => Some(plan.host_src(c, stream_key(inst, 0, h))),
-                            _ => Some(plan.bank_src(c, stream_key(inst, k - 1, h))),
-                        };
-                        let pivot_in = match role {
-                            GNodeRole::PivotHead => None,
-                            _ if c > 0 => Some(StreamSrc::Link(links[c - 1])),
-                            _ => Some(plan.bank_src(pivot_bank, stream_key(inst, k, h - 1))),
-                        };
-                        let col_out = match role {
-                            GNodeRole::PivotHead => None,
-                            _ if k == n - 1 => Some(StreamDst::Output {
-                                stream: out0 + inst * n + (h - n),
-                            }),
-                            _ => Some(plan.bank_dst(c, stream_key(inst, k, h))),
-                        };
-                        let pivot_out = match role {
-                            GNodeRole::DelayTail => None,
-                            _ if c < m - 1 => Some(StreamDst::Link(links[c])),
-                            _ => Some(plan.bank_dst(pivot_bank, stream_key(inst, k, h))),
-                        };
-                        let useful_ops = gg.useful_ops(id) as u64;
-                        plan.push_task(
-                            c,
-                            Task {
-                                kind,
-                                len: n,
-                                col_in,
-                                pivot_in,
-                                col_out,
-                                pivot_out,
-                                head_out: None,
-                                duration: 1,
-                                useful_ops,
-                                label: TaskLabel {
-                                    k: k as u32,
-                                    h: h as u32,
-                                },
-                            },
-                        );
-                    }
-                }
-            }
-        }
-
         // Generous budget: ideal cycles are ~ n²(n+1)/m per instance.
-        let ideal = ideal_cycles_per_instance(n, m) + 1;
-        plan.set_max_cycles(batch_len as u64 * ideal * 20 + 100_000);
-        plan.finish()
+        let ideal = ideal_cycles_per_instance(n, self.m) + 1;
+        compile(
+            &self.assignment(&GenericGGraph::closure(n)),
+            batch_len,
+            batch_len as u64 * ideal * 20 + 100_000,
+        )
     }
 }
 

@@ -20,17 +20,21 @@
 //!   and wrap from cell `m-1` back to cell 0 through a single boundary
 //!   bank: `m + 1` memory connections, like the linear LPGS array.
 //!
-//! The schedule is pure geometry in [`LsgpMapping`]; execution,
-//! memoization and fault machinery come from the shared [`MappedEngine`],
-//! so LSGP results are validated against Warshall exactly like every other
-//! mapping (experiment E25 ties the measured storage and makespan back to
-//! the analytic `CoalescingModel` of E16).
+//! As an assignment, coalescing is the linear mapping's G-sets (`m`
+//! consecutive `h` of one row, `h` on cell `h mod m`) run row-major
+//! instead of block-major: [`LsgpMapping`] states that order and its
+//! ring, and the shared plan compiler derives the streams above from it.
+//! Execution, memoization and fault machinery come from the shared
+//! [`MappedEngine`], so LSGP results are validated against Warshall
+//! exactly like every other mapping (experiment E25 ties the measured
+//! storage and makespan back to the analytic `CoalescingModel` of E16).
 
-use crate::engine::{ideal_cycles_per_instance, stream_key};
+use crate::compile::{compile, Assignment, Input};
+use crate::engine::ideal_cycles_per_instance;
 use crate::mapping::{MappedEngine, Mapping};
-use crate::plan::{CompiledPlan, PlanBuilder};
-use systolic_arraysim::{StreamDst, StreamSrc, Task, TaskKind, TaskLabel};
-use systolic_transform::{GGraph, GNodeRole};
+use crate::plan::CompiledPlan;
+use crate::schedule::GsetSchedule;
+use systolic_transform::GenericGGraph;
 
 /// The coalescing (LSGP) mapping onto a ring of `m` cells.
 #[derive(Clone, Debug)]
@@ -71,102 +75,39 @@ impl Mapping for LsgpMapping {
         Ok(())
     }
 
-    /// Compiles the coalesced schedule: cell `c` runs its owned columns in
-    /// row-major `(k, h)` order, column streams through its private bank,
-    /// pivot streams over the `c → c+1` links with the `m-1 → 0` wrap
-    /// through the boundary bank.
+    /// The coalesced assignment: the linear mapping's G-sets run row by
+    /// row, so cell `c` sweeps its owned columns in row-major `(k, h)`
+    /// order and the per-link word order stays lexicographic in
+    /// `(instance, k, h)` — FIFO links need no reordering. Pivot links
+    /// `c → c+1`; the ring closes through the wrap bank `m`, never a
+    /// backward link, so link backpressure cannot cycle. Column streams
+    /// stay in the cell's private bank (the `Θ(n²/m)` local storage).
     fn build_plan(&self, n: usize, batch_len: usize) -> CompiledPlan {
         let m = self.m;
-        let gg = GGraph::new(n);
-
-        let mut plan = PlanBuilder::new(n, batch_len, m);
-        // Pivot links cell c → c+1; the ring closes through the wrap bank,
-        // never a backward link, so link backpressure cannot cycle.
-        let links: Vec<usize> = (0..m.saturating_sub(1)).map(|_| plan.add_link()).collect();
-        // Private column banks 0..m (the Θ(n²/m) local storage), wrap bank m.
-        for _ in 0..=m {
-            plan.add_bank();
-        }
-        let wrap_bank = m;
-        plan.set_memory_connections(m + 1);
-        let out0 = plan.add_outputs(batch_len * n);
-
-        // Host demand order mirrors row 0 of the schedule: instance, then
-        // column; each word goes to the owning cell.
-        for inst in 0..batch_len {
-            for h in 0..n {
-                plan.feed_host(h % m, stream_key(inst, 0, h), inst, h);
+        let gg = GenericGGraph::closure(n);
+        let mut schedule = GsetSchedule::new(&gg, m);
+        for k in 0..gg.rows() {
+            for b in 0..(2 * n).div_ceil(m) {
+                schedule.push(GsetSchedule::row_block(&gg, k, b, m));
             }
         }
-
-        // Task programs: every cell sweeps its component row-major, so the
-        // per-cell order and the per-link word order are both lexicographic
-        // in (instance, k, h) — FIFO links need no reordering.
-        for inst in 0..batch_len {
-            for k in 0..n {
-                for h in k..=(k + n) {
-                    let c = h % m;
-                    let Some(id) = gg.at_h(k, h) else { continue };
-                    let role = gg.role(id);
-                    let kind = match role {
-                        GNodeRole::PivotHead => TaskKind::PivotHead,
-                        GNodeRole::Fuse => TaskKind::Fuse,
-                        GNodeRole::DelayTail => TaskKind::DelayTail,
-                    };
-                    // Column (k-1, h) was produced by this same cell one
-                    // row earlier: read it back from the private bank.
-                    let col_in = match role {
-                        GNodeRole::DelayTail => None,
-                        _ if k == 0 => Some(plan.host_src(c, stream_key(inst, 0, h))),
-                        _ => Some(plan.bank_src(c, stream_key(inst, k - 1, h))),
-                    };
-                    // Pivot (k, h-1) comes from the left ring neighbor;
-                    // cell 0 reads the wrap of cell m-1 (with m = 1 both
-                    // ends collapse onto the wrap bank).
-                    let pivot_in = match role {
-                        GNodeRole::PivotHead => None,
-                        _ if c > 0 => Some(StreamSrc::Link(links[c - 1])),
-                        _ => Some(plan.bank_src(wrap_bank, stream_key(inst, k, h - 1))),
-                    };
-                    let col_out = match role {
-                        GNodeRole::PivotHead => None,
-                        _ if k == n - 1 => Some(StreamDst::Output {
-                            stream: out0 + inst * n + (h - n),
-                        }),
-                        _ => Some(plan.bank_dst(c, stream_key(inst, k, h))),
-                    };
-                    let pivot_out = match role {
-                        GNodeRole::DelayTail => None,
-                        _ if c < m - 1 => Some(StreamDst::Link(links[c])),
-                        _ => Some(plan.bank_dst(wrap_bank, stream_key(inst, k, h))),
-                    };
-                    plan.push_task(
-                        c,
-                        Task {
-                            kind,
-                            len: n,
-                            col_in,
-                            pivot_in,
-                            col_out,
-                            pivot_out,
-                            head_out: None,
-                            duration: 1,
-                            useful_ops: gg.useful_ops(id) as u64,
-                            label: TaskLabel {
-                                k: k as u32,
-                                h: h as u32,
-                            },
-                        },
-                    );
-                }
-            }
-        }
-
+        let assignment = Assignment {
+            schedule,
+            links: (1..m).map(|c| (c - 1, c, 1)).collect(),
+            banks: m + 1,
+            col_bank: (0..m).collect(),
+            pivot_bank: vec![m; m],
+            input: Input::Host,
+            memory_connections: m + 1,
+        };
         // Balanced components make coalescing's makespan match cut-and-pile's
         // ideal n²(n+1)/m, so the same budget formula applies.
         let ideal = ideal_cycles_per_instance(n, m) + 1;
-        plan.set_max_cycles(batch_len as u64 * ideal * 20 + 100_000);
-        plan.finish()
+        compile(
+            &assignment,
+            batch_len,
+            batch_len as u64 * ideal * 20 + 100_000,
+        )
     }
 }
 

@@ -11,7 +11,10 @@
 //! is identical machinery.
 //!
 //! [`Mapping`] captures exactly the per-mapping decisions: a name, the
-//! cell count, and the [`CompiledPlan`] builder for a problem shape.
+//! cell count, and the [`CompiledPlan`] for a problem shape. Each
+//! mapping's plan is a G-set assignment — its schedule with every G-node
+//! placed on a cell, its links and its boundary banks — handed to the one
+//! plan compiler (`compile`), which derives every stream from it.
 //! [`MappedEngine`] owns the shared machinery exactly once. The concrete
 //! engines ([`crate::LinearEngine`], [`crate::FixedArrayEngine`],
 //! [`crate::FixedLinearEngine`], [`crate::GridEngine`],
@@ -55,7 +58,8 @@ pub trait Mapping: Clone + std::fmt::Debug + Send + Sync + 'static {
     }
 
     /// Compiles the full schedule for one `(n, batch_len)` shape: cell
-    /// programs, stream wiring, host demand order, cycle budget.
+    /// programs, stream wiring, host demand order, cycle budget — the
+    /// mapping's G-set assignment run through the plan compiler.
     fn build_plan(&self, n: usize, batch_len: usize) -> CompiledPlan;
 
     /// Smallest batch slice processed at full efficiency (see

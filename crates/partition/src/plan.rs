@@ -9,25 +9,26 @@
 //! simulator (see `SimSlot`) and merely re-[`load`](CompiledPlan::load)
 //! the new matrices, entering the hot loop with zero schedule rebuilding.
 //!
-//! At plan-build time every logical `stream_key(inst, k, h)` is **interned**
-//! into a dense slot index, so the simulator's banks and host R-blocks are
-//! Vec-backed slot tables and the per-cycle `can_read`/`read`/`write` path
-//! never hashes. Interned bank slots carry their original `u64` key as a
-//! sort key, preserving `corrupt_resident`'s deterministic sorted-key visit
-//! order for fault injection.
+//! At compile time every logical stream `stream_key(inst, k, h)` gets a
+//! dense slot index, numbered per bank (or per cell's host R-block) in the
+//! order streams are first written, so the simulator's banks and host
+//! R-blocks are Vec-backed slot tables and the per-cycle
+//! `can_read`/`read`/`write` path never hashes. Bank slots carry their
+//! original `u64` key as a sort key, preserving `corrupt_resident`'s
+//! deterministic sorted-key visit order for fault injection.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use systolic_arraysim::{ArraySim, StreamDst, StreamSrc, Task};
+use systolic_arraysim::{ArraySim, Task};
 use systolic_semiring::{DenseMatrix, Semiring};
 
 /// One input-stream binding: which column of which batch instance enters
 /// the array where. Feeds replay in recorded order, which for host feeds
 /// *is* the demand order of the schedule.
 #[derive(Clone, Copy, Debug)]
-enum Feed {
+pub(crate) enum Feed {
     /// Host-injected stream: `mats[inst].col(col)` queued for `cell`.
     Host {
         cell: usize,
@@ -47,20 +48,20 @@ enum Feed {
 /// A fully compiled schedule for one `(n, batch_len)` shape: array
 /// geometry, per-cell task programs (shared, never copied per run), input
 /// feed order and the cycle budget. Independent of the semiring — one plan
-/// serves runs over any element type.
+/// serves runs over any element type. Only the plan compiler builds one.
 #[derive(Clone, Debug)]
 pub struct CompiledPlan {
-    n: usize,
-    batch_len: usize,
-    cells: usize,
-    link_delays: Vec<u64>,
-    /// Per bank: the original stream keys, indexed by interned slot.
-    bank_slots: Vec<Vec<u64>>,
-    outputs: usize,
-    memory_connections: usize,
-    max_cycles: u64,
-    feeds: Vec<Feed>,
-    programs: Vec<Arc<[Task]>>,
+    pub(crate) n: usize,
+    pub(crate) batch_len: usize,
+    pub(crate) cells: usize,
+    pub(crate) link_delays: Vec<u64>,
+    /// Per bank: the original stream keys, indexed by slot.
+    pub(crate) bank_slots: Vec<Vec<u64>>,
+    pub(crate) outputs: usize,
+    pub(crate) memory_connections: usize,
+    pub(crate) max_cycles: u64,
+    pub(crate) feeds: Vec<Feed>,
+    pub(crate) programs: Vec<Arc<[Task]>>,
 }
 
 impl CompiledPlan {
@@ -79,7 +80,7 @@ impl CompiledPlan {
         self.cells
     }
 
-    /// Total interned stream slots across all banks.
+    /// Total stream slots across all banks.
     pub fn bank_stream_slots(&self) -> usize {
         self.bank_slots.iter().map(Vec::len).sum()
     }
@@ -166,155 +167,6 @@ impl CompiledPlan {
                     }
                 }
             }
-        }
-    }
-}
-
-/// Per-bank key interner: first use of a key allocates the next slot.
-#[derive(Default)]
-struct KeyIntern {
-    map: HashMap<u64, usize>,
-    keys: Vec<u64>,
-}
-
-impl KeyIntern {
-    fn slot(&mut self, key: u64) -> usize {
-        *self.map.entry(key).or_insert_with(|| {
-            self.keys.push(key);
-            self.keys.len() - 1
-        })
-    }
-}
-
-/// Builds a [`CompiledPlan`] with the same call sequence an engine would
-/// use to build an [`ArraySim`] directly, interning `u64` stream keys into
-/// dense slots as they first appear. Hashing happens here, once per shape —
-/// never in the simulator hot loop.
-pub(crate) struct PlanBuilder {
-    n: usize,
-    batch_len: usize,
-    cells: usize,
-    link_delays: Vec<u64>,
-    banks: Vec<KeyIntern>,
-    /// Per-cell host stream interner (R-block slots are per cell).
-    host: Vec<KeyIntern>,
-    outputs: usize,
-    memory_connections: usize,
-    max_cycles: u64,
-    feeds: Vec<Feed>,
-    programs: Vec<Vec<Task>>,
-}
-
-impl PlanBuilder {
-    pub(crate) fn new(n: usize, batch_len: usize, cells: usize) -> Self {
-        Self {
-            n,
-            batch_len,
-            cells,
-            link_delays: Vec::new(),
-            banks: Vec::new(),
-            host: (0..cells).map(|_| KeyIntern::default()).collect(),
-            outputs: 0,
-            memory_connections: 0,
-            max_cycles: u64::MAX,
-            feeds: Vec::new(),
-            programs: (0..cells).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    pub(crate) fn add_link(&mut self) -> usize {
-        self.add_link_with_delay(1)
-    }
-
-    pub(crate) fn add_link_with_delay(&mut self, delay: u64) -> usize {
-        self.link_delays.push(delay);
-        self.link_delays.len() - 1
-    }
-
-    pub(crate) fn add_bank(&mut self) -> usize {
-        self.banks.push(KeyIntern::default());
-        self.banks.len() - 1
-    }
-
-    pub(crate) fn add_outputs(&mut self, count: usize) -> usize {
-        let first = self.outputs;
-        self.outputs += count;
-        first
-    }
-
-    pub(crate) fn set_memory_connections(&mut self, c: usize) {
-        self.memory_connections = c;
-    }
-
-    pub(crate) fn set_max_cycles(&mut self, max: u64) {
-        self.max_cycles = max;
-    }
-
-    /// Interned bank-stream source.
-    pub(crate) fn bank_src(&mut self, bank: usize, key: u64) -> StreamSrc {
-        StreamSrc::Bank {
-            bank,
-            slot: self.banks[bank].slot(key),
-        }
-    }
-
-    /// Interned bank-stream destination.
-    pub(crate) fn bank_dst(&mut self, bank: usize, key: u64) -> StreamDst {
-        StreamDst::Bank {
-            bank,
-            slot: self.banks[bank].slot(key),
-        }
-    }
-
-    /// Interned host-stream source for a task running on `cell`.
-    pub(crate) fn host_src(&mut self, cell: usize, key: u64) -> StreamSrc {
-        StreamSrc::Host {
-            slot: self.host[cell].slot(key),
-        }
-    }
-
-    /// Records a host feed of `mats[inst].col(col)` for `cell`.
-    pub(crate) fn feed_host(&mut self, cell: usize, key: u64, inst: usize, col: usize) {
-        let slot = self.host[cell].slot(key);
-        self.feeds.push(Feed::Host {
-            cell,
-            slot,
-            inst: inst as u32,
-            col: col as u32,
-        });
-    }
-
-    /// Records a boundary-port preload of `mats[inst].col(col)` into `bank`.
-    pub(crate) fn feed_preload(&mut self, bank: usize, key: u64, inst: usize, col: usize) {
-        let slot = self.banks[bank].slot(key);
-        self.feeds.push(Feed::Preload {
-            bank,
-            slot,
-            inst: inst as u32,
-            col: col as u32,
-        });
-    }
-
-    pub(crate) fn push_task(&mut self, cell: usize, task: Task) {
-        self.programs[cell].push(task);
-    }
-
-    pub(crate) fn finish(self) -> CompiledPlan {
-        CompiledPlan {
-            n: self.n,
-            batch_len: self.batch_len,
-            cells: self.cells,
-            link_delays: self.link_delays,
-            bank_slots: self.banks.into_iter().map(|b| b.keys).collect(),
-            outputs: self.outputs,
-            memory_connections: self.memory_connections,
-            max_cycles: self.max_cycles,
-            feeds: self.feeds,
-            programs: self
-                .programs
-                .into_iter()
-                .map(std::convert::Into::into)
-                .collect(),
         }
     }
 }
@@ -422,45 +274,40 @@ impl fmt::Debug for SimSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use systolic_arraysim::{TaskKind, TaskLabel};
+    use systolic_arraysim::{StreamDst, StreamSrc, TaskKind, TaskLabel};
     use systolic_semiring::MinPlus;
 
+    /// One cell passing a preloaded column straight to the output.
     fn trivial_plan() -> CompiledPlan {
-        let mut b = PlanBuilder::new(2, 1, 1);
-        let bank = b.add_bank();
-        let out = b.add_outputs(1);
-        let src = b.bank_src(bank, 0xdead_beef);
-        b.feed_preload(bank, 0xdead_beef, 0, 0);
-        b.push_task(
-            0,
-            Task {
-                kind: TaskKind::Pass,
-                len: 2,
-                col_in: Some(src),
-                pivot_in: None,
-                col_out: Some(StreamDst::Output { stream: out }),
-                pivot_out: None,
-                head_out: None,
-                duration: 1,
-                useful_ops: 0,
-                label: TaskLabel::default(),
-            },
-        );
-        b.finish()
-    }
-
-    #[test]
-    fn interning_is_first_use_order_and_stable() {
-        let mut b = PlanBuilder::new(2, 1, 1);
-        let bank = b.add_bank();
-        let s9 = b.bank_src(bank, 9);
-        let s2 = b.bank_src(bank, 2);
-        let s9again = b.bank_src(bank, 9);
-        assert_eq!(s9, StreamSrc::Bank { bank, slot: 0 });
-        assert_eq!(s2, StreamSrc::Bank { bank, slot: 1 });
-        assert_eq!(s9, s9again);
-        let plan = b.finish();
-        assert_eq!(plan.bank_slots[0], vec![9, 2], "slots keep their keys");
+        let pass = Task {
+            kind: TaskKind::Pass,
+            len: 2,
+            col_in: Some(StreamSrc::Bank { bank: 0, slot: 0 }),
+            pivot_in: None,
+            col_out: Some(StreamDst::Output { stream: 0 }),
+            pivot_out: None,
+            head_out: None,
+            duration: 1,
+            useful_ops: 0,
+            label: TaskLabel::default(),
+        };
+        CompiledPlan {
+            n: 2,
+            batch_len: 1,
+            cells: 1,
+            link_delays: Vec::new(),
+            bank_slots: vec![vec![0xdead_beef]],
+            outputs: 1,
+            memory_connections: 0,
+            max_cycles: u64::MAX,
+            feeds: vec![Feed::Preload {
+                bank: 0,
+                slot: 0,
+                inst: 0,
+                col: 0,
+            }],
+            programs: vec![vec![pass].into()],
+        }
     }
 
     #[test]

@@ -1,24 +1,36 @@
-//! The G-set schedule (Fig. 20) as a first-class object.
+//! The G-set schedule (Fig. 20): the input every plan is compiled from.
 //!
-//! Engines build their task programs directly, but experiment E10 needs the
-//! schedule itself: the ordered list of G-sets, each G-set's members, and a
-//! proof that every dependence points to an earlier entry. [`GsetSchedule`]
-//! provides both mappings (linear and grid) plus the legality check and the
-//! analytic earliest-start tags.
+//! A mapping places the G-graph on the array as an ordered list of
+//! G-sets, each member pinned to a cell. [`GsetSchedule`] is that list
+//! over any [`GenericGGraph`] — closure, LU or Faddeev — and the plan
+//! compiler turns it into task programs (see `compile`), so the schedule
+//! experiment E10 reports, `systolic schedule` checks and
+//! `metrics::tradeoff` measures is the schedule the engines run.
+//! [`GsetSchedule::verify_legal`] proves that every dependence points to
+//! an earlier (or the same) G-set; debug builds run it on every compiled
+//! plan.
 
-use systolic_transform::{GGraph, GnodeId};
+use systolic_transform::{GenRole, GenericGGraph};
+
+/// One member of a G-set: the G-node at skewed coordinates `(k, h)` and
+/// the cell that runs it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Placed {
+    /// G-graph row.
+    pub k: usize,
+    /// Skewed column `h` (`h = g + k` for the closure parallelogram).
+    pub h: usize,
+    /// Array cell.
+    pub cell: usize,
+}
 
 /// One scheduled G-set.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScheduleEntry {
     /// Execution order index.
     pub order: usize,
-    /// G-graph row of the set (linear mapping) or block row (grid mapping).
-    pub row: usize,
-    /// `h`-block index.
-    pub block: usize,
-    /// Member G-nodes.
-    pub members: Vec<GnodeId>,
+    /// Member G-nodes, placed on cells.
+    pub members: Vec<Placed>,
 }
 
 impl ScheduleEntry {
@@ -32,84 +44,101 @@ impl ScheduleEntry {
 /// An ordered G-set schedule over a G-graph.
 #[derive(Clone, Debug)]
 pub struct GsetSchedule {
-    n: usize,
-    /// Cells per G-set (m for linear, s² for grid).
+    gg: GenericGGraph,
+    /// Cells in the array (m for linear, s² for grid).
     pub cells: usize,
     entries: Vec<ScheduleEntry>,
 }
 
 impl GsetSchedule {
-    /// The linear mapping (Fig. 18) scheduled by vertical paths (Fig. 20a):
-    /// G-sets are `m` consecutive `h` positions of one row; blocks advance
-    /// left to right, rows top to bottom within a block.
+    /// An empty schedule of `gg` on `cells` cells.
+    pub(crate) fn new(gg: &GenericGGraph, cells: usize) -> Self {
+        Self {
+            gg: gg.clone(),
+            cells,
+            entries: Vec::new(),
+        }
+    }
+
+    /// Appends a G-set; an empty one (a block outside the graph) is
+    /// skipped.
+    pub(crate) fn push(&mut self, members: Vec<Placed>) {
+        if !members.is_empty() {
+            self.entries.push(ScheduleEntry {
+                order: self.entries.len(),
+                members,
+            });
+        }
+    }
+
+    /// The G-set of row `k` holding the `m` consecutive positions
+    /// `h = b·m + c`, member `c` on cell `c`.
+    pub(crate) fn row_block(gg: &GenericGGraph, k: usize, b: usize, m: usize) -> Vec<Placed> {
+        (0..m)
+            .filter_map(|c| {
+                let h = b * m + c;
+                gg.at_h(k, h).map(|_| Placed { k, h, cell: c })
+            })
+            .collect()
+    }
+
+    /// The closure G-graph's linear schedule; see
+    /// [`GsetSchedule::linear_of`].
     pub fn linear(n: usize, m: usize) -> Self {
+        Self::linear_of(&GenericGGraph::closure(n), m)
+    }
+
+    /// The closure G-graph's grid schedule; see [`GsetSchedule::grid_of`].
+    pub fn grid(n: usize, s: usize) -> Self {
+        Self::grid_of(&GenericGGraph::closure(n), s)
+    }
+
+    /// The linear mapping (Fig. 18) scheduled by vertical paths (Fig. 20a):
+    /// G-sets are `m` consecutive `h` positions of one row, position
+    /// `h` on cell `h mod m`; blocks advance left to right, rows top to
+    /// bottom within a block.
+    pub fn linear_of(gg: &GenericGGraph, m: usize) -> Self {
         assert!(m >= 1);
-        let gg = GGraph::new(n);
-        let blocks = (2 * n).div_ceil(m);
-        let mut entries = Vec::new();
-        for b in 0..blocks {
-            for k in 0..n {
-                let members: Vec<GnodeId> = (0..m).filter_map(|c| gg.at_h(k, b * m + c)).collect();
-                if !members.is_empty() {
-                    entries.push(ScheduleEntry {
-                        order: entries.len(),
-                        row: k,
-                        block: b,
-                        members,
-                    });
-                }
+        let mut sched = Self::new(gg, m);
+        for b in 0..(gg.h_max() + 1).div_ceil(m) {
+            for k in 0..gg.rows() {
+                sched.push(Self::row_block(gg, k, b, m));
             }
         }
-        Self {
-            n,
-            cells: m,
-            entries,
-        }
+        sched
     }
 
     /// The grid mapping (Fig. 19) scheduled by vertical block paths:
-    /// G-sets are `s × s` blocks of `(k, h)` space; `h`-blocks advance left
-    /// to right, `k`-blocks top to bottom within an `h`-block.
-    pub fn grid(n: usize, s: usize) -> Self {
+    /// G-sets are `s × s` blocks of `(k, h)` space, `(k, h)` on cell
+    /// `(k mod s, h mod s)`; `h`-blocks advance left to right, `k`-blocks
+    /// top to bottom within an `h`-block.
+    pub fn grid_of(gg: &GenericGGraph, s: usize) -> Self {
         assert!(s >= 1);
-        let gg = GGraph::new(n);
-        let bcols = (2 * n).div_ceil(s);
-        let brows = n.div_ceil(s);
-        let mut entries = Vec::new();
-        for bc in 0..bcols {
-            for br in 0..brows {
+        let mut sched = Self::new(gg, s * s);
+        for bc in 0..(gg.h_max() + 1).div_ceil(s) {
+            for br in 0..gg.rows().div_ceil(s) {
                 let mut members = Vec::new();
                 for ri in 0..s {
                     for ci in 0..s {
-                        let k = br * s + ri;
-                        if k >= n {
-                            continue;
-                        }
-                        if let Some(id) = gg.at_h(k, bc * s + ci) {
-                            members.push(id);
+                        let (k, h) = (br * s + ri, bc * s + ci);
+                        if gg.at_h(k, h).is_some() {
+                            members.push(Placed {
+                                k,
+                                h,
+                                cell: ri * s + ci,
+                            });
                         }
                     }
                 }
-                if !members.is_empty() {
-                    entries.push(ScheduleEntry {
-                        order: entries.len(),
-                        row: br,
-                        block: bc,
-                        members,
-                    });
-                }
+                sched.push(members);
             }
         }
-        Self {
-            n,
-            cells: s * s,
-            entries,
-        }
+        sched
     }
 
-    /// Problem size.
-    pub fn n(&self) -> usize {
-        self.n
+    /// The scheduled G-graph.
+    pub fn graph(&self) -> &GenericGGraph {
+        &self.gg
     }
 
     /// Scheduled entries in execution order.
@@ -136,44 +165,55 @@ impl GsetSchedule {
             .count()
     }
 
-    /// Total member G-nodes across all sets — must equal `n(n+1)`.
+    /// Total member G-nodes across all sets — must equal the graph's
+    /// G-node count (`n(n+1)` for the closure).
     pub fn total_gnodes(&self) -> usize {
         self.entries.iter().map(|e| e.members.len()).sum()
     }
 
-    /// Verifies that every dependence of every member points to a G-node
-    /// scheduled in an earlier (or the same, for the intra-set pivot chain)
-    /// entry.
+    /// Verifies that the schedule places every G-node exactly once and
+    /// that every dependence of every member points to a G-node scheduled
+    /// in an earlier entry or the same one (a stream inside one G-set
+    /// rides a neighbour link).
     ///
     /// # Errors
-    /// Describes the first violated dependence.
+    /// Describes the first misplaced G-node or violated dependence, in
+    /// skewed `(k, h)` coordinates.
     pub fn verify_legal(&self) -> Result<(), String> {
-        let gg = GGraph::new(self.n);
-        // Map every G-node to its entry order.
-        let mut order_of = std::collections::HashMap::new();
+        // G-node (k, h) at k·width + h.
+        let width = self.gg.h_max() + 1;
+        let mut order_of = vec![usize::MAX; self.gg.rows() * width];
+        let mut covered = 0;
         for e in &self.entries {
-            for &m in &e.members {
-                order_of.insert(m, e.order);
+            for p in &e.members {
+                if self.gg.at_h(p.k, p.h).is_none() {
+                    return Err(format!(
+                        "entry {} places ({},{}), which is not a G-node",
+                        e.order, p.k, p.h
+                    ));
+                }
+                let i = p.k * width + p.h;
+                if order_of[i] != usize::MAX {
+                    return Err(format!("G-node ({},{}) is scheduled twice", p.k, p.h));
+                }
+                order_of[i] = e.order;
+                covered += 1;
             }
         }
-        if order_of.len() != gg.gnode_count() {
+        if covered != self.gg.gnode_count() {
             return Err(format!(
-                "schedule covers {} of {} G-nodes",
-                order_of.len(),
-                gg.gnode_count()
+                "schedule covers {covered} of {} G-nodes",
+                self.gg.gnode_count()
             ));
         }
         for e in &self.entries {
-            for &m in &e.members {
-                for dep in [gg.column_dep(m), gg.pivot_dep(m)].into_iter().flatten() {
-                    let d = order_of[&dep];
-                    // The intra-set pivot chain rides neighbor links, so a
-                    // same-entry pivot dependence is legal; everything else
-                    // must be strictly earlier.
+            for p in &e.members {
+                for (k, h) in producers(&self.gg, p.k, p.h).into_iter().flatten() {
+                    let d = order_of[k * width + h];
                     if d > e.order {
                         return Err(format!(
-                            "G-node ({},{}) in entry {} depends on ({},{}) in later entry {}",
-                            m.k, m.g, e.order, dep.k, dep.g, d
+                            "G-node ({},{}) in entry {} depends on ({k},{h}) in later entry {d}",
+                            p.k, p.h, e.order
                         ));
                     }
                 }
@@ -181,70 +221,19 @@ impl GsetSchedule {
         }
         Ok(())
     }
+}
 
-    /// Analytic pipelined start times: entry `i` initiates at `i · n`
-    /// cycles (one G-node duration per G-set, the Fig. 20 tags).
-    pub fn analytic_starts(&self) -> Vec<u64> {
-        (0..self.entries.len())
-            .map(|i| (i * self.n) as u64)
-            .collect()
-    }
-
-    /// Lock-step start times under **varying** G-node computation times
-    /// (§4.3): entry `i + 1` starts once entry `i`'s slowest member has
-    /// finished. With the uniform closure time `n` this reduces to
-    /// [`GsetSchedule::analytic_starts`]; when a G-set mixes times, the
-    /// fast members idle for the difference — the *time mixing* the Fig. 22
-    /// analysis charges against two-dimensional G-sets.
-    pub fn varying_starts(&self, time_of: impl Fn(GnodeId) -> u64) -> Vec<u64> {
-        let mut starts = Vec::with_capacity(self.entries.len());
-        let mut t = 0u64;
-        for e in &self.entries {
-            starts.push(t);
-            t += e.members.iter().map(|&m| time_of(m)).max().unwrap_or(0);
-        }
-        starts
-    }
-
-    /// [`GsetSchedule::verify_legal`] extended to varying computation
-    /// times: additionally proves that, under the lock-step
-    /// [`GsetSchedule::varying_starts`], every dependence has *finished*
-    /// (start of its entry plus its own time) before the dependent entry
-    /// starts. The intra-set pivot chain rides neighbor links and is
-    /// exempt, as in the untimed check.
-    ///
-    /// # Errors
-    /// Describes the first violated dependence.
-    pub fn verify_legal_timed(&self, time_of: impl Fn(GnodeId) -> u64) -> Result<(), String> {
-        self.verify_legal()?;
-        let starts = self.varying_starts(&time_of);
-        let gg = GGraph::new(self.n);
-        let mut order_of = std::collections::HashMap::new();
-        for e in &self.entries {
-            for &m in &e.members {
-                order_of.insert(m, e.order);
-            }
-        }
-        for e in &self.entries {
-            for &m in &e.members {
-                for dep in [gg.column_dep(m), gg.pivot_dep(m)].into_iter().flatten() {
-                    let d = order_of[&dep];
-                    if d == e.order {
-                        continue; // intra-set pivot chain
-                    }
-                    let finish = starts[d] + time_of(dep);
-                    if finish > starts[e.order] {
-                        return Err(format!(
-                            "G-node ({},{}) in entry {} (start {}) depends on ({},{}) \
-                             finishing at {} in entry {}",
-                            m.k, m.g, e.order, starts[e.order], dep.k, dep.g, finish, d
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
+/// The G-nodes whose streams `(k, h)` reads: its column from `(k-1, h)`
+/// (none in row 0, and none for a delay tail, which turns the row's pivot
+/// stream into a column) and its pivot from `(k, h-1)` (none for the
+/// row's head, which makes it).
+fn producers(gg: &GenericGGraph, k: usize, h: usize) -> [Option<(usize, usize)>; 2] {
+    let role = gg.at_h(k, h);
+    [
+        (k > 0 && role != Some(GenRole::Tail)).then(|| (k - 1, h)),
+        (role != Some(GenRole::Head)).then(|| (k, h - 1)),
+    ]
+    .map(|dep| dep.filter(|&(k, h)| gg.at_h(k, h).is_some()))
 }
 
 #[cfg(test)]
@@ -301,44 +290,27 @@ mod tests {
     }
 
     #[test]
-    fn analytic_starts_are_pipelined_at_interval_n() {
-        let s = GsetSchedule::linear(5, 2);
-        let starts = s.analytic_starts();
-        assert_eq!(starts[0], 0);
-        assert!(starts.windows(2).all(|w| w[1] - w[0] == 5));
+    fn swapped_entries_name_the_broken_dependence() {
+        // Block 0 of the n = 5, m = 2 linear schedule runs rows 0 and 1 as
+        // entries 0 and 1; swapping them makes row 1's head (1,1) read
+        // its column before its producer (0,1) has run.
+        let mut s = GsetSchedule::linear(5, 2);
+        s.entries.swap(0, 1);
+        for (order, e) in s.entries.iter_mut().enumerate() {
+            e.order = order;
+        }
+        let err = s.verify_legal().unwrap_err();
+        assert_eq!(
+            err,
+            "G-node (1,1) in entry 0 depends on (0,1) in later entry 1"
+        );
     }
 
     #[test]
-    fn varying_starts_reduce_to_analytic_for_uniform_times() {
-        for (n, m) in [(5usize, 2usize), (6, 3), (7, 4)] {
-            let s = GsetSchedule::linear(n, m);
-            assert_eq!(
-                s.varying_starts(|_| n as u64),
-                s.analytic_starts(),
-                "n={n} m={m}"
-            );
-            s.verify_legal_timed(|_| n as u64)
-                .unwrap_or_else(|e| panic!("n={n} m={m}: {e}"));
-        }
-    }
-
-    #[test]
-    fn varying_starts_accumulate_the_slowest_member() {
-        // §4.3-style monotone row times: time of row k is n - k (uniform
-        // within a row), so linear G-sets never mix times while grid G-sets
-        // do; both remain legal under the lock-step timed schedule.
-        let n = 6;
-        let time = |id: GnodeId| (n - id.k) as u64;
-        for sched in [GsetSchedule::linear(n, 3), GsetSchedule::grid(n, 2)] {
-            sched
-                .verify_legal_timed(time)
-                .unwrap_or_else(|e| panic!("{e}"));
-            let starts = sched.varying_starts(time);
-            for (i, e) in sched.entries().iter().enumerate().skip(1) {
-                let prev = &sched.entries()[i - 1];
-                let slowest = prev.members.iter().map(|&m| time(m)).max().unwrap();
-                assert_eq!(starts[i] - starts[i - 1], slowest, "entry {}", e.order);
-            }
-        }
+    fn a_missing_gnode_is_a_coverage_error() {
+        let mut s = GsetSchedule::grid(5, 2);
+        s.entries[3].members.pop();
+        let err = s.verify_legal().unwrap_err();
+        assert_eq!(err, "schedule covers 29 of 30 G-nodes");
     }
 }

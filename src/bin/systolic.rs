@@ -101,6 +101,26 @@ fn positive(what: &str, v: usize) -> usize {
     v
 }
 
+/// Parses a closure problem size: the G-graph needs `n ≥ 2`.
+fn problem_size(arg: &str) -> usize {
+    let n = arg
+        .parse()
+        .unwrap_or_else(|_| fail(&format!("bad n `{arg}`")));
+    if n < 2 {
+        fail("n must be at least 2");
+    }
+    n
+}
+
+/// Parses a positive cell count `m`.
+fn cell_count(arg: &str) -> usize {
+    positive(
+        "m",
+        arg.parse()
+            .unwrap_or_else(|_| fail(&format!("bad m `{arg}`"))),
+    )
+}
+
 /// Array names `closure --backend` accepts.
 const BACKENDS: &[&str] = &[
     "linear",
@@ -407,21 +427,12 @@ fn cmd_paths(args: &[String]) {
 }
 
 fn cmd_schedule(args: &[String]) {
-    let (mut n, mut m, mut grid) = (None, None, false);
-    for a in args {
-        match a.as_str() {
-            "--grid" => grid = true,
-            other => {
-                if n.is_none() {
-                    n = other.parse().ok();
-                } else {
-                    m = other.parse().ok();
-                }
-            }
-        }
-    }
-    let n: usize = n.unwrap_or_else(|| fail("schedule needs n"));
-    let m: usize = m.unwrap_or_else(|| fail("schedule needs m"));
+    let grid = args.iter().any(|a| a == "--grid");
+    let sizes: Vec<&String> = args.iter().filter(|a| *a != "--grid").collect();
+    let [n, m] = sizes[..] else {
+        fail("schedule needs <n> <m> [--grid]")
+    };
+    let (n, m) = (problem_size(n), cell_count(m));
     let s = if grid {
         GsetSchedule::grid(n, m)
     } else {
@@ -460,11 +471,11 @@ fn cmd_gantt(args: &[String]) {
 }
 
 fn cmd_info(args: &[String]) {
-    let n: usize = args
-        .first()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or_else(|| fail("info needs n"));
-    let m: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(4);
+    let (n, m) = match args {
+        [n] => (problem_size(n), 4),
+        [n, m] => (problem_size(n), cell_count(m)),
+        _ => fail("info needs <n> [m]"),
+    };
     let model = LinearModel { n, m };
     println!("paper measures for n = {n}, m = {m} (Moreno & Lang 1988, §3–§4):");
     println!(

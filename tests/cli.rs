@@ -125,6 +125,30 @@ fn schedule_reports_legality() {
 }
 
 #[test]
+fn schedule_and_info_reject_degenerate_sizes() {
+    // Regression: these used to panic with a backtrace (exit 101), print
+    // `inf` with exit 0, fall back to m = 4 on an unparsable m, or let a
+    // third argument overwrite m.
+    for args in [
+        vec!["schedule", "10", "0"],
+        vec!["schedule", "10", "0", "--grid"],
+        vec!["schedule", "1", "3"],
+        vec!["schedule", "10", "3", "5"],
+        vec!["info", "0"],
+        vec!["info", "10", "0"],
+        vec!["info", "10", "x"],
+        vec!["info", "10", "3", "5"],
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn info_prints_the_paper_formulas() {
     let out = bin().args(["info", "100", "8"]).output().unwrap();
     assert!(out.status.success());

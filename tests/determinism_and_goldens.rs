@@ -5,9 +5,10 @@
 use systolic::arraysim::{FaultPlan, RunStats, SimError};
 use systolic::closure::{gnp, DiGraph};
 use systolic::partition::{
-    elimination_input, level_durations, run_elimination_timed, Algo, ClosureEngine, CompiledPlan,
-    EliminationMapping, FixedArrayEngine, FixedArrayMapping, FixedLinearMapping, GridEngine,
-    GridMapping, LinearEngine, LpgsMapping, LsgpMapping, Mapping,
+    elimination_input, elimination_plan, elimination_plan_timed, level_durations,
+    run_elimination_timed, Algo, ClosureEngine, CompiledPlan, EliminationMapping, FixedArrayEngine,
+    FixedArrayMapping, FixedLinearMapping, GridEngine, GridMapping, LinearEngine, LpgsMapping,
+    LsgpMapping, Mapping,
 };
 use systolic_semiring::{Bool, BoolLanes, DenseMatrix, LaneWord, MinPlus, Semiring};
 use systolic_util::Rng;
@@ -284,6 +285,111 @@ fn simulator_runs_are_pinned_bit_for_bit() {
         );
     }
 }
+
+/// Folds the `{:?}` of `build(n, batch)` over the pinned shape grid: the
+/// corners the simulator digests above (n = 5, batch 2) do not reach —
+/// n = 2, n = 8 and batches of 1 and 3.
+fn fold_plans(h: &mut Fnv, build: impl Fn(usize, usize) -> CompiledPlan) {
+    for n in [2, 3, 5, 8] {
+        for batch in [1, 3] {
+            h.text(&format!("{:?}", build(n, batch)));
+        }
+    }
+}
+
+/// Every plan each mapping family compiles, one digest per family over
+/// the `{:?}` of its plans: task programs, link delays, bank slot keys,
+/// feed order, output count and cycle budget. The cell counts include one
+/// cell, more cells than the `2n` skewed columns and the 3×3 grid; the
+/// elimination families run with unit and with per-level durations.
+#[test]
+fn compiled_plans_are_pinned() {
+    let ms = [1usize, 2, 3, 4, 7, 16];
+    let family = |fold: &dyn Fn(&mut Fnv)| {
+        let mut h = Fnv::new();
+        fold(&mut h);
+        h.0
+    };
+    let mut got: Vec<(String, u64)> = vec![
+        (
+            "lpgs".into(),
+            family(&|h| {
+                for m in ms {
+                    fold_plans(h, |n, b| LpgsMapping::new(m).build_plan(n, b));
+                }
+            }),
+        ),
+        (
+            "lpgs bypass [2, 3]".into(),
+            family(&|h| {
+                fold_plans(h, |n, b| {
+                    LpgsMapping::with_link_delays(3, vec![2, 3]).build_plan(n, b)
+                });
+            }),
+        ),
+        (
+            "lsgp".into(),
+            family(&|h| {
+                for m in ms {
+                    fold_plans(h, |n, b| LsgpMapping::new(m).build_plan(n, b));
+                }
+            }),
+        ),
+        (
+            "grid".into(),
+            family(&|h| {
+                for s in [1, 2, 3] {
+                    fold_plans(h, |n, b| GridMapping::new(s).build_plan(n, b));
+                }
+            }),
+        ),
+        (
+            "fixed".into(),
+            family(&|h| fold_plans(h, |n, b| FixedArrayMapping.build_plan(n, b))),
+        ),
+        (
+            "fixed-linear".into(),
+            family(&|h| fold_plans(h, |n, b| FixedLinearMapping.build_plan(n, b))),
+        ),
+    ];
+    for algo in [Algo::Lu, Algo::Faddeev] {
+        let linear = [1, 3, 7].map(|m| EliminationMapping::Linear { m });
+        let grid = [1, 2, 3].map(|s| EliminationMapping::Grid { s });
+        for mappings in [linear, grid] {
+            let digest = family(&|h| {
+                for mapping in mappings {
+                    fold_plans(h, |n, b| elimination_plan(algo, n, mapping, b));
+                    fold_plans(h, |n, b| {
+                        elimination_plan_timed(algo, n, mapping, b, &level_durations(algo, n))
+                    });
+                }
+            });
+            got.push((format!("{} / {}", algo.name(), mappings[0].name()), digest));
+        }
+    }
+
+    assert_eq!(got.len(), PINNED_PLANS.len());
+    for ((name, digest), &(pinned_name, pinned)) in got.iter().zip(PINNED_PLANS) {
+        assert_eq!(name, pinned_name);
+        assert_eq!(
+            *digest, pinned,
+            "{name}: digest 0x{digest:016x}, pinned 0x{pinned:016x}"
+        );
+    }
+}
+
+const PINNED_PLANS: &[(&str, u64)] = &[
+    ("lpgs", 0x4c1a9df9c048ecb8),
+    ("lpgs bypass [2, 3]", 0x739b74e5b7c57bec),
+    ("lsgp", 0x5ba4faab6c57f3bc),
+    ("grid", 0xdda007e71f2b2a3c),
+    ("fixed", 0xf85861e044169369),
+    ("fixed-linear", 0xd12c2647a275d9a5),
+    ("lu / lpgs-linear", 0xada24fc2eda1b469),
+    ("lu / grid-partitioned", 0xece3d1752ff69a4f),
+    ("faddeev / lpgs-linear", 0xbff05af1926ebe69),
+    ("faddeev / grid-partitioned", 0xf15216caed5bd93d),
+];
 
 const PINNED_RUNS: &[(&str, u64)] = &[
     ("lpgs m=3 / unarmed", 0x1601c0869c1a0268),

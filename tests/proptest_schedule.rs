@@ -2,7 +2,7 @@
 //! plus the earliest-start invariant of Fig. 20.
 
 use systolic::partition::GsetSchedule;
-use systolic::transform::GGraph;
+use systolic::transform::{GGraph, GenericGGraph};
 use systolic_util::Checker;
 
 #[test]
@@ -33,6 +33,34 @@ fn grid_schedules_legal() {
             .map_err(|e| format!("n={n} s={s}: {e}"))?;
         for e in sched.entries() {
             assert!(e.members.len() <= s * s, "n={n} s={s}");
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn elimination_schedules_legal() {
+    // The LU and Faddeev trapezoids compile from the same linear and grid
+    // schedules as the closure parallelogram.
+    Checker::new("elimination schedules legal", 64).run(|rng| {
+        let n = 2 + rng.gen_usize(14); // 2..=15
+        let m = 1 + rng.gen_usize(9); // 1..=9
+        let s = 1 + rng.gen_usize(4); // 1..=4
+        for (algo, gg) in [
+            ("lu", GenericGGraph::lu(n)),
+            ("faddeev", GenericGGraph::faddeev(n)),
+        ] {
+            for sched in [
+                GsetSchedule::linear_of(&gg, m),
+                GsetSchedule::grid_of(&gg, s),
+            ] {
+                let tag = format!("{algo} n={n} m={m} s={s} cells={}", sched.cells);
+                assert_eq!(sched.total_gnodes(), gg.gnode_count(), "{tag}");
+                sched.verify_legal().map_err(|e| format!("{tag}: {e}"))?;
+                for e in sched.entries() {
+                    assert!(e.members.len() <= sched.cells, "{tag}");
+                }
+            }
         }
         Ok(())
     });
