@@ -1050,6 +1050,54 @@ pub fn e26() -> String {
     out
 }
 
+/// E27 — the hardened service: a durable service killed cold and
+/// reopened (recovery timed, closure oracle-checked), and four concurrent
+/// TCP sessions over one shared closure, every answer oracle-checked by
+/// its client.
+pub fn e27() -> String {
+    let mut out =
+        String::from("## E27 — hardened service: recovery correctness & concurrent sessions\n\n");
+    let _ = writeln!(
+        out,
+        "| run | n | work | wal bytes | recover ms | qps | oracle-checked |"
+    );
+    let _ = writeln!(out, "|---|---:|---:|---:|---:|---:|---|");
+    let r = serve::run_recover_bench(64, 5000, 20_260_808);
+    assert!(r.ok, "recovered closure diverged from the recompute oracle");
+    let _ = writeln!(
+        out,
+        "| serve_recover (kill -9 + reopen) | {} | {} mutations | {} | {:.2} | — | {} |",
+        r.n, r.ops, r.wal_bytes, r.recover_ms, r.ok
+    );
+    let c = serve::run_concurrent_bench(48, 4, 1000, 20_260_808);
+    assert!(c.ok, "a concurrent answer diverged or a session failed");
+    let _ = writeln!(
+        out,
+        "| serve_concurrent ({} TCP clients) | {} | {} REACH | — | — | {:.0} | {} |",
+        c.clients, c.n, c.queries, c.qps, c.ok
+    );
+    let _ = writeln!(
+        out,
+        "\nRecovery (`Durability::open`: snapshot load + WAL-tail replay + closure \
+         rebuild) is timed after dropping a durable service cold; the recovered \
+         closure must equal a Warshall recompute of the committed history, and \
+         `tests/serve_chaos.rs` sharpens the same contract to *every* WAL truncation \
+         offset (torn tail discarded, longest committed prefix restored — DESIGN \
+         §13). The concurrent run serves four TCP sessions from one \
+         `RwLock`-shared closure with every answer checked client-side against the \
+         oracle; aggregate qps includes connection setup and the line-protocol \
+         round trips (`TCP_NODELAY` — Nagle + delayed-ACK otherwise caps a \
+         write-then-read protocol at ~46 qps). Each request and each reply leaves \
+         in one write (DESIGN §13, reply framing), so the round trip is one \
+         segment each way. Absolute numbers are machine-dependent; the perf smoke \
+         records both rows in `BENCH_partition.json` (`\"chaos\"` array) and fails \
+         on a lost session, an oracle mismatch, or a missing `recover_ms` key. \
+         Reproduce with `cargo run --release -p systolic-bench --bin experiments \
+         e27`.\n"
+    );
+    out
+}
+
 /// E28 — the widened packed data plane: Boolean lane-width sweep
 /// (64/128/256 lanes), the SWAR tropical plane vs scalar min-plus, and
 /// the lane-targeted fault campaign's containment audit.
@@ -1323,6 +1371,7 @@ pub fn run_all() -> String {
         ("E24", e24),
         ("E25", e25),
         ("E26", e26),
+        ("E27", e27),
         ("E28", e28),
         ("E29", e29),
         ("E30", e30),

@@ -166,6 +166,7 @@ pub fn run_concurrent_bench(
     queries: usize,
     seed: u64,
 ) -> ConcurrentBenchReport {
+    use std::fmt::Write as _;
     use std::io::{BufRead as _, BufReader, Write as _};
     use std::net::{TcpListener, TcpStream};
     use systolic_service::{serve_tcp, SessionLimits, SharedService};
@@ -198,15 +199,19 @@ pub fn run_concurrent_bench(
                 let mut w = stream;
                 let mut rng = Rng::seed_from_u64(seed ^ (0xC11E << 8) ^ c as u64);
                 let mut ok = true;
-                let mut resp = String::new();
+                let (mut req, mut resp) = (String::new(), String::new());
                 for _ in 0..queries {
                     let (u, v) = (rng.gen_usize(want.n()), rng.gen_usize(want.n()));
-                    writeln!(w, "REACH {u} {v}")?;
+                    // One write per request: `writeln!` on the socket would
+                    // send each formatted piece as its own segment.
+                    req.clear();
+                    let _ = writeln!(req, "REACH {u} {v}");
+                    w.write_all(req.as_bytes())?;
                     resp.clear();
                     reader.read_line(&mut resp)?;
                     ok &= resp.trim_end() == format!("REACH {u} {v} {}", want.get(u, v));
                 }
-                writeln!(w, "QUIT")?;
+                w.write_all(b"QUIT\n")?;
                 resp.clear();
                 reader.read_line(&mut resp)?;
                 Ok(ok && resp.trim_end() == "BYE")

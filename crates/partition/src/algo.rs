@@ -210,8 +210,15 @@ fn plan_for(gg: &GenericGGraph, mapping: EliminationMapping, batch_len: usize) -
 /// straight-line `systolic_dgraph::eval_elimination_graph` reference
 /// bit-for-bit.
 ///
+/// Elimination runs without pivoting, so its numerics contract is a
+/// refusal, not a growth bound: a non-finite input entry is rejected
+/// before the run, and a result in which some level met a zero pivot or
+/// produced a non-finite value is never returned.
+///
 /// # Errors
-/// [`EngineError::BadInput`] for shape/geometry problems, simulator errors
+/// [`EngineError::BadInput`] for shape/geometry problems, for a non-finite
+/// input entry (naming its `(i, j)`) and for the first level whose pivot is
+/// `0.0` or that produced an inf/NaN (naming the level); simulator errors
 /// (deadlock, runaway) forwarded, [`EngineError::Corrupt`] when an output
 /// stream drained with the wrong word count.
 pub fn run_elimination(
@@ -272,6 +279,15 @@ fn run_impl(
         )));
     }
 
+    if let Some(p) = a.as_slice().iter().position(|x| !x.is_finite()) {
+        let (i, j) = (p / msize, p % msize);
+        return Err(EngineError::BadInput(format!(
+            "{} input entry ({i}, {j}) is {}",
+            algo.name(),
+            a.get(i, j)
+        )));
+    }
+
     let plan = match durs {
         None => elimination_plan(algo, n, mapping, 1),
         Some(d) => {
@@ -320,6 +336,29 @@ fn run_impl(
         for (r, &v) in tail.iter().enumerate() {
             f.set(levels + r, h, v);
         }
+    }
+    // Entry (i, j) is last written by level min(i - 1, j): the division
+    // that makes it an `L` entry, or the update that finishes its row. The
+    // first such level holding an inf/NaN met a zero pivot or overflowed.
+    let first_bad = f
+        .as_slice()
+        .iter()
+        .enumerate()
+        .filter(|(_, x)| !x.is_finite())
+        .map(|(p, _)| {
+            let (i, j) = (p / msize, p % msize);
+            (i.saturating_sub(1).min(j).min(levels - 1), i, j)
+        })
+        .min();
+    if let Some((k, i, j)) = first_bad {
+        return Err(EngineError::BadInput(if *f.get(k, k) == 0.0 {
+            format!("{} level {k} has a zero pivot (no pivoting)", algo.name())
+        } else {
+            format!(
+                "{} level {k} produced a non-finite value at ({i}, {j})",
+                algo.name()
+            )
+        }));
     }
     Ok((f, stats))
 }
@@ -454,6 +493,89 @@ mod tests {
             lin.occupancy(),
             grid.occupancy()
         );
+    }
+
+    /// The numerics contract's cases: both algorithms on a 4×4 input (LU
+    /// at n = 4, Faddeev at n = 2), each on a chain and a grid.
+    const NUMERICS: [(Algo, usize, EliminationMapping); 4] = [
+        (Algo::Lu, 4, EliminationMapping::Linear { m: 2 }),
+        (Algo::Lu, 4, EliminationMapping::Grid { s: 2 }),
+        (Algo::Faddeev, 2, EliminationMapping::Linear { m: 2 }),
+        (Algo::Faddeev, 2, EliminationMapping::Grid { s: 2 }),
+    ];
+
+    fn refusal(algo: Algo, mapping: EliminationMapping, a: &DenseMatrix<Real>) -> String {
+        match run_elimination(algo, mapping, a) {
+            Err(EngineError::BadInput(msg)) => msg,
+            other => panic!("{algo:?} on {mapping:?}: expected BadInput, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_zero_pivot_at_level_zero_is_refused() {
+        let mut a = test_matrix(4, 2);
+        a.set(0, 0, 0.0);
+        for (algo, _, mapping) in NUMERICS {
+            let msg = refusal(algo, mapping, &a);
+            assert!(msg.contains("level 0 has a zero pivot"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn a_pivot_that_cancels_to_zero_is_refused_at_its_level() {
+        // Level 0 subtracts row 0 from row 1 exactly: a[1][1] = 2 - 1·2 = 0.
+        let rows = [
+            [1.0, 2.0, 3.0, 4.0],
+            [1.0, 2.0, 5.0, 1.0],
+            [2.0, 1.0, 1.0, 3.0],
+            [3.0, 1.0, 2.0, 1.0],
+        ];
+        let a = DenseMatrix::<Real>::from_fn(4, 4, |i, j| rows[i][j]);
+        for (algo, _, mapping) in NUMERICS {
+            let msg = refusal(algo, mapping, &a);
+            assert!(msg.contains("level 1 has a zero pivot"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_input_entry_is_refused_by_position() {
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            let mut a = test_matrix(4, 3);
+            a.set(2, 1, bad);
+            for (algo, _, mapping) in NUMERICS {
+                let msg = refusal(algo, mapping, &a);
+                assert!(msg.contains("input entry (2, 1)"), "{msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_overflow_is_refused_at_the_level_that_produced_it() {
+        let mut a = test_matrix(4, 5);
+        a.set(0, 0, 1e-300);
+        a.set(1, 0, 1e300); // l = 1e600 overflows at level 0
+        for (algo, _, mapping) in NUMERICS {
+            let msg = refusal(algo, mapping, &a);
+            assert!(
+                msg.contains("level 0 produced a non-finite value at (1, 0)"),
+                "{msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn near_singular_finite_input_stays_bit_exact() {
+        let mut a = test_matrix(4, 4);
+        a.set(0, 0, 1e-9);
+        for (algo, n, mapping) in NUMERICS {
+            let (got, _) = run_elimination(algo, mapping, &a).unwrap();
+            let want = elimination_reference(&a, algo.levels(n));
+            assert_bit_equal(&got, &want, &format!("{algo:?} {mapping:?}"));
+            assert!(
+                got.as_slice().iter().any(|x| x.abs() > 1e8),
+                "a 1e-9 pivot grows the factors"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Transport loops: concurrent TCP sessions and stdio, sharing one closure.
 //!
 //! All transports run the same session loop over a [`SharedService`]: read
-//! a bounded line, parse, execute, write one response line, flush.
+//! a bounded line, parse, execute, send the response line in one write,
+//! flush.
 //! Protocol errors answer `ERR ...` and keep the session alive; `QUIT`
 //! (or EOF, or an idle timeout) ends it.
 //!
@@ -359,46 +360,42 @@ pub fn serve<R: BufRead, W: Write>(
 ) -> io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
     let max_line = shared.limits().max_line;
-    let mut buf = Vec::new();
+    let (mut buf, mut wire) = (Vec::new(), Vec::new());
+    // Render each reply whole, then write it once: `writeln!` straight into
+    // the transport issues one write per formatted piece (up to eight), and
+    // under TCP_NODELAY each of those leaves as its own segment.
+    let mut send = |resp: &Response| -> io::Result<()> {
+        wire.clear();
+        writeln!(wire, "{resp}")?;
+        out.write_all(&wire)?;
+        out.flush()
+    };
     loop {
-        match read_bounded_line(&mut input, max_line, &mut buf) {
+        let parsed = match read_bounded_line(&mut input, max_line, &mut buf) {
             Ok(LineEvent::Eof) => break,
             Ok(LineEvent::TooLong { discarded }) => {
-                shared.note_error();
-                summary.errors += 1;
                 summary.oversize += 1;
-                writeln!(
-                    out,
-                    "{}",
-                    Response::Err(format!(
-                        "line too long ({discarded} bytes > {max_line} max), discarded"
-                    ))
-                )?;
-                out.flush()?;
-                continue;
+                Err(format!(
+                    "line too long ({discarded} bytes > {max_line} max), discarded"
+                ))
             }
-            Ok(LineEvent::Line) => {}
+            Ok(LineEvent::Line) => match std::str::from_utf8(&buf) {
+                Ok(line) => parse_command(line),
+                Err(_) => Err("line is not valid UTF-8".into()),
+            },
             Err(e) if is_timeout(&e) => {
                 summary.timeouts += 1;
                 break;
             }
             Err(e) => return Err(e),
-        }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            shared.note_error();
-            summary.errors += 1;
-            writeln!(out, "{}", Response::Err("line is not valid UTF-8".into()))?;
-            out.flush()?;
-            continue;
         };
-        let cmd = match parse_command(line) {
+        let cmd = match parsed {
             Ok(Some(c)) => c,
             Ok(None) => continue,
             Err(msg) => {
                 shared.note_error();
                 summary.errors += 1;
-                writeln!(out, "{}", Response::Err(msg))?;
-                out.flush()?;
+                send(&Response::Err(msg))?;
                 continue;
             }
         };
@@ -407,10 +404,8 @@ pub fn serve<R: BufRead, W: Write>(
         if matches!(resp, Response::Err(_)) {
             summary.errors += 1;
         }
-        let is_bye = matches!(resp, Response::Bye);
-        writeln!(out, "{resp}")?;
-        out.flush()?;
-        if is_bye {
+        send(&resp)?;
+        if matches!(resp, Response::Bye) {
             summary.quit = true;
             break;
         }
@@ -422,9 +417,9 @@ pub fn serve<R: BufRead, W: Write>(
 /// connection runs a [`serve`] session on its own thread, all sharing the
 /// closure through `shared`'s lock discipline. At most `concurrency`
 /// sessions run at once (further accepts wait for a slot); after
-/// `max_sessions` total connections (when given) the daemon drains and
-/// returns the merged summary — `None` loops forever, the CLI's daemon
-/// mode.
+/// `max_sessions` total connections (when given; `Some(0)` accepts none)
+/// the daemon drains and returns the merged summary — `None` loops
+/// forever, the CLI's daemon mode.
 ///
 /// A failed accept or a session I/O error is logged to stderr and counted
 /// ([`ServeSummary::failed_sessions`]); it never terminates the daemon.
@@ -439,9 +434,9 @@ pub fn serve_tcp(
     let gate = Arc::new((Mutex::new(0usize), Condvar::new()));
     let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let mut accepted = 0usize;
-    for conn in listener.incoming() {
-        let stream = match conn {
-            Ok(s) => s,
+    while max_sessions.is_none_or(|m| accepted < m) {
+        let stream = match listener.accept() {
+            Ok((s, _)) => s,
             Err(e) => {
                 eprintln!("serve: accept failed: {e}");
                 let mut t = totals.lock().unwrap_or_else(|p| p.into_inner());
@@ -490,9 +485,6 @@ pub fn serve_tcp(
             *count.lock().unwrap_or_else(|p| p.into_inner()) -= 1;
             cv.notify_one();
         }));
-        if max_sessions.is_some_and(|m| accepted >= m) {
-            break;
-        }
     }
     for h in handles {
         if h.join().is_err() {
@@ -604,6 +596,85 @@ mod tests {
         assert_eq!(resp.to_string(), "REACH 0 2 false");
     }
 
+    /// Keeps every `write` call a session makes, as its own buffer.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_leaves_in_one_write() {
+        // The parse error echoes this token, so its reply outgrows 8 KiB.
+        let token = "x".repeat(9000);
+        let max_line = SessionLimits::default().max_line;
+        let overlong = format!("REACH {}\n", "9".repeat(max_line));
+        let script: Vec<u8> = [
+            b"INSERT 0 1\nINSERT 1 2\nREACH 0 2\nREACH 2 0\nSTATS\n".as_slice(),
+            format!("REACH {token} 0\n").as_bytes(),
+            overlong.as_bytes(),
+            &[0xFF, 0xFE, b'\n'],
+            b"DELETE 0 1\nQUIT\n",
+        ]
+        .concat();
+        let svc = shared(4);
+        let mut log = WriteLog::default();
+        serve(&svc, script.as_slice(), &mut log).unwrap();
+        // The DELETE left the closure dirty; with a writer in flight the
+        // next session's REACH answers from the published snapshot.
+        let guard = svc.write();
+        serve(&svc, b"REACH 0 2\n".as_slice(), &mut log).unwrap();
+        drop(guard);
+
+        let replies: Vec<String> = [
+            "OK INSERT 0 1 added=1".to_string(),
+            "OK INSERT 1 2 added=2".into(),
+            "REACH 0 2 true".into(),
+            "REACH 2 0 false".into(),
+            "STATS n=4 edges=2 pairs=7 queries=2 inserts=2 incremental=2 pairs_added=3 \
+             deletes=0 recomputes=0 errors=0 wal_bytes=0 snapshots=0 queue_depth=0 \
+             mode=software active_sessions=0 stale_reads=0 protocol_errors=0"
+                .into(),
+            format!("ERR bad vertex '{token}'"),
+            format!(
+                "ERR line too long ({} bytes > {max_line} max), discarded",
+                overlong.len() - 1
+            ),
+            "ERR line is not valid UTF-8".into(),
+            "OK DELETE 0 1 removed=true".into(),
+            "BYE".into(),
+            "REACH 0 2 true stale=true".into(),
+        ]
+        .map(|r| r + "\n")
+        .into();
+        assert!(
+            log.0.concat() == replies.concat().as_bytes(),
+            "the bytes on the wire changed"
+        );
+        // A reply ends with the write that ends in its newline.
+        let mut per_reply = Vec::new();
+        let mut pending = 0;
+        for w in &log.0 {
+            pending += 1;
+            if w.ends_with(b"\n") {
+                per_reply.push(pending);
+                pending = 0;
+            }
+        }
+        assert_eq!(per_reply, vec![1; replies.len()], "writes per reply");
+        for (i, (w, want)) in log.0.iter().zip(&replies).enumerate() {
+            assert!(w == want.as_bytes(), "write {i} is not exactly reply {i}");
+        }
+    }
+
     #[test]
     fn tcp_round_trip() {
         use std::io::{BufRead as _, BufReader, Write as _};
@@ -635,6 +706,13 @@ mod tests {
         assert_eq!(summary.commands, 3);
         assert_eq!(summary.sessions, 1);
         assert_eq!(summary.failed_sessions, 0);
+    }
+
+    #[test]
+    fn a_zero_session_cap_accepts_no_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let summary = serve_tcp(&Arc::new(shared(2)), &listener, 1, Some(0)).unwrap();
+        assert_eq!(summary, ServeSummary::default());
     }
 
     #[test]

@@ -962,11 +962,17 @@ fn cmd_serve(args: &[String]) {
             }
             "--sessions" => {
                 i += 1;
-                sessions = value(i).parse().unwrap_or_else(|_| fail("bad --sessions"));
+                sessions = positive(
+                    "--sessions",
+                    value(i).parse().unwrap_or_else(|_| fail("bad --sessions")),
+                );
             }
             "--accept" => {
                 i += 1;
-                accept = Some(value(i).parse().unwrap_or_else(|_| fail("bad --accept")));
+                accept = Some(positive(
+                    "--accept",
+                    value(i).parse().unwrap_or_else(|_| fail("bad --accept")),
+                ));
             }
             "--wal" => {
                 i += 1;
@@ -990,7 +996,10 @@ fn cmd_serve(args: &[String]) {
             }
             "--max-line" => {
                 i += 1;
-                limits.max_line = value(i).parse().unwrap_or_else(|_| fail("bad --max-line"));
+                limits.max_line = positive(
+                    "--max-line",
+                    value(i).parse().unwrap_or_else(|_| fail("bad --max-line")),
+                );
             }
             "--read-timeout-ms" => {
                 i += 1;

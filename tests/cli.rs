@@ -280,6 +280,24 @@ fn malformed_edge_files_are_rejected() {
 }
 
 #[test]
+fn serve_rejects_zero_session_and_line_limits() {
+    // Regression: `--accept 0` served one session like `--accept 1`,
+    // `--sessions 0` was silently raised to 1, and `--max-line 0` answered
+    // every command `ERR line too long` and exited 0.
+    for flag in ["--accept", "--sessions", "--max-line"] {
+        let out = bin()
+            .args(["serve", "--vertices", "4", flag, "0"])
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag} 0: clean usage exit");
+        assert!(out.stdout.is_empty(), "{flag} 0 served a session");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("{flag} must be at least 1")), "{err}");
+    }
+}
+
+#[test]
 fn serve_runs_a_session_over_stdio() {
     let mut child = bin()
         .args(["serve", "--vertices", "6"])
