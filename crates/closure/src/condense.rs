@@ -89,16 +89,6 @@ impl Condensation {
         }
     }
 
-    /// Dense Boolean adjacency matrix of the component DAG (no diagonal).
-    pub fn dag_matrix(&self) -> systolic_semiring::DenseMatrix<systolic_semiring::Bool> {
-        let c = self.components.len();
-        let mut m = systolic_semiring::DenseMatrix::zeros(c, c);
-        for &(a, b) in &self.dag_edges {
-            m.set(a, b, true);
-        }
-        m
-    }
-
     /// Expands a *closed* component-DAG reachability matrix back to the
     /// vertex-level closure: `reach(u, v)` iff `closed(comp(u), comp(v))`
     /// (with the reflexive diagonal implied by `closed`'s own diagonal).

@@ -229,100 +229,115 @@ impl CsrGraph {
     /// truncated entry lists. Duplicate entries are deduplicated, so
     /// `parse(write(g)) == g` exactly.
     pub fn parse_matrix_market(text: &str) -> Result<Self, LoadError> {
-        let mut lines = text.lines().enumerate();
-        // Size line: first non-comment, non-blank line.
-        let (n, declared_nnz) = loop {
-            let Some((idx, raw)) = lines.next() else {
-                return Err(LoadError::new(0, "missing size line `rows cols nnz`"));
-            };
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('%') {
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            let (Some(r), Some(c), Some(z), None) = (it.next(), it.next(), it.next(), it.next())
-            else {
-                return Err(LoadError::new(
-                    idx + 1,
-                    "size line must be exactly `rows cols nnz`",
-                ));
-            };
-            let rows: usize = r
-                .parse()
-                .map_err(|_| LoadError::new(idx + 1, format!("bad row count {r:?}")))?;
-            let cols: usize = c
-                .parse()
-                .map_err(|_| LoadError::new(idx + 1, format!("bad column count {c:?}")))?;
-            if rows != cols {
-                return Err(LoadError::new(
-                    idx + 1,
-                    format!("adjacency matrix must be square, got {rows}×{cols}"),
-                ));
-            }
-            if rows > u32::MAX as usize {
-                return Err(LoadError::new(
-                    idx + 1,
-                    format!("{rows} vertices exceeds the u32 id space"),
-                ));
-            }
-            let nnz: usize = z
-                .parse()
-                .map_err(|_| LoadError::new(idx + 1, format!("bad entry count {z:?}")))?;
-            break (rows, nnz);
-        };
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(declared_nnz.min(1 << 24));
-        for (idx, raw) in lines {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('%') {
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            let (Some(a), Some(b)) = (it.next(), it.next()) else {
-                return Err(LoadError::new(idx + 1, "entry line must be `row col`"));
-            };
-            // A third token is tolerated (pattern files written with a
-            // weight column); more is malformed.
-            let _weight = it.next();
-            if it.next().is_some() {
-                return Err(LoadError::new(idx + 1, "too many fields on entry line"));
-            }
-            let u: usize = a
-                .parse()
-                .map_err(|_| LoadError::new(idx + 1, format!("bad row index {a:?}")))?;
-            let v: usize = b
-                .parse()
-                .map_err(|_| LoadError::new(idx + 1, format!("bad column index {b:?}")))?;
-            if u == 0 || v == 0 || u > n || v > n {
-                return Err(LoadError::new(
-                    idx + 1,
-                    format!("entry ({u}, {v}) outside 1..={n}"),
-                ));
-            }
-            edges.push(((u - 1) as u32, (v - 1) as u32));
-        }
-        if edges.len() != declared_nnz {
-            return Err(LoadError::new(
-                0,
-                format!(
-                    "size line declared {declared_nnz} entries but file has {}",
-                    edges.len()
-                ),
-            ));
-        }
+        let (n, edges) = parse_edges(text)?;
         Ok(Self::from_edges(n, &edges))
     }
 
     /// Reads a Matrix-Market file from disk.
     pub fn load(path: &std::path::Path) -> Result<Self, LoadError> {
+        let (n, edges) = Self::load_edges(path)?;
+        Ok(Self::from_edges(n, &edges))
+    }
+
+    /// Reads a Matrix-Market file as its declared vertex count and its
+    /// 0-based entries, checked as [`CsrGraph::parse_matrix_market`]
+    /// checks them. Nothing vertex-sized is allocated, so a caller with a
+    /// vertex cap can refuse an oversized declaration before
+    /// [`CsrGraph::from_edges`] builds the graph.
+    pub fn load_edges(path: &std::path::Path) -> Result<(usize, Vec<(u32, u32)>), LoadError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| LoadError::new(0, format!("{}: {e}", path.display())))?;
-        Self::parse_matrix_market(&text)
+        parse_edges(&text)
     }
 
     /// Writes a Matrix-Market file to disk.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_matrix_market())
     }
+}
+
+/// The size line's vertex count and the entries of a Matrix-Market text.
+fn parse_edges(text: &str) -> Result<(usize, Vec<(u32, u32)>), LoadError> {
+    let mut lines = text.lines().enumerate();
+    // Size line: first non-comment, non-blank line.
+    let (n, declared_nnz) = loop {
+        let Some((idx, raw)) = lines.next() else {
+            return Err(LoadError::new(0, "missing size line `rows cols nnz`"));
+        };
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('%') {
+            continue;
+        }
+        let mut it = line.split_whitespace();
+        let (Some(r), Some(c), Some(z), None) = (it.next(), it.next(), it.next(), it.next()) else {
+            return Err(LoadError::new(
+                idx + 1,
+                "size line must be exactly `rows cols nnz`",
+            ));
+        };
+        let rows: usize = r
+            .parse()
+            .map_err(|_| LoadError::new(idx + 1, format!("bad row count {r:?}")))?;
+        let cols: usize = c
+            .parse()
+            .map_err(|_| LoadError::new(idx + 1, format!("bad column count {c:?}")))?;
+        if rows != cols {
+            return Err(LoadError::new(
+                idx + 1,
+                format!("adjacency matrix must be square, got {rows}×{cols}"),
+            ));
+        }
+        if rows > u32::MAX as usize {
+            return Err(LoadError::new(
+                idx + 1,
+                format!("{rows} vertices exceeds the u32 id space"),
+            ));
+        }
+        let nnz: usize = z
+            .parse()
+            .map_err(|_| LoadError::new(idx + 1, format!("bad entry count {z:?}")))?;
+        break (rows, nnz);
+    };
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(declared_nnz.min(1 << 24));
+    for (idx, raw) in lines {
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('%') {
+            continue;
+        }
+        let mut it = line.split_whitespace();
+        let (Some(a), Some(b)) = (it.next(), it.next()) else {
+            return Err(LoadError::new(idx + 1, "entry line must be `row col`"));
+        };
+        // A third token is tolerated (pattern files written with a
+        // weight column); more is malformed.
+        let _weight = it.next();
+        if it.next().is_some() {
+            return Err(LoadError::new(idx + 1, "too many fields on entry line"));
+        }
+        let u: usize = a
+            .parse()
+            .map_err(|_| LoadError::new(idx + 1, format!("bad row index {a:?}")))?;
+        let v: usize = b
+            .parse()
+            .map_err(|_| LoadError::new(idx + 1, format!("bad column index {b:?}")))?;
+        if u == 0 || v == 0 || u > n || v > n {
+            return Err(LoadError::new(
+                idx + 1,
+                format!("entry ({u}, {v}) outside 1..={n}"),
+            ));
+        }
+        edges.push(((u - 1) as u32, (v - 1) as u32));
+    }
+    if edges.len() != declared_nnz {
+        return Err(LoadError::new(
+            0,
+            format!(
+                "size line declared {declared_nnz} entries but file has {}",
+                edges.len()
+            ),
+        ));
+    }
+    Ok((n, edges))
 }
 
 /// Degree and occupancy summary of a [`CsrGraph`].

@@ -10,27 +10,34 @@
 //!    ids in *reverse topological* order (every condensed-DAG edge runs
 //!    from a higher id to a lower one), in `O(n + e)` with one `u32` per
 //!    vertex, then writes the condensed DAG's CSR rows directly.
-//! 2. **Close the DAG**: in *Exact* mode a `c×c` [`BitMatrix`] is filled
-//!    by one ascending-id row-union sweep — when row `a` is processed,
-//!    every successor row is already complete, and row `b` has no bit
-//!    above column `b`, so the sweep is at most `O(e_dag · c/64)` with no
-//!    fixed point iteration. In *OnDemand* mode
-//!    (chosen when `c²` bits would blow the memory budget) no closure
-//!    matrix exists at all; queries run a DFS over the condensed DAG with
-//!    an id-order early exit (`x < target` prunes — lower ids can only
-//!    reach lower ids).
+//! 2. **Close the DAG**: in *Exact* mode one ascending-id sweep writes
+//!    the closure row of every component — when row `a` is built, every
+//!    successor row is already complete, and row `b` holds no id above
+//!    `b`, so there is no fixed point iteration. In *OnDemand* mode
+//!    (chosen when the rows would pass the memory budget) no closure
+//!    exists at all; queries run a DFS over the condensed DAG with an
+//!    id-order early exit (`x < target` prunes — lower ids can only reach
+//!    lower ids).
 //! 3. **Never expand**: the vertex-level closure is answered through
 //!    [`SparseClosure::reachable`] / [`SparseClosure::row`]; the dense
 //!    `n×n` matrix is only built by [`SparseClosure::to_bitmatrix`] for
 //!    small-`n` equivalence tests.
 //!
 //! Memory model: the sparse path pays `O(n + e)` for the graph and
-//! condensation plus — only in Exact mode — `c·⌈c/64⌉·8` bytes for the
-//! closure of the *component* DAG, never `n²/8` for the vertex closure.
+//! condensation plus — only in Exact mode — the component rows, never
+//! `n²/8` for the vertex closure. Row `a` is stored in whichever form
+//! takes fewer bytes: a sorted `u32` id list (`4·len` bytes) or its
+//! lower-triangular bit prefix of `a/64 + 1` words (`8·(a/64 + 1)`
+//! bytes; at a tie the bits win, so a row's length names its form). The
+//! only other cost is one `usize` offset per row. So the rows never take
+//! more than the lower triangle of a dense `c×c` matrix, and on
+//! power-law graphs, where almost every row is a few ids, they take
+//! 8 bytes per component plus 4 per reachable component.
 
 use crate::csr::CsrGraph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use systolic_partition::TileStats;
 use systolic_semiring::BitMatrix;
 
 /// SCC condensation of a [`CsrGraph`], with components grouped in flat
@@ -218,9 +225,10 @@ pub fn condense_csr(g: &CsrGraph) -> SparseCondensation {
 /// How the component-DAG closure is represented.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ClosureMode {
-    /// `c×c` bitset closure held in memory: `O(1)` queries, exact fill.
+    /// Component closure held in memory, one adaptive row per component:
+    /// a query is one list search or one bit test, and fill is exact.
     Exact,
-    /// No closure matrix: queries DFS the condensed DAG with id-order
+    /// No component closure: queries DFS the condensed DAG with id-order
     /// pruning; fill is estimated by sampling.
     OnDemand,
 }
@@ -228,12 +236,17 @@ pub enum ClosureMode {
 /// Tuning knobs for [`SparseClosure`].
 #[derive(Copy, Clone, Debug)]
 pub struct SparseOptions {
-    /// Budget for the `c×c` DAG closure matrix; above it the solver
-    /// falls back to [`ClosureMode::OnDemand`]. Default 1 GiB.
+    /// Budget for the component closure; above it the solver falls back
+    /// to [`ClosureMode::OnDemand`]. The untiled sweep counts the bytes
+    /// its rows and row offsets take as it writes them, so the choice
+    /// follows the real footprint. With [`SparseOptions::tile`] set, the
+    /// dense `c·⌈c/64⌉·8`-byte matrix the tiled bridge assembles must fit
+    /// instead. Default 1 GiB.
     pub max_closure_bytes: usize,
     /// When set, Exact-mode DAG closure runs through the tiled systolic
     /// bridge ([`systolic_partition::tiled`]) at this tile size instead
-    /// of the software row-union sweep.
+    /// of the software row-union sweep, and its dense result is encoded
+    /// into the same component rows.
     pub tile: Option<usize>,
 }
 
@@ -246,9 +259,180 @@ impl Default for SparseOptions {
     }
 }
 
-enum DagClosure {
-    Exact(BitMatrix),
-    OnDemand,
+/// `u32` slots in the bit prefix of component row `a`: `a/64 + 1` words
+/// of 64 bits, enough for every id up to `a`.
+fn prefix_len(a: usize) -> usize {
+    2 * (a / 64 + 1)
+}
+
+/// The closure of the component DAG, one row per component: row `a`
+/// holds the components `a` reaches, itself included, all at or below
+/// `a`. A row is a sorted id list while that is shorter than its bit
+/// prefix, and the bit prefix (bit `b` at `arena[b / 32]`, bit `b % 32`)
+/// otherwise, so a row's length alone names its form.
+#[derive(Debug, PartialEq, Eq)]
+struct ClosedRows {
+    /// `ptr[a]..ptr[a + 1]` spans row `a` in `arena`.
+    ptr: Vec<usize>,
+    arena: Vec<u32>,
+}
+
+impl ClosedRows {
+    /// Closes the reverse-topologically ordered DAG by one ascending-id
+    /// sweep, or gives up with `None` as soon as the rows and offsets
+    /// written pass `budget` bytes.
+    ///
+    /// Each row picks its form from its own size. A successor that
+    /// already holds `prefix_len(a) − 1` ids makes row `a` a bit row
+    /// without a scan: the row is built directly as bits, OR-ing bit
+    /// successors and setting list successors id by id. Otherwise the
+    /// successor rows are merged as sorted lists; a bit successor below
+    /// that count is gathered from its `prefix_len(b)` slots, the same
+    /// words an OR would read, and a merge that overflows the limit
+    /// falls back to the bit build.
+    fn sweep(dag: &CsrGraph, budget: usize) -> Option<Self> {
+        let c = dag.n();
+        let mut rows = Self {
+            ptr: vec![0; c + 1],
+            arena: Vec::new(),
+        };
+        // Ids per finished row, for the guard.
+        let mut card: Vec<u32> = Vec::with_capacity(c);
+        let (mut ids, mut merged, mut gathered) = (Vec::new(), Vec::new(), Vec::new());
+        for a in 0..c {
+            let width = prefix_len(a);
+            let succ = dag.successors(a);
+            // Row a holds a and every id of each successor row.
+            let mut dense = succ.iter().any(|&b| card[b as usize] as usize + 1 >= width);
+            if !dense {
+                ids.clear();
+                for &b in succ {
+                    gathered.clear();
+                    rows.push_ids(b as usize, &mut gathered);
+                    union_into(&ids, &gathered, &mut merged);
+                    std::mem::swap(&mut ids, &mut merged);
+                    if ids.len() + 1 >= width {
+                        dense = true;
+                        break;
+                    }
+                }
+            }
+            let start = rows.arena.len();
+            if dense {
+                rows.arena.resize(start + width, 0);
+                let (done, row) = rows.arena.split_at_mut(start);
+                row[a / 32] |= 1 << (a % 32);
+                for &b in succ {
+                    let b = b as usize;
+                    let src = &done[rows.ptr[b]..rows.ptr[b + 1]];
+                    if src.len() < prefix_len(b) {
+                        for &x in src {
+                            row[x as usize / 32] |= 1 << (x % 32);
+                        }
+                    } else {
+                        for (d, s) in row.iter_mut().zip(src) {
+                            *d |= *s;
+                        }
+                    }
+                }
+                card.push(row.iter().map(|w| w.count_ones()).sum());
+            } else {
+                ids.push(a as u32);
+                rows.arena.extend_from_slice(&ids);
+                card.push(ids.len() as u32);
+            }
+            rows.ptr[a + 1] = rows.arena.len();
+            if rows.bytes() > budget {
+                return None;
+            }
+        }
+        rows.arena.shrink_to_fit();
+        Some(rows)
+    }
+
+    /// Encodes a reflexive, lower-triangular `c×c` closure (the tiled
+    /// bridge's result) row by row, each in the form the sweep gives it.
+    fn from_bitmatrix(m: &BitMatrix) -> Self {
+        let c = m.n();
+        let mut rows = Self {
+            ptr: vec![0; c + 1],
+            arena: Vec::new(),
+        };
+        let mut bits = Vec::new();
+        for a in 0..c {
+            bits.clear();
+            for &word in &m.row_words(a)[..a / 64 + 1] {
+                bits.extend([word as u32, (word >> 32) as u32]);
+            }
+            let card: u32 = bits.iter().map(|w| w.count_ones()).sum();
+            if (card as usize) < bits.len() {
+                push_bit_ids(&bits, &mut rows.arena);
+            } else {
+                rows.arena.extend_from_slice(&bits);
+            }
+            rows.ptr[a + 1] = rows.arena.len();
+        }
+        rows.arena.shrink_to_fit();
+        rows
+    }
+
+    /// Row `a` as stored: its id list or its bit prefix.
+    fn row(&self, a: usize) -> &[u32] {
+        &self.arena[self.ptr[a]..self.ptr[a + 1]]
+    }
+
+    /// Whether row `a` holds component `b ≤ a`.
+    fn contains(&self, a: usize, b: usize) -> bool {
+        let row = self.row(a);
+        if row.len() < prefix_len(a) {
+            row.binary_search(&(b as u32)).is_ok()
+        } else {
+            row[b / 32] >> (b % 32) & 1 == 1
+        }
+    }
+
+    /// Appends row `a`'s ids to `out`, ascending.
+    fn push_ids(&self, a: usize, out: &mut Vec<u32>) {
+        let row = self.row(a);
+        if row.len() < prefix_len(a) {
+            out.extend_from_slice(row);
+        } else {
+            push_bit_ids(row, out);
+        }
+    }
+
+    /// Heap bytes of the rows and their offsets.
+    fn bytes(&self) -> usize {
+        self.ptr.len() * std::mem::size_of::<usize>() + self.arena.len() * 4
+    }
+}
+
+/// Appends the positions of the set bits of `words`, ascending.
+fn push_bit_ids(words: &[u32], out: &mut Vec<u32>) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            out.push((w * 32) as u32 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// Writes the union of two ascending id lists to `out`.
+fn union_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    let mut i = 0;
+    for &x in b {
+        while i < a.len() && a[i] < x {
+            out.push(a[i]);
+            i += 1;
+        }
+        if i < a.len() && a[i] == x {
+            i += 1;
+        }
+        out.push(x);
+    }
+    out.extend_from_slice(&a[i..]);
 }
 
 /// Fill-in (number of reachable vertex pairs, reflexive) — exact or a
@@ -277,7 +461,7 @@ pub struct SparseStats {
     /// Closure representation in use.
     pub mode: ClosureMode,
     /// Analytic heap footprint of the solver (graph + condensation +
-    /// closure matrix when Exact).
+    /// component rows when Exact).
     pub memory_bytes: usize,
     /// Reflexive-transitive fill-in.
     pub fill: Fill,
@@ -287,7 +471,10 @@ pub struct SparseStats {
 /// with the dense `n×n` expansion replaced by a query API.
 pub struct SparseClosure {
     cond: SparseCondensation,
-    closed: DagClosure,
+    /// The component closure; `None` in OnDemand mode.
+    rows: Option<ClosedRows>,
+    /// Tile census of a tiled build.
+    tiles: Option<TileStats>,
     /// Footprint and edge count of the input graph, which is not kept.
     graph_bytes: usize,
     graph_edges: usize,
@@ -303,41 +490,26 @@ impl SparseClosure {
     pub fn with_options(g: &CsrGraph, opts: SparseOptions) -> Self {
         let cond = condense_csr(g);
         let c = cond.len();
-        let closure_bytes = Self::exact_closure_bytes(c);
-        let closed = if closure_bytes <= opts.max_closure_bytes {
-            let bits = match opts.tile {
-                Some(t) => {
-                    let edges: Vec<(u32, u32)> = cond.dag.edges().collect();
-                    systolic_partition::tiled::tiled_dag_closure(c, &edges, t).0
-                }
-                None => {
-                    // Ascending-id sweep: every condensed edge (a, b) has
-                    // a > b, so row b is complete before row a reads it,
-                    // and holds no bit above column b.
-                    let mut m = BitMatrix::identity(c);
-                    for a in 0..c {
-                        for &b in cond.dag.successors(a) {
-                            let b = b as usize;
-                            m.or_row_prefix_into(b, a, b / 64 + 1);
-                        }
-                    }
-                    m
-                }
-            };
-            DagClosure::Exact(bits)
-        } else {
-            DagClosure::OnDemand
+        let (rows, tiles) = match opts.tile {
+            // The tiled bridge assembles the dense c×c matrix before it
+            // is encoded, so that matrix is what must fit the budget.
+            Some(t)
+                if c.saturating_mul(c.div_ceil(64)).saturating_mul(8) <= opts.max_closure_bytes =>
+            {
+                let edges: Vec<(u32, u32)> = cond.dag.edges().collect();
+                let (m, stats) = systolic_partition::tiled::tiled_dag_closure(c, &edges, t);
+                (Some(ClosedRows::from_bitmatrix(&m)), Some(stats))
+            }
+            Some(_) => (None, None),
+            None => (ClosedRows::sweep(&cond.dag, opts.max_closure_bytes), None),
         };
         Self {
             cond,
-            closed,
+            rows,
+            tiles,
             graph_bytes: g.memory_bytes(),
             graph_edges: g.edge_count(),
         }
-    }
-
-    fn exact_closure_bytes(c: usize) -> usize {
-        c.saturating_mul(c.div_ceil(64)).saturating_mul(8)
     }
 
     /// The underlying condensation.
@@ -347,10 +519,16 @@ impl SparseClosure {
 
     /// Which representation the budget selected.
     pub fn mode(&self) -> ClosureMode {
-        match self.closed {
-            DagClosure::Exact(_) => ClosureMode::Exact,
-            DagClosure::OnDemand => ClosureMode::OnDemand,
+        match self.rows {
+            Some(_) => ClosureMode::Exact,
+            None => ClosureMode::OnDemand,
         }
+    }
+
+    /// The tile census of a [`SparseOptions::tile`] build, `None` when
+    /// the closure was not tiled.
+    pub fn tile_stats(&self) -> Option<TileStats> {
+        self.tiles
     }
 
     /// Number of vertices.
@@ -367,17 +545,15 @@ impl SparseClosure {
         if cu == cv {
             return true;
         }
-        match &self.closed {
-            DagClosure::Exact(m) => m.get(cu, cv),
-            DagClosure::OnDemand => {
-                // Reverse-topological ids: a component only reaches lower
-                // ids, so cu < cv is immediately unreachable and the DFS
-                // prunes below the target.
-                if cu < cv {
-                    return false;
-                }
-                self.dfs_reaches(cu, cv)
-            }
+        // Reverse-topological ids: a component only reaches lower ids,
+        // so cu < cv is immediately unreachable, in either mode (and the
+        // DFS prunes below the target).
+        if cu < cv {
+            return false;
+        }
+        match &self.rows {
+            Some(rows) => rows.contains(cu, cv),
+            None => self.dfs_reaches(cu, cv),
         }
     }
 
@@ -429,23 +605,13 @@ impl SparseClosure {
 
     /// Component ids reachable from `comp` (inclusive), whatever the mode.
     fn reach_comps(&self, comp: usize) -> Vec<u32> {
-        match &self.closed {
-            DagClosure::Exact(m) => {
+        match &self.rows {
+            Some(rows) => {
                 let mut out = Vec::new();
-                for (w, &word) in m.row_words(comp).iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as usize;
-                        let cid = w * 64 + b;
-                        if cid < self.cond.len() {
-                            out.push(cid as u32);
-                        }
-                        bits &= bits - 1;
-                    }
-                }
+                rows.push_ids(comp, &mut out);
                 out
             }
-            DagClosure::OnDemand => self.dfs_reach_set(comp),
+            None => self.dfs_reach_set(comp),
         }
     }
 
@@ -466,7 +632,7 @@ impl SparseClosure {
     }
 
     /// Reflexive-transitive fill-in. Exact (component-size-weighted count
-    /// over the closure matrix) when the component count is small enough
+    /// over the component rows) when the component count is small enough
     /// to scan; otherwise a labeled estimate from `samples` random source
     /// vertices (deterministic in `seed`).
     pub fn fill(&self, samples: usize, seed: u64) -> Fill {
@@ -479,7 +645,7 @@ impl SparseClosure {
             };
         }
         let c = self.cond.len();
-        if matches!(self.closed, DagClosure::Exact(_)) && c <= EXACT_COMP_LIMIT {
+        if self.rows.is_some() && c <= EXACT_COMP_LIMIT {
             let mut pairs = 0f64;
             for cu in 0..c {
                 let reach: usize = self
@@ -506,18 +672,15 @@ impl SparseClosure {
     }
 
     /// Analytic heap footprint: CSR graph + condensation arrays + the
-    /// closure matrix when Exact. The point of the sparse plane: this is
-    /// `O(n + e + c²/8)`, never `n²/8`.
+    /// component rows and their offsets when Exact. The point of the
+    /// sparse plane: this is `O(n + e)` plus at most the lower triangle
+    /// of the dense component matrix, never `n²/8`.
     pub fn memory_bytes(&self) -> usize {
         let cond_bytes = self.cond.comp_of.len() * 4
             + self.cond.comp_ptr.len() * std::mem::size_of::<usize>()
             + self.cond.comp_vertices.len() * 4
             + self.cond.dag.memory_bytes();
-        let closure_bytes = match &self.closed {
-            DagClosure::Exact(_) => Self::exact_closure_bytes(self.cond.len()),
-            DagClosure::OnDemand => 0,
-        };
-        self.graph_bytes + cond_bytes + closure_bytes
+        self.graph_bytes + cond_bytes + self.rows.as_ref().map_or(0, ClosedRows::bytes)
     }
 
     /// Occupancy summary (fill via [`SparseClosure::fill`] with the given
@@ -731,6 +894,194 @@ mod tests {
         // Never n²/8 = 2 MB dense: the budget keeps it at O(n+e+c²/8).
         assert!(s.memory_bytes < 1 << 30);
         assert!(s.nontrivial_sccs > 0);
+    }
+
+    /// Reflexive closure of a reverse-topologically ordered DAG by
+    /// Warshall.
+    fn warshall(dag: &CsrGraph) -> BitMatrix {
+        let mut m = BitMatrix::identity(dag.n());
+        for (a, b) in dag.edges() {
+            m.set(a as usize, b as usize, true);
+        }
+        m.warshall_in_place();
+        m
+    }
+
+    /// Checks every row against Warshall, and its stored length against
+    /// the byte rule: a list while shorter than the bit prefix.
+    fn assert_rows_match(rows: &ClosedRows, dag: &CsrGraph) {
+        let want = warshall(dag);
+        for a in 0..dag.n() {
+            let ids: Vec<u32> = (0..dag.n())
+                .filter(|&b| want.get(a, b))
+                .map(|b| b as u32)
+                .collect();
+            let mut got = Vec::new();
+            rows.push_ids(a, &mut got);
+            assert_eq!(got, ids, "row {a}");
+            for b in 0..=a {
+                assert_eq!(rows.contains(a, b), want.get(a, b), "({a}, {b})");
+            }
+            let stored = ids.len().min(prefix_len(a));
+            assert_eq!(rows.row(a).len(), stored, "row {a} form");
+        }
+    }
+
+    fn sweep(c: usize, edges: &[(u32, u32)]) -> (ClosedRows, CsrGraph) {
+        let dag = CsrGraph::from_edges(c, edges);
+        let rows = ClosedRows::sweep(&dag, usize::MAX).expect("no budget");
+        assert_rows_match(&rows, &dag);
+        (rows, dag)
+    }
+
+    #[test]
+    fn a_bit_row_below_feeds_a_list_row_above() {
+        // Row 1 = {0, 1} fills its one-word prefix, so it is bits; row
+        // 200 = {0, 1, 200} is 12 bytes against a 32-byte prefix, so it
+        // stays a list although its only successor is bits.
+        let (rows, _) = sweep(201, &[(1, 0), (200, 1)]);
+        assert_eq!(rows.row(1).len(), prefix_len(1), "row 1 is bits");
+        assert_eq!(rows.row(200), &[0, 1, 200], "row 200 is a list");
+    }
+
+    #[test]
+    fn a_list_merge_that_overflows_becomes_bits() {
+        // Rows 70..=73 are two-id lists; row 130 may hold 5 ids as a
+        // list, and its union passes that at its third successor.
+        let (rows, _) = sweep(
+            131,
+            &[
+                (70, 65),
+                (71, 66),
+                (72, 67),
+                (73, 68),
+                (130, 70),
+                (130, 71),
+                (130, 72),
+                (130, 73),
+            ],
+        );
+        for a in 70..=73 {
+            assert_eq!(rows.row(a).len(), 2, "row {a} is a list");
+        }
+        assert_eq!(rows.row(130).len(), prefix_len(130), "row 130 is bits");
+    }
+
+    #[test]
+    fn a_successor_over_the_limit_makes_bits_without_a_scan() {
+        // Row 2 = {0, 1, 2} is bits; row 70 may hold 3 ids as a list,
+        // so row 2 alone decides it. Row 200 gathers row 2's ids and
+        // stays a list.
+        let (rows, _) = sweep(201, &[(1, 0), (2, 1), (70, 2), (200, 2)]);
+        assert_eq!(rows.row(2).len(), prefix_len(2));
+        assert_eq!(rows.row(70).len(), prefix_len(70), "row 70 is bits");
+        assert_eq!(rows.row(200), &[0, 1, 2, 200]);
+    }
+
+    #[test]
+    fn random_dags_match_warshall_in_every_form() {
+        let mut rng = systolic_util::Rng::seed_from_u64(17);
+        for (c, per_row) in [(90, 1), (300, 2), (300, 6), (700, 3)] {
+            let mut edges = Vec::new();
+            for a in 1..c {
+                for _ in 0..rng.gen_usize(per_row + 1) {
+                    edges.push((a as u32, rng.gen_usize(a) as u32));
+                }
+            }
+            let (rows, _) = sweep(c, &edges);
+            let bits = (0..c)
+                .filter(|&a| rows.row(a).len() == prefix_len(a))
+                .count();
+            assert!(bits > 0 && bits < c, "c={c}: {bits} bit rows");
+        }
+    }
+
+    #[test]
+    fn memory_bytes_is_the_store_and_rows_fit_their_prefix() {
+        for g in [powerlaw(3000, 4, 3), bowtie(900, 5), gnp_csr(800, 0.002, 6)] {
+            let sc = SparseClosure::new(&g);
+            let rows = sc.rows.as_ref().expect("Exact");
+            let c = sc.condensation().len();
+            let mut row_bytes = 0;
+            for a in 0..c {
+                let len = rows.row(a).len();
+                assert!(len <= prefix_len(a), "row {a} exceeds its bit prefix");
+                row_bytes += 4 * len;
+            }
+            assert_eq!(rows.ptr.capacity(), c + 1);
+            assert_eq!(rows.arena.capacity(), rows.arena.len());
+            let store = 8 * (c + 1) + row_bytes;
+            let without = SparseClosure::with_options(
+                &g,
+                SparseOptions {
+                    max_closure_bytes: 0,
+                    tile: None,
+                },
+            );
+            assert_eq!(sc.memory_bytes() - without.memory_bytes(), store);
+        }
+    }
+
+    #[test]
+    fn the_budget_follows_the_rows_written() {
+        let g = powerlaw(3000, 4, 8);
+        let exact = SparseClosure::new(&g);
+        let c = exact.condensation().len();
+        let store = exact.rows.as_ref().expect("Exact").bytes();
+        let dense = c * c.div_ceil(64) * 8;
+        assert!(store < dense, "{store} vs {dense}");
+        for (budget, mode) in [
+            (0, ClosureMode::OnDemand),
+            (store - 1, ClosureMode::OnDemand),
+            (store, ClosureMode::Exact),
+            (dense - 1, ClosureMode::Exact),
+        ] {
+            let sc = SparseClosure::with_options(
+                &g,
+                SparseOptions {
+                    max_closure_bytes: budget,
+                    tile: None,
+                },
+            );
+            assert_eq!(sc.mode(), mode, "budget {budget}");
+            for u in (0..g.n()).step_by(37) {
+                assert_eq!(sc.row(u), exact.row(u), "row {u} at budget {budget}");
+                for v in (0..g.n()).step_by(29) {
+                    assert_eq!(sc.reachable(u, v), exact.reachable(u, v));
+                }
+            }
+        }
+        // The tiled build checks its dense matrix against the budget.
+        let tiled = |budget| {
+            SparseClosure::with_options(
+                &g,
+                SparseOptions {
+                    max_closure_bytes: budget,
+                    tile: Some(64),
+                },
+            )
+        };
+        assert_eq!(tiled(dense - 1).mode(), ClosureMode::OnDemand);
+        assert_eq!(tiled(dense).mode(), ClosureMode::Exact);
+    }
+
+    #[test]
+    fn the_tiled_build_encodes_the_sweep_rows() {
+        for g in [powerlaw(2000, 3, 4), bowtie(700, 9), gnp_csr(300, 0.01, 2)] {
+            let sweep = SparseClosure::new(&g);
+            assert_eq!(sweep.tile_stats(), None);
+            for t in [1, 16, 64] {
+                let tiled = SparseClosure::with_options(
+                    &g,
+                    SparseOptions {
+                        tile: Some(t),
+                        ..SparseOptions::default()
+                    },
+                );
+                assert_eq!(tiled.rows, sweep.rows, "t={t}");
+                assert_eq!(tiled.tile_stats().map(|s| s.tile), Some(t));
+            }
+        }
     }
 
     #[test]

@@ -406,22 +406,24 @@ impl ReachService {
                     )
                     .into());
                 }
-                let g = systolic_closure::CsrGraph::load(std::path::Path::new(&path))
-                    .map_err(|e| EngineError::BadInput(format!("LOAD {path}: {e}")))?;
+                let (n, entries) =
+                    systolic_closure::CsrGraph::load_edges(std::path::Path::new(&path))
+                        .map_err(|e| EngineError::BadInput(format!("LOAD {path}: {e}")))?;
                 // The served closure stays dense n×n so rank-1 updates
                 // remain O(n²/64); cap bulk loads where that stops being
-                // reasonable (see DESIGN §17 for the cutoff argument).
-                if g.n() > MAX_LOAD_VERTICES {
+                // reasonable (see DESIGN §17 for the cutoff argument). The
+                // cap is checked on the declared size, before anything
+                // n-sized is built.
+                if n > MAX_LOAD_VERTICES {
                     return Err(EngineError::BadInput(format!(
-                        "LOAD {path}: {} vertices exceeds the dense service cap of {} \
-                         (use `systolic closure --sparse` for offline queries at this scale)",
-                        g.n(),
-                        MAX_LOAD_VERTICES
+                        "LOAD {path}: {n} vertices exceeds the dense service cap of \
+                         {MAX_LOAD_VERTICES} (use `systolic closure --sparse` for offline \
+                         queries at this scale)"
                     ))
                     .into());
                 }
+                let g = systolic_closure::CsrGraph::from_edges(n, &entries);
                 let edges = g.edge_count();
-                let n = g.n();
                 self.inc = IncrementalClosure::new(g.to_digraph());
                 self.pending_depth = 0;
                 Ok(Response::Loaded { n, edges })
@@ -488,6 +490,31 @@ mod tests {
         assert!(resp.starts_with("ERR"), "{resp}");
         // Session stays usable after the failed load.
         assert_eq!(line(&mut svc, "REACH 0 0"), "REACH 0 0 true");
+    }
+
+    #[test]
+    fn load_refuses_an_over_cap_declaration_before_building_it() {
+        // Building this graph would take 24 bytes per declared vertex,
+        // about 96 GB.
+        let path =
+            std::env::temp_dir().join(format!("systolic-svc-load-cap-{}.mtx", std::process::id()));
+        std::fs::write(&path, "4000000000 4000000000 0\n").unwrap();
+        let mut svc = ReachService::new(DiGraph::new(3));
+        assert_eq!(line(&mut svc, "INSERT 0 1"), "OK INSERT 0 1 added=1");
+        let resp = line(&mut svc, &format!("LOAD {}", path.display()));
+        assert_eq!(
+            resp,
+            format!(
+                "ERR backend: bad input: LOAD {}: 4000000000 vertices exceeds the dense \
+                 service cap of 32768 (use `systolic closure --sparse` for offline queries \
+                 at this scale)",
+                path.display()
+            )
+        );
+        // The previous graph keeps serving and mutating.
+        assert_eq!(line(&mut svc, "REACH 0 1"), "REACH 0 1 true");
+        assert_eq!(line(&mut svc, "INSERT 1 2"), "OK INSERT 1 2 added=2");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -18,7 +18,9 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # failure points straight at the plane that diverged (they also run
 # as part of the workspace suite above). proptest_sparse pins the sparse
 # CSR pipeline to the dense oracle and the tiled bridge to the untiled
-# closure; condense_ids pins the component ids the DAG sweep relies on;
+# closure; sparse_memory holds the component closure's rows under the
+# dense matrix they replace (under an eighth of it on power-law graphs);
+# condense_ids pins the component ids the DAG sweep relies on;
 # determinism_and_goldens pins every simulator path (clean and
 # fault-armed runs, all mappings, timed elimination) and every compiled
 # plan bit for bit; proptest_schedule checks the G-set schedules the plan
@@ -26,7 +28,7 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # proptest_plan_cache pins cached replay and the bank slot table, its
 # ring FIFOs and its write-burst counter to a hash-map model.
 cargo test -q --test proptest_lanes --test proptest_swar --test proptest_laws \
-    --test proptest_sparse --test proptest_durations --test condense_ids \
+    --test proptest_sparse --test sparse_memory --test proptest_durations --test condense_ids \
     --test determinism_and_goldens --test proptest_plan_cache --test proptest_schedule
 # The simulator's ring index arithmetic and its inlining differ between
 # the debug and release profiles (overflow checks, debug assertions), so

@@ -373,10 +373,7 @@ fn closure_sparse(graph: &CsrGraph, tile: Option<usize>, stats: bool, show: bool
                 .unwrap_or(0) as f64,
             s.n
         );
-        if let Some(t) = tile {
-            let edges: Vec<(u32, u32)> = sc.condensation().dag.edges().collect();
-            let (_, ts) =
-                systolic::partition::tiled_dag_closure(sc.condensation().len(), &edges, t);
+        if let Some(ts) = sc.tile_stats() {
             println!(
                 "tiles: {}x{} grid of t={}, {}/{} input occupied, {}/{} output occupied ({:.1}%), {} muls, {} skipped",
                 ts.grid,
