@@ -1016,10 +1016,12 @@ pub fn e25() -> String {
 /// E26 — the long-running reachability service (`systolic serve`):
 /// sustained command throughput and per-`REACH` latency of the maintained
 /// closure under a pinned seeded stream (70% `REACH`, 20% `INSERT`, 10%
-/// `DELETE`). Inserts are rank-1 `R* ⊕ R*·e_uv·R*` bitset sweeps; deletes
-/// dirty the closure and coalesce into one per-SCC recompute at the next
-/// read — in software, or packed with other tenants through the admission
-/// batcher onto the 64-lane engine. Every answer is cross-checked against
+/// `DELETE`). The closure is a component id per vertex plus one
+/// list-or-bits row per component; an insert that changes reachability
+/// rebuilds those rows, and deletes dirty the closure and coalesce into
+/// one recompute through the condensation at the next read — in
+/// software, or packed with other tenants through the admission batcher
+/// onto the 64-lane engine. Every answer is cross-checked against
 /// a full-recompute Warshall oracle before a number is reported.
 pub fn e26() -> String {
     let mut out = String::from("## E26 — reachability service throughput & latency (serve)\n\n");
@@ -1039,13 +1041,13 @@ pub fn e26() -> String {
     }
     let _ = writeln!(
         out,
-        "\np50 is an O(1) bit probe of the maintained `R*`; the tail (p99/max) is \
-         where a preceding `DELETE` forces the per-SCC recompute, so it tracks the \
-         condensation cost rather than the query. Absolute numbers are \
-         machine-dependent — the perf smoke (`scripts/bench_smoke.sh`) records them \
-         in `BENCH_partition.json` and gates only on protocol correctness \
-         (`ok=true`). Reproduce with `systolic serve` or `cargo run --release -p \
-         systolic-bench --bin serve_bench`.\n"
+        "\np50 is a component lookup and one row test of the maintained `R*`; the \
+         tail (p99/max) is where a preceding `DELETE` forces the recompute through \
+         the condensation, so it tracks the condensation cost rather than the \
+         query. Absolute numbers are machine-dependent — the perf smoke \
+         (`scripts/bench_smoke.sh`) records them in `BENCH_partition.json` and \
+         gates only on protocol correctness (`ok=true`). Reproduce with `systolic \
+         serve` or `cargo run --release -p systolic-bench --bin serve_bench`.\n"
     );
     out
 }

@@ -300,8 +300,9 @@ pub fn run_recover_bench(n: usize, ops: usize, seed: u64) -> RecoverBenchReport 
     let t0 = Instant::now();
     let (_d, g, report) = Durability::open(&wal, None, DiGraph::new(n)).expect("recover");
     let mut svc = ReachService::new(g);
-    let recovered = svc.closure().clone();
     let recover_ms = t0.elapsed().as_secs_f64() * 1e3;
+    // Expanded for the oracle comparison only, outside the timed region.
+    let recovered = svc.closure().to_bitmatrix();
     let want = BitMatrix::from_dense(&shadow.adjacency_matrix()).transitive_closure();
     let ok = recovered == want && report.torn_bytes == 0;
     scrub(&wal);

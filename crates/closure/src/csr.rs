@@ -102,16 +102,21 @@ impl CsrGraph {
         self.row_ptr = new_ptr;
     }
 
-    /// Converts an adjacency-list [`crate::DiGraph`].
+    /// Converts an adjacency-list [`crate::DiGraph`] (whose successor
+    /// lists hold no duplicates, in insertion order): each row is copied
+    /// straight into the flat arrays and sorted in place.
     pub fn from_digraph(g: &crate::DiGraph) -> Self {
-        let rows = (0..g.n())
-            .map(|u| {
-                let mut row: Vec<u32> = g.successors(u).iter().map(|&v| v as u32).collect();
-                row.sort_unstable();
-                row
-            })
-            .collect();
-        Self::from_sorted_rows(rows)
+        let n = g.n();
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0usize);
+        let mut col_idx = Vec::with_capacity(g.edge_count());
+        for u in 0..n {
+            let start = col_idx.len();
+            col_idx.extend(g.successors(u).iter().map(|&v| v as u32));
+            col_idx[start..].sort_unstable();
+            row_ptr.push(col_idx.len());
+        }
+        Self { row_ptr, col_idx }
     }
 
     /// Converts back to an adjacency-list [`crate::DiGraph`] (small graphs
@@ -429,6 +434,35 @@ mod tests {
         let g = CsrGraph::from_digraph(&d);
         assert_eq!(g.edge_count(), 4);
         assert_eq!(g.to_digraph(), d);
+    }
+
+    #[test]
+    fn from_digraph_matches_from_edges_on_unsorted_successors() {
+        let mut rng = systolic_util::Rng::seed_from_u64(29);
+        for (n, e) in [(1usize, 3usize), (7, 20), (60, 300), (200, 150)] {
+            // Random insertion order leaves successor lists unsorted, and
+            // deletes shift what follows, as the service's graph does.
+            let mut d = crate::DiGraph::new(n);
+            let mut edges = Vec::new();
+            for _ in 0..e {
+                let (u, v) = (rng.gen_usize(n), rng.gen_usize(n));
+                d.add_edge(u, v);
+                edges.push((u as u32, v as u32));
+            }
+            for &(u, v) in edges.iter().step_by(5) {
+                d.remove_edge(u as usize, v as usize);
+            }
+            let unsorted = (0..n).any(|u| d.successors(u).windows(2).any(|w| w[0] > w[1]));
+            assert!(unsorted || n < 60, "n={n}: successors came out sorted");
+            let kept: Vec<(u32, u32)> = (0..n)
+                .flat_map(|u| d.successors(u).iter().map(move |&v| (u as u32, v as u32)))
+                .collect();
+            assert_eq!(
+                CsrGraph::from_digraph(&d),
+                CsrGraph::from_edges(n, &kept),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

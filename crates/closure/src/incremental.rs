@@ -1,5 +1,30 @@
 //! Incremental maintenance of a transitive closure under edge updates.
 //!
+//! [`IncrementalClosure`] keeps the mutable graph as a [`DiGraph`] and its
+//! closure as a shared [`SparseClosure`]: a component id per vertex plus
+//! one list-or-bits row per component, never an `n × n` matrix.
+//!
+//! - **Reach** is [`SparseClosure::reachable`]: two component lookups and
+//!   one row test.
+//! - **Insert** `u → v` on a clean closure leaves it unchanged when `u`
+//!   already reaches `v`. Otherwise the closure is rebuilt, and the insert
+//!   returns the exact change of the reachable-pair count.
+//! - **Delete** has no local rule — removing an edge can sever pairs
+//!   whose witnesses all used it — so it marks the closure dirty, and the
+//!   next query rebuilds it (a *recompute*). Consecutive deletes coalesce
+//!   into one recompute; an insert while dirty only changes the graph.
+//! - A rebuild is [`condense_csr`](crate::condense_csr) and the
+//!   ascending-id sweep over a CSR copy of the graph, the
+//!   `systolic closure --sparse` path. Nothing is expanded to vertex pairs.
+//! - The pair count is computed on first use after a rebuild and cached:
+//!   only `STATS` and a rebuilding insert read it.
+//!
+//! The two-phase
+//! [`prepare_recompute`](IncrementalClosure::prepare_recompute) /
+//! [`complete_recompute`](IncrementalClosure::complete_recompute) API lets
+//! a server batch many pending DAG closures into a single packed engine
+//! run; the engine's closed DAG is encoded into the same component rows.
+//!
 //! Over a bounded idempotent (path) semiring, inserting edge `u → v` with
 //! weight `w` into a graph whose closure `R = A*` is known updates the
 //! closure in one rank-1 pass:
@@ -10,22 +35,16 @@
 //!
 //! One pass suffices because boundedness (`1 ⊕ a = 1`) makes any path that
 //! crosses the new edge twice no better than one that crosses it once —
-//! `e·R·e ≤ e` element-wise. For the Boolean case this is the bitset-row OR
-//! of [`BitMatrix::insert_edge_closed`]; [`rank_one_update`] is the generic
-//! dense form used by the property tests (Bool and min-plus).
-//!
-//! Deletions have no such local rule — removing an edge can sever pairs
-//! whose witnesses all used it — so [`IncrementalClosure`] marks the
-//! closure *dirty* and recomputes through the SCC condensation
-//! ([`crate::condense`]) on the next query. Consecutive deletes coalesce
-//! into one recompute, and the two-phase
-//! [`prepare_recompute`](IncrementalClosure::prepare_recompute) /
-//! [`complete_recompute`](IncrementalClosure::complete_recompute) API lets
-//! a server batch many pending DAG closures into a single packed engine
-//! run.
+//! `e·R·e ≤ e` element-wise. [`rank_one_update`] is that rule on a dense
+//! matrix over any path semiring. The Boolean closure above does not use
+//! it, since the dense matrix is what the component rows avoid; it is the
+//! generic (min-plus) form of the insert rule, property-tested against
+//! Warshall.
 
-use crate::condense::{closure_via_condensation, Condensation};
+use crate::csr::CsrGraph;
 use crate::graph::DiGraph;
+use crate::sparse::SparseClosure;
+use std::sync::Arc;
 use systolic_semiring::{BitMatrix, Bool, DenseMatrix, PathSemiring};
 
 /// Applies the rank-1 closure update `R ← R ⊕ R·(w·e_uv)·R` in place.
@@ -71,9 +90,9 @@ pub fn rank_one_update<S: PathSemiring>(
 pub struct IncrementalStats {
     /// Total `INSERT` commands applied to the graph.
     pub inserts: u64,
-    /// Inserts absorbed by the rank-1 update (closure was clean).
+    /// Inserts applied to a clean closure (answered by it, or rebuilt).
     pub incremental_inserts: u64,
-    /// Reachable pairs added by rank-1 updates.
+    /// Reachable pairs added by those inserts.
     pub pairs_added: u64,
     /// Total `DELETE` commands that removed a present edge.
     pub deletes: u64,
@@ -89,7 +108,8 @@ pub struct IncrementalStats {
 /// [`IncrementalClosure::complete_recompute`].
 #[derive(Clone, Debug)]
 pub struct RecomputeJob {
-    cond: Condensation,
+    /// The current graph's condensation, its component rows still to come.
+    condensed: SparseClosure,
     /// Reflexive adjacency of the component DAG, padded up to
     /// [`RecomputeJob::size`] so same-bucket jobs share an engine plan.
     pub dag: DenseMatrix<Bool>,
@@ -104,7 +124,7 @@ impl RecomputeJob {
 
     /// Number of real (unpadded) components.
     pub fn components(&self) -> usize {
-        self.cond.len()
+        self.condensed.condensation().len()
     }
 }
 
@@ -114,16 +134,15 @@ pub fn dag_bucket(components: usize) -> usize {
     components.next_power_of_two().max(2)
 }
 
-/// A transitive closure kept current under edge inserts and deletes.
-///
-/// Inserts are `O(n²/64)` rank-1 bitset updates; deletes mark the closure
-/// dirty and the next query pays one per-SCC recompute (via
-/// [`closure_via_condensation`], or an engine-backed batch through the
-/// two-phase API).
+/// A transitive closure kept current under edge inserts and deletes, by
+/// the rules in the module docs. The closure sits behind an `Arc`, so a
+/// server publishes it to concurrent readers without copying it.
 #[derive(Clone, Debug)]
 pub struct IncrementalClosure {
     graph: DiGraph,
-    closure: BitMatrix,
+    closure: Arc<SparseClosure>,
+    /// Reachable pairs of `closure`, counted on first use.
+    pairs: Option<u64>,
     dirty: bool,
     stats: IncrementalStats,
 }
@@ -131,10 +150,11 @@ pub struct IncrementalClosure {
 impl IncrementalClosure {
     /// Builds the closure of `graph` and takes ownership of it.
     pub fn new(graph: DiGraph) -> Self {
-        let closure = closure_via_condensation(&graph);
+        let closure = Arc::new(close(&graph));
         Self {
             graph,
             closure,
+            pairs: None,
             dirty: false,
             stats: IncrementalStats::default(),
         }
@@ -161,37 +181,46 @@ impl IncrementalClosure {
         self.stats
     }
 
-    /// The closure matrix, recomputing in software first if dirty.
-    pub fn closure(&mut self) -> &BitMatrix {
+    /// The closure, recomputing in software first if dirty.
+    pub fn closure(&mut self) -> &SparseClosure {
         self.refresh();
         &self.closure
     }
 
-    /// The closure matrix if it is current; `None` while dirty. The
+    /// The closure if it is current; `None` while dirty. The
     /// non-blocking read path of a concurrent server: answering from a
     /// clean closure needs no mutable access at all.
-    pub fn closure_if_clean(&self) -> Option<&BitMatrix> {
-        (!self.dirty).then_some(&self.closure)
+    pub fn closure_if_clean(&self) -> Option<&SparseClosure> {
+        (!self.dirty).then_some(&*self.closure)
     }
 
-    /// The closure matrix as-is, possibly stale (missing the effect of
-    /// deletes since the last recompute). Degraded reads under overload
-    /// answer from this rather than blocking behind a recompute; callers
-    /// must surface the staleness ([`IncrementalClosure::is_dirty`]).
-    pub fn stale_closure(&self) -> &BitMatrix {
+    /// The closure as-is, possibly stale (missing the effect of deletes
+    /// since the last recompute). Degraded reads under overload answer
+    /// from this rather than blocking behind a recompute; callers must
+    /// surface the staleness ([`IncrementalClosure::is_dirty`]).
+    pub fn stale_closure(&self) -> &Arc<SparseClosure> {
         &self.closure
+    }
+
+    /// Exact number of reachable pairs, `u = v` included (refreshes a
+    /// dirty closure in software). Counted once per rebuild.
+    pub fn pairs(&mut self) -> u64 {
+        self.refresh();
+        let closure = &self.closure;
+        *self.pairs.get_or_insert_with(|| closure.pair_count())
     }
 
     /// Reachability query (refreshes a dirty closure in software).
     pub fn reach(&mut self, u: usize, v: usize) -> bool {
         assert!(u < self.n() && v < self.n(), "vertex out of range");
         self.refresh();
-        self.closure.get(u, v)
+        self.closure.reachable(u, v)
     }
 
-    /// Inserts edge `u → v`. On a clean closure this is the rank-1 update;
-    /// on a dirty one the edge just joins the pending recompute. Returns
-    /// the number of newly reachable pairs (0 when dirty or implied).
+    /// Inserts edge `u → v`. On a dirty closure the edge just joins the
+    /// pending recompute. A clean closure is kept when `u` already reaches
+    /// `v` and rebuilt otherwise. Returns the number of newly reachable
+    /// pairs (0 when dirty or implied).
     pub fn insert(&mut self, u: usize, v: usize) -> usize {
         assert!(u < self.n() && v < self.n(), "vertex out of range");
         self.graph.add_edge(u, v);
@@ -200,9 +229,14 @@ impl IncrementalClosure {
             return 0;
         }
         self.stats.incremental_inserts += 1;
-        let added = self.closure.insert_edge_closed(u, v);
-        self.stats.pairs_added += added as u64;
-        added
+        if self.closure.reachable(u, v) {
+            return 0;
+        }
+        let before = self.pairs();
+        self.install(close(&self.graph));
+        let added = self.pairs() - before;
+        self.stats.pairs_added += added;
+        usize::try_from(added).unwrap_or(usize::MAX)
     }
 
     /// Deletes edge `u → v` if present, marking the closure dirty.
@@ -219,12 +253,12 @@ impl IncrementalClosure {
         }
     }
 
-    /// Software recompute of a dirty closure (condensation path).
+    /// Software recompute of a dirty closure.
     pub fn refresh(&mut self) {
         if !self.dirty {
             return;
         }
-        self.closure = closure_via_condensation(&self.graph);
+        self.install(close(&self.graph));
         self.dirty = false;
         self.stats.recomputes += 1;
     }
@@ -236,29 +270,42 @@ impl IncrementalClosure {
         if !self.dirty {
             return None;
         }
-        let cond = Condensation::from_graph(&self.graph);
+        let condensed = SparseClosure::condensed(&CsrGraph::from_digraph(&self.graph));
+        let cond = condensed.condensation();
         let size = dag_bucket(cond.len());
         let mut dag = DenseMatrix::<Bool>::zeros(size, size);
         for d in 0..size {
             dag.set(d, d, true);
         }
-        for &(a, b) in &cond.dag_edges {
-            dag.set(a, b, true);
+        for (a, b) in cond.dag.edges() {
+            dag.set(a as usize, b as usize, true);
         }
-        Some(RecomputeJob { cond, dag })
+        Some(RecomputeJob { condensed, dag })
     }
 
-    /// Second half: installs the closed DAG matrix (same shape as
-    /// [`RecomputeJob::dag`], padding ignored) and clears the dirty flag.
+    /// Second half: encodes the closed DAG matrix (same shape as
+    /// [`RecomputeJob::dag`], padding ignored) into the component rows and
+    /// clears the dirty flag.
     ///
     /// # Panics
     /// Panics if `closed` is smaller than the job's component count.
     pub fn complete_recompute(&mut self, job: &RecomputeJob, closed: &DenseMatrix<Bool>) {
         let bits = BitMatrix::from_dense(closed);
-        self.closure = job.cond.expand_closure(&bits);
+        self.install(job.condensed.clone().with_dag_closure(&bits));
         self.dirty = false;
         self.stats.recomputes += 1;
     }
+
+    fn install(&mut self, closure: SparseClosure) {
+        self.closure = Arc::new(closure);
+        self.pairs = None;
+    }
+}
+
+/// The closure of `g`: [`condense_csr`](crate::condense_csr) and the
+/// ascending-id sweep over its CSR form.
+fn close(g: &DiGraph) -> SparseClosure {
+    SparseClosure::new(&CsrGraph::from_digraph(g))
 }
 
 #[cfg(test)]
@@ -272,20 +319,38 @@ mod tests {
         BitMatrix::from_dense(&g.adjacency_matrix()).transitive_closure()
     }
 
+    /// Inserts `u → v` into `inc`, checking its return value against the
+    /// Warshall pair-count delta (0 on a dirty closure). Returns whether
+    /// the insert merged two SCCs.
+    fn checked_insert(inc: &mut IncrementalClosure, u: usize, v: usize) -> bool {
+        let was_dirty = inc.is_dirty();
+        let before = oracle(inc.graph());
+        let added = inc.insert(u, v);
+        let delta = oracle(inc.graph()).count_ones() - before.count_ones();
+        let want = if was_dirty { 0 } else { delta };
+        assert_eq!(added, want, "insert {u}→{v}");
+        before.get(v, u) && !before.get(u, v)
+    }
+
     #[test]
     fn insert_stream_matches_recompute() {
         let mut rng = Rng::seed_from_u64(97);
         for n in [3usize, 17, 50] {
             let mut inc = IncrementalClosure::new(DiGraph::new(n));
+            let mut merges = 0;
             for _ in 0..4 * n {
                 let u = rng.gen_usize(n);
                 let v = rng.gen_usize(n);
-                inc.insert(u, v);
+                merges += usize::from(checked_insert(&mut inc, u, v));
                 let want = oracle(inc.graph());
-                assert_eq!(*inc.closure(), want, "n={n}");
+                assert_eq!(inc.pairs(), want.count_ones() as u64, "n={n}");
+                assert_eq!(inc.closure().to_bitmatrix(), want, "n={n}");
             }
-            assert!(inc.stats().incremental_inserts == inc.stats().inserts);
-            assert_eq!(inc.stats().recomputes, 0, "inserts never recompute");
+            assert!(merges > 0 || n < 17, "n={n}: no insert merged SCCs");
+            let stats = inc.stats();
+            assert!(stats.incremental_inserts == stats.inserts);
+            assert_eq!(stats.pairs_added, inc.pairs() - n as u64);
+            assert_eq!(stats.recomputes, 0, "inserts never recompute");
         }
     }
 
@@ -306,7 +371,7 @@ mod tests {
         assert!(inc.reach(0, 2));
         assert_eq!(inc.stats().recomputes, 1);
         let want = oracle(inc.graph());
-        assert_eq!(*inc.closure(), want);
+        assert_eq!(inc.closure().to_bitmatrix(), want);
         // Deleting an absent edge stays clean.
         assert!(!inc.delete(5, 0));
         assert!(!inc.is_dirty());
@@ -317,6 +382,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(4242);
         let n = 24;
         let mut inc = IncrementalClosure::new(gnp(n, 0.08, 1));
+        let mut merges = 0;
         for step in 0..300 {
             let u = rng.gen_usize(n);
             let v = rng.gen_usize(n);
@@ -325,16 +391,19 @@ mod tests {
                     inc.delete(u, v);
                 }
                 _ => {
-                    inc.insert(u, v);
+                    merges += usize::from(checked_insert(&mut inc, u, v));
                 }
             }
+            // Counted on a clone, so deletes still coalesce in `inc`.
+            let want = oracle(inc.graph());
+            assert_eq!(inc.clone().pairs(), want.count_ones() as u64, "step {step}");
             if step % 7 == 0 {
-                let want = oracle(inc.graph());
-                assert_eq!(*inc.closure(), want, "step {step}");
+                assert_eq!(inc.closure().to_bitmatrix(), want, "step {step}");
             }
         }
+        assert!(merges > 0, "no insert merged SCCs");
         let want = oracle(inc.graph());
-        assert_eq!(*inc.closure(), want);
+        assert_eq!(inc.closure().to_bitmatrix(), want);
     }
 
     #[test]
@@ -357,22 +426,23 @@ mod tests {
         inc.complete_recompute(&job, &closed);
         assert!(!inc.is_dirty());
         let want = oracle(inc.graph());
-        assert_eq!(*inc.closure(), want);
+        assert_eq!(inc.closure().to_bitmatrix(), want);
     }
 
     #[test]
-    fn rank_one_update_bool_matches_bitset_path() {
+    fn rank_one_update_bool_matches_recompute() {
         let mut rng = Rng::seed_from_u64(55);
         let n = 15;
-        let g = gnp(n, 0.1, 3);
+        let mut g = gnp(n, 0.1, 3);
         let mut dense = warshall(&g.adjacency_matrix());
-        let mut bits = BitMatrix::from_dense(&g.adjacency_matrix()).transitive_closure();
         for _ in 0..40 {
             let (u, v) = (rng.gen_usize(n), rng.gen_usize(n));
-            let changed = rank_one_update::<systolic_semiring::Bool>(&mut dense, u, v, &true);
-            let added = bits.insert_edge_closed(u, v);
-            assert_eq!(changed, added);
-            assert_eq!(BitMatrix::from_dense(&dense), bits);
+            let before = oracle(&g).count_ones();
+            g.add_edge(u, v);
+            let want = oracle(&g);
+            let changed = rank_one_update::<Bool>(&mut dense, u, v, &true);
+            assert_eq!(changed, want.count_ones() - before, "insert {u}→{v}");
+            assert_eq!(BitMatrix::from_dense(&dense), want, "insert {u}→{v}");
         }
     }
 

@@ -18,7 +18,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod condense;
 pub mod csr;
 pub mod generators;
 pub mod graph;
@@ -27,7 +26,6 @@ pub mod paths;
 pub mod solver;
 pub mod sparse;
 
-pub use condense::{closure_via_condensation, Condensation};
 pub use csr::{CsrGraph, CsrStats, LoadError};
 pub use generators::{
     bowtie, complete, cycle, gnp, gnp_csr, path, powerlaw, random_dag, random_dag_csr,

@@ -2,8 +2,7 @@
 //! component DAG, answer queries — without ever materializing the dense
 //! `n×n` result.
 //!
-//! The pipeline is the same condensation story as
-//! [`crate::closure_via_condensation`], rebuilt for the sparse data plane:
+//! The pipeline condenses the graph and closes the component DAG:
 //!
 //! 1. **Condense on CSR** ([`condense_csr`]): an iterative, single-array
 //!    Tarjan pass (Pearce's variant) over [`CsrGraph`] emits component
@@ -270,7 +269,7 @@ fn prefix_len(a: usize) -> usize {
 /// `a`. A row is a sorted id list while that is shorter than its bit
 /// prefix, and the bit prefix (bit `b` at `arena[b / 32]`, bit `b % 32`)
 /// otherwise, so a row's length alone names its form.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct ClosedRows {
     /// `ptr[a]..ptr[a + 1]` spans row `a` in `arena`.
     ptr: Vec<usize>,
@@ -350,10 +349,11 @@ impl ClosedRows {
         Some(rows)
     }
 
-    /// Encodes a reflexive, lower-triangular `c×c` closure (the tiled
-    /// bridge's result) row by row, each in the form the sweep gives it.
-    fn from_bitmatrix(m: &BitMatrix) -> Self {
-        let c = m.n();
+    /// Encodes the first `c` rows of a reflexive, lower-triangular
+    /// closure (the tiled bridge's result, or an engine's, padded past `c`)
+    /// row by row, each in the form the sweep gives it.
+    fn from_bitmatrix(m: &BitMatrix, c: usize) -> Self {
+        assert!(m.n() >= c, "closed DAG matrix smaller than the DAG");
         let mut rows = Self {
             ptr: vec![0; c + 1],
             arena: Vec::new(),
@@ -399,6 +399,24 @@ impl ClosedRows {
         } else {
             push_bit_ids(row, out);
         }
+    }
+
+    /// Sum of `weight(b)` over the components `b` row `a` holds, read in
+    /// place.
+    fn weighted_len(&self, a: usize, weight: impl Fn(usize) -> u64) -> u64 {
+        let row = self.row(a);
+        if row.len() < prefix_len(a) {
+            return row.iter().map(|&b| weight(b as usize)).sum();
+        }
+        let mut sum = 0;
+        for (w, &word) in row.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                sum += weight(w * 32 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        sum
     }
 
     /// Heap bytes of the rows and their offsets.
@@ -469,6 +487,7 @@ pub struct SparseStats {
 
 /// Transitive closure of a [`CsrGraph`] answered through the condensation,
 /// with the dense `n×n` expansion replaced by a query API.
+#[derive(Clone, Debug)]
 pub struct SparseClosure {
     cond: SparseCondensation,
     /// The component closure; `None` in OnDemand mode.
@@ -488,28 +507,44 @@ impl SparseClosure {
 
     /// Closes `g`, choosing [`ClosureMode`] by the memory budget.
     pub fn with_options(g: &CsrGraph, opts: SparseOptions) -> Self {
-        let cond = condense_csr(g);
-        let c = cond.len();
-        let (rows, tiles) = match opts.tile {
+        let mut sc = Self::condensed(g);
+        let c = sc.cond.len();
+        match opts.tile {
             // The tiled bridge assembles the dense c×c matrix before it
             // is encoded, so that matrix is what must fit the budget.
             Some(t)
                 if c.saturating_mul(c.div_ceil(64)).saturating_mul(8) <= opts.max_closure_bytes =>
             {
-                let edges: Vec<(u32, u32)> = cond.dag.edges().collect();
+                let edges: Vec<(u32, u32)> = sc.cond.dag.edges().collect();
                 let (m, stats) = systolic_partition::tiled::tiled_dag_closure(c, &edges, t);
-                (Some(ClosedRows::from_bitmatrix(&m)), Some(stats))
+                sc.rows = Some(ClosedRows::from_bitmatrix(&m, c));
+                sc.tiles = Some(stats);
             }
-            Some(_) => (None, None),
-            None => (ClosedRows::sweep(&cond.dag, opts.max_closure_bytes), None),
-        };
+            Some(_) => {}
+            None => sc.rows = ClosedRows::sweep(&sc.cond.dag, opts.max_closure_bytes),
+        }
+        sc
+    }
+
+    /// The condensation of `g` with no component closure yet: an
+    /// OnDemand closure until [`SparseClosure::with_dag_closure`] installs
+    /// one.
+    pub(crate) fn condensed(g: &CsrGraph) -> Self {
         Self {
-            cond,
-            rows,
-            tiles,
+            cond: condense_csr(g),
+            rows: None,
+            tiles: None,
             graph_bytes: g.memory_bytes(),
             graph_edges: g.edge_count(),
         }
+    }
+
+    /// Installs the closure of the component DAG computed elsewhere (an
+    /// engine run over the condensation's DAG): `closed` is its reflexive
+    /// closure, padded or not, encoded into the component rows.
+    pub(crate) fn with_dag_closure(mut self, closed: &BitMatrix) -> Self {
+        self.rows = Some(ClosedRows::from_bitmatrix(closed, self.cond.len()));
+        self
     }
 
     /// The underlying condensation.
@@ -631,10 +666,31 @@ impl SparseClosure {
             .sum()
     }
 
-    /// Reflexive-transitive fill-in. Exact (component-size-weighted count
-    /// over the component rows) when the component count is small enough
-    /// to scan; otherwise a labeled estimate from `samples` random source
-    /// vertices (deterministic in `seed`).
+    /// Exact number of reachable ordered pairs `(u, v)`, `u = v`
+    /// included: the components each component row holds, weighted by
+    /// their sizes, times the row's own size. One pass over the rows in
+    /// place in Exact mode, one DFS per component in OnDemand mode.
+    pub fn pair_count(&self) -> u64 {
+        let size = |c: usize| (self.cond.comp_ptr[c + 1] - self.cond.comp_ptr[c]) as u64;
+        (0..self.cond.len())
+            .map(|a| {
+                let reached: u64 = match &self.rows {
+                    Some(rows) => rows.weighted_len(a, size),
+                    None => self
+                        .dfs_reach_set(a)
+                        .iter()
+                        .map(|&b| size(b as usize))
+                        .sum(),
+                };
+                size(a) * reached
+            })
+            .sum()
+    }
+
+    /// Reflexive-transitive fill-in. Exact ([`SparseClosure::pair_count`])
+    /// when the component count is small enough to scan; otherwise a
+    /// labeled estimate from `samples` random source vertices
+    /// (deterministic in `seed`).
     pub fn fill(&self, samples: usize, seed: u64) -> Fill {
         const EXACT_COMP_LIMIT: usize = 20_000;
         let n = self.n();
@@ -644,18 +700,11 @@ impl SparseClosure {
                 exact: true,
             };
         }
-        let c = self.cond.len();
-        if self.rows.is_some() && c <= EXACT_COMP_LIMIT {
-            let mut pairs = 0f64;
-            for cu in 0..c {
-                let reach: usize = self
-                    .reach_comps(cu)
-                    .iter()
-                    .map(|&cid| self.cond.component(cid as usize).len())
-                    .sum();
-                pairs += (self.cond.component(cu).len() * reach) as f64;
-            }
-            return Fill { pairs, exact: true };
+        if self.rows.is_some() && self.cond.len() <= EXACT_COMP_LIMIT {
+            return Fill {
+                pairs: self.pair_count() as f64,
+                exact: true,
+            };
         }
         // Sampled: mean reachable-set size over random vertices × n.
         let mut rng = systolic_util::Rng::seed_from_u64(seed);
@@ -757,10 +806,6 @@ mod tests {
     use super::*;
     use crate::generators::{bowtie, gnp_csr, powerlaw};
 
-    fn oracle(g: &CsrGraph) -> BitMatrix {
-        crate::closure_via_condensation(&g.to_digraph())
-    }
-
     #[test]
     fn components_are_warshall_mutual_reachability() {
         for g in [gnp_csr(80, 0.05, 21), powerlaw(150, 3, 2), bowtie(120, 4)] {
@@ -803,7 +848,7 @@ mod tests {
             let g = gnp_csr(n, p, seed);
             let sc = SparseClosure::new(&g);
             assert_eq!(sc.mode(), ClosureMode::Exact);
-            assert_eq!(sc.to_bitmatrix(), oracle(&g), "n={n} seed={seed}");
+            assert_eq!(sc.to_bitmatrix(), warshall(&g), "n={n} seed={seed}");
         }
     }
 
@@ -819,7 +864,7 @@ mod tests {
             },
         );
         assert_eq!(sc.mode(), ClosureMode::OnDemand);
-        let want = oracle(&g);
+        let want = warshall(&g);
         for u in 0..g.n() {
             for v in 0..g.n() {
                 assert_eq!(
@@ -834,7 +879,7 @@ mod tests {
     #[test]
     fn rows_match_oracle_in_both_modes() {
         let g = bowtie(90, 11);
-        let want = oracle(&g);
+        let want = warshall(&g);
         for opts in [
             SparseOptions::default(),
             SparseOptions {
@@ -861,8 +906,35 @@ mod tests {
         let sc = SparseClosure::new(&g);
         let fill = sc.fill(10, 0);
         assert!(fill.exact);
-        let want = oracle(&g).count_ones() as f64;
+        let want = warshall(&g).count_ones() as f64;
         assert_eq!(fill.pairs, want);
+    }
+
+    #[test]
+    fn pair_count_matches_warshall_in_both_modes() {
+        for g in [gnp_csr(70, 0.04, 13), powerlaw(600, 3, 4), bowtie(400, 2)] {
+            let want = warshall(&g).count_ones() as u64;
+            let exact = SparseClosure::new(&g);
+            // Rows of both forms, and components heavier than one vertex.
+            let (c, rows) = (
+                exact.condensation().len(),
+                exact.rows.as_ref().expect("Exact"),
+            );
+            let lists = (0..c)
+                .filter(|&a| rows.row(a).len() < prefix_len(a))
+                .count();
+            assert!(lists > 0 && lists < c, "n={}: {lists} of {c} rows", g.n());
+            assert!(exact.condensation().nontrivial_count() > 0);
+            let on_demand = SparseClosure::with_options(
+                &g,
+                SparseOptions {
+                    max_closure_bytes: 0,
+                    tile: None,
+                },
+            );
+            assert_eq!(exact.pair_count(), want, "Exact n={}", g.n());
+            assert_eq!(on_demand.pair_count(), want, "OnDemand n={}", g.n());
+        }
     }
 
     #[test]
@@ -875,7 +947,7 @@ mod tests {
                 tile: None,
             },
         );
-        let exact = oracle(&g).count_ones() as f64;
+        let exact = warshall(&g).count_ones() as f64;
         let est = sc.fill(200, 42);
         assert!(!est.exact);
         // Full-population sampling (k = n) still averages per-vertex rows;
@@ -896,11 +968,10 @@ mod tests {
         assert!(s.nontrivial_sccs > 0);
     }
 
-    /// Reflexive closure of a reverse-topologically ordered DAG by
-    /// Warshall.
-    fn warshall(dag: &CsrGraph) -> BitMatrix {
-        let mut m = BitMatrix::identity(dag.n());
-        for (a, b) in dag.edges() {
+    /// Reflexive closure of a graph by Warshall.
+    fn warshall(g: &CsrGraph) -> BitMatrix {
+        let mut m = BitMatrix::identity(g.n());
+        for (a, b) in g.edges() {
             m.set(a as usize, b as usize, true);
         }
         m.warshall_in_place();

@@ -361,62 +361,20 @@ impl BitMatrix {
         &self.words[i * self.words_per_row..(i + 1) * self.words_per_row]
     }
 
-    /// Rank-1 closure update for an inserted edge `u → v`.
-    ///
-    /// Given that `self` is a reflexive transitive closure `R*`, this
-    /// applies `R* ← R* ∨ R*·e_uv·R*`: every row `i` with `R*(i,u)` ORs in
-    /// row `v` (new pairs are exactly `i → u → v → j` with the old
-    /// reachabilities). One pass is exact for a single inserted edge — any
-    /// path using the new edge twice revisits `u`, so a minimal witness
-    /// uses it once. `O(n²/64)` word operations; returns the number of
-    /// newly reachable pairs (0 when the edge was already implied).
-    ///
-    /// # Panics
-    /// Panics if `u` or `v` is out of range.
-    pub fn insert_edge_closed(&mut self, u: usize, v: usize) -> usize {
-        assert!(u < self.n && v < self.n, "vertex out of range");
-        if self.get(u, v) {
-            return 0;
-        }
-        let wpr = self.words_per_row;
-        let row_v: Vec<u64> = self.row_words(v).to_vec();
-        let mut added = 0usize;
-        for i in 0..self.n {
-            let row = &mut self.words[i * wpr..(i + 1) * wpr];
-            let has_u = (row[u / WORD_BITS] >> (u % WORD_BITS)) & 1 == 1;
-            if has_u {
-                for (dst, src) in row.iter_mut().zip(row_v.iter()) {
-                    added += (*src & !*dst).count_ones() as usize;
-                    *dst |= *src;
-                }
-            }
-        }
-        added
-    }
-
     /// ORs row `src` into row `dst` (a no-op when they coincide).
-    pub fn or_row_into(&mut self, src: usize, dst: usize) {
-        self.or_row_prefix_into(src, dst, self.words_per_row);
-    }
-
-    /// ORs the first `words` words of row `src` into row `dst` — the
-    /// whole row when the caller knows `src` has no bit at column
-    /// `64·words` or above (a lower-triangular closure row `b` needs only
-    /// `b/64 + 1` words).
     ///
     /// # Panics
-    /// Panics if a row is out of range or `words` exceeds the row width.
-    pub fn or_row_prefix_into(&mut self, src: usize, dst: usize, words: usize) {
+    /// Panics if a row is out of range.
+    pub fn or_row_into(&mut self, src: usize, dst: usize) {
         assert!(src < self.n && dst < self.n, "row out of range");
-        assert!(words <= self.words_per_row, "prefix wider than the row");
         if src == dst {
             return;
         }
         let wpr = self.words_per_row;
         let (lo, hi) = (src.min(dst), src.max(dst));
         let (head, tail) = self.words.split_at_mut(hi * wpr);
-        let lo_row = &mut head[lo * wpr..lo * wpr + words];
-        let hi_row = &mut tail[..words];
+        let lo_row = &mut head[lo * wpr..(lo + 1) * wpr];
+        let hi_row = &mut tail[..wpr];
         let (dst_row, src_row) = if dst == hi {
             (hi_row, &*lo_row)
         } else {
@@ -639,31 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_edge_closed_matches_full_recompute() {
-        let mut rng = systolic_util::Rng::seed_from_u64(31);
-        for n in [2usize, 9, 70] {
-            let mut m = BitMatrix::zeros(n);
-            for i in 0..n {
-                for j in 0..n {
-                    if i != j && rng.gen_bool(0.07) {
-                        m.set(i, j, true);
-                    }
-                }
-            }
-            let mut closed = m.transitive_closure();
-            for _ in 0..3 * n {
-                let u = rng.gen_usize(n);
-                let v = rng.gen_usize(n);
-                m.set(u, v, true);
-                let before = closed.count_ones();
-                let added = closed.insert_edge_closed(u, v);
-                assert_eq!(closed.count_ones(), before + added, "n={n}");
-                assert_eq!(closed, m.transitive_closure(), "n={n} edge ({u},{v})");
-            }
-        }
-    }
-
-    #[test]
     fn row_words_expose_packed_rows() {
         let mut m = BitMatrix::zeros(70);
         m.set(3, 0, true);
@@ -673,15 +606,16 @@ mod tests {
     }
 
     #[test]
-    fn or_row_prefix_into_stops_at_the_prefix() {
+    fn or_row_into_ors_the_whole_row() {
         let mut m = BitMatrix::zeros(130);
         m.set(5, 1, true);
         m.set(5, 65, true);
         m.set(5, 129, true);
-        m.or_row_prefix_into(5, 7, 2);
-        assert_eq!(m.row_words(7), &[2u64, 2, 0]);
+        m.set(7, 2, true);
         m.or_row_into(5, 7);
-        assert_eq!(m.row_words(7), m.row_words(5));
+        assert_eq!(m.row_words(7), &[6u64, 2, 2]);
+        m.or_row_into(7, 7);
+        assert_eq!(m.row_words(7), &[6u64, 2, 2]);
     }
 
     #[test]

@@ -2,22 +2,27 @@
 //!
 //! A server owns one transitive closure `R*` and answers a command stream
 //! — the datacenter query/update pattern where reads vastly outnumber
-//! structural changes:
+//! structural changes. The closure is a
+//! [`systolic_closure::SparseClosure`]: a component id per vertex and one
+//! list-or-bits row per component, never an `n × n` matrix. The commands:
 //!
-//! * `REACH u v` — O(1) bit probe of the maintained closure;
-//! * `INSERT u v` — the rank-1 semiring update
-//!   `R* ← R* ⊕ R*·e_uv·R*` (`O(n²/64)` words, never a recompute);
+//! * `REACH u v` — two component lookups and one row test;
+//! * `INSERT u v` — answered by the closure when `u` already reaches `v`,
+//!   otherwise a rebuild of the component rows (not counted as a
+//!   recompute); `added=` is the exact change of the pair count;
 //! * `DELETE u v` — marks the closure dirty; the next read triggers a
-//!   per-SCC recompute through the condensation, so consecutive deletes
-//!   coalesce into one;
-//! * `STATS` / `QUIT` — introspection and session end.
+//!   recompute through the condensation, so consecutive deletes coalesce
+//!   into one;
+//! * `STATS` / `QUIT` — introspection and session end. `pairs=` is
+//!   counted once per rebuild, when first asked for.
 //!
-//! The recompute path can run in software
-//! ([`systolic_closure::closure_via_condensation`]) or through a shared
+//! The recompute path can run in software (`condense_csr` and the
+//! ascending-id sweep, as `systolic closure --sparse`) or through a shared
 //! [`systolic_partition::AdmissionBatcher`], which packs the pending
 //! component-DAG closures of up to 64 tenants into one `BoolLanes` run on
 //! the packed engine's memoized plan — a warm server never recompiles and
-//! never runs scalar when it can pack.
+//! never runs scalar when it can pack. Its closed DAG is encoded into the
+//! same component rows.
 //!
 //! Production hardening on top of the core service:
 //!
@@ -26,7 +31,8 @@
 //!   prefix and discards a torn tail.
 //! * [`server::SharedService`] — many concurrent sessions over one
 //!   `RwLock`-guarded service, with non-blocking degraded reads
-//!   (`stale=true`) while a recompute holds the writer.
+//!   (`stale=true`) while a recompute holds the writer, answered from a
+//!   published snapshot that shares the closure's `Arc`.
 //! * [`chaos`] — seeded fault-injecting transport wrappers
 //!   (disconnects, partial writes, bit flips) for chaos tests.
 

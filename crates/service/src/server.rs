@@ -30,7 +30,7 @@ use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::Duration;
-use systolic_semiring::BitMatrix;
+use systolic_closure::SparseClosure;
 
 /// Per-session overload/abuse bounds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,13 +87,14 @@ impl ServeSummary {
 /// One [`ReachService`] shared by many concurrent sessions.
 ///
 /// See the module docs for the lock discipline. The struct also owns the
-/// *published snapshot*: an `Arc` of the last clean closure, swapped in
-/// whenever the guarded service is observed clean, which degraded reads
-/// answer from without touching the main lock.
+/// *published snapshot*: the last clean closure, shared with the service
+/// through its `Arc` (never copied) and swapped in whenever the guarded
+/// service is observed clean, which degraded reads answer from without
+/// touching the main lock.
 pub struct SharedService {
     svc: RwLock<ReachService>,
     limits: SessionLimits,
-    snapshot: Mutex<Arc<BitMatrix>>,
+    snapshot: Mutex<Arc<SparseClosure>>,
     stale_reads: AtomicU64,
     protocol_errors: AtomicU64,
     active: AtomicUsize,
@@ -102,7 +103,7 @@ pub struct SharedService {
 impl SharedService {
     /// Wraps a service for concurrent use, publishing its current closure.
     pub fn new(svc: ReachService, limits: SessionLimits) -> Self {
-        let snapshot = Arc::new(svc.stale_closure().clone());
+        let snapshot = Arc::clone(svc.stale_closure());
         Self {
             svc: RwLock::new(svc),
             limits,
@@ -164,12 +165,12 @@ impl SharedService {
 
     fn publish(&self, svc: &ReachService) {
         if !svc.is_dirty() {
-            let fresh = Arc::new(svc.stale_closure().clone());
+            let fresh = Arc::clone(svc.stale_closure());
             *self.snapshot.lock().unwrap_or_else(|p| p.into_inner()) = fresh;
         }
     }
 
-    fn snapshot(&self) -> Arc<BitMatrix> {
+    fn snapshot(&self) -> Arc<SparseClosure> {
         Arc::clone(&self.snapshot.lock().unwrap_or_else(|p| p.into_inner()))
     }
 
@@ -238,7 +239,7 @@ impl SharedService {
         Response::Reach {
             u,
             v,
-            reachable: snap.get(u, v),
+            reachable: snap.reachable(u, v),
             stale: true,
         }
     }

@@ -4,15 +4,15 @@ use crate::protocol::{Command, Response};
 use crate::wal::{Durability, WalOp};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-use systolic_closure::{DiGraph, IncrementalClosure, RecomputeJob};
+use systolic_closure::{DiGraph, IncrementalClosure, RecomputeJob, SparseClosure};
 use systolic_partition::{AdmissionBatcher, EngineError, Ticket};
 
-/// Largest graph `LOAD` accepts. The served closure is a dense `n×n`
-/// bitset so each rank-1 insert costs `O(n²/64)` words; at 32 768
-/// vertices that is a 128 MiB closure and ~16 M words per insert —
-/// roughly the point where staying dense per-SCC stops paying for
-/// interactive update latencies. Beyond it, the sparse offline path
-/// (`systolic closure --sparse`) is the right tool.
+/// Largest graph `LOAD` accepts. The cap was set for a dense `n×n`
+/// served closure; the served closure is now the sparse one (component
+/// ids and component rows), whose size follows the condensation, not
+/// `n²`. The cap keeps its value and its error text until a declared
+/// memory budget for `LOAD` replaces it (ROADMAP items 4 and 5), and a
+/// file past it is refused on its size line, before anything is built.
 pub const MAX_LOAD_VERTICES: usize = 32_768;
 
 /// Service-level counters (superset of the closure's own update stats).
@@ -124,8 +124,8 @@ impl ReachService {
         self.inc.n()
     }
 
-    /// The underlying incremental closure (mainly for tests/benches).
-    pub fn closure(&mut self) -> &systolic_semiring::BitMatrix {
+    /// The maintained closure, refreshed first (mainly for tests/benches).
+    pub fn closure(&mut self) -> &SparseClosure {
         self.pending_depth = 0;
         self.inc.closure()
     }
@@ -168,13 +168,13 @@ impl ReachService {
         }
         let closed = self.inc.closure_if_clean()?;
         self.queries.fetch_add(1, Relaxed);
-        Some(closed.get(u, v))
+        Some(closed.reachable(u, v))
     }
 
     /// The maintained closure as-is, possibly stale (missing deletes
     /// since the last recompute) — what the concurrent server publishes
-    /// as its degraded-read snapshot.
-    pub fn stale_closure(&self) -> &systolic_semiring::BitMatrix {
+    /// as its degraded-read snapshot, by cloning the `Arc`.
+    pub fn stale_closure(&self) -> &Arc<SparseClosure> {
         self.inc.stale_closure()
     }
 
@@ -187,7 +187,7 @@ impl ReachService {
     pub fn reach_stale(&self, u: usize, v: usize) -> bool {
         assert!(u < self.n() && v < self.n(), "vertex out of range");
         self.queries.fetch_add(1, Relaxed);
-        self.inc.stale_closure().get(u, v)
+        self.inc.stale_closure().reachable(u, v)
     }
 
     /// Phase one of a batched recompute: submit this tenant's pending
@@ -324,7 +324,7 @@ impl ReachService {
              snapshots={} queue_depth={} mode={}",
             self.inc.n(),
             self.inc.graph().edge_count(),
-            self.inc.closure().count_ones(),
+            self.inc.pairs(),
             self.queries.load(Relaxed),
             s.inserts,
             s.incremental_inserts,
@@ -409,11 +409,8 @@ impl ReachService {
                 let (n, entries) =
                     systolic_closure::CsrGraph::load_edges(std::path::Path::new(&path))
                         .map_err(|e| EngineError::BadInput(format!("LOAD {path}: {e}")))?;
-                // The served closure stays dense n×n so rank-1 updates
-                // remain O(n²/64); cap bulk loads where that stops being
-                // reasonable (see DESIGN §17 for the cutoff argument). The
-                // cap is checked on the declared size, before anything
-                // n-sized is built.
+                // The cap (see `MAX_LOAD_VERTICES`) is checked on the
+                // declared size, before anything n-sized is built.
                 if n > MAX_LOAD_VERTICES {
                     return Err(EngineError::BadInput(format!(
                         "LOAD {path}: {n} vertices exceeds the dense service cap of \

@@ -26,10 +26,13 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # plan bit for bit; proptest_schedule checks the G-set schedules the plan
 # compiler consumes (closure, LU and Faddeev) for legality and coverage;
 # proptest_plan_cache pins cached replay and the bank slot table, its
-# ring FIFOs and its write-burst counter to a hash-map model.
+# ring FIFOs and its write-burst counter to a hash-map model;
+# serve_oracle replays seeded command streams through the service against
+# a recompute oracle and pins every reply byte by digest.
 cargo test -q --test proptest_lanes --test proptest_swar --test proptest_laws \
     --test proptest_sparse --test sparse_memory --test proptest_durations --test condense_ids \
-    --test determinism_and_goldens --test proptest_plan_cache --test proptest_schedule
+    --test determinism_and_goldens --test proptest_plan_cache --test proptest_schedule \
+    --test serve_oracle
 # The simulator's ring index arithmetic and its inlining differ between
 # the debug and release profiles (overflow checks, debug assertions), so
 # its pinning suites also run optimized.

@@ -298,6 +298,35 @@ fn serve_rejects_zero_session_and_line_limits() {
 }
 
 #[test]
+fn serve_starts_on_a_million_vertices() {
+    // The served closure is one component row per vertex here, not an
+    // n×n matrix (which would take 125 GB at this size).
+    let mut child = bin()
+        .args(["serve", "--vertices", "1000000"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"REACH 0 1\nQUIT\n")
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "REACH 0 1 false\nBYE\n"
+    );
+}
+
+#[test]
 fn serve_runs_a_session_over_stdio() {
     let mut child = bin()
         .args(["serve", "--vertices", "6"])

@@ -94,7 +94,7 @@ fn wal_truncation_sweep_recovers_exactly_the_committed_prefix() {
         }
         let mut svc = ReachService::new(g);
         assert!(
-            *svc.closure() == warshall(&oracle),
+            svc.closure().to_bitmatrix() == warshall(&oracle),
             "offset {cut}: recovered closure diverged from the \
              {k}-record committed prefix"
         );

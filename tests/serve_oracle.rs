@@ -137,3 +137,52 @@ fn batched_service_matches_oracle() {
         "repeat recomputes reuse the memoized plan: {stats:?}"
     );
 }
+
+/// 64-bit FNV-1a over UTF-8 text.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn text(&mut self, s: &str) {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Digest of every reply line `svc` gives to `seeded_stream(n, count,
+/// seed)`, with a `STATS` after every 100 commands so the pair count and
+/// the update counters are pinned along the way, not only at the end.
+fn reply_digest(mut svc: ReachService, n: usize, count: usize, seed: u64) -> u64 {
+    let mut h = Fnv::new();
+    for (i, cmd) in seeded_stream(n, count, seed).into_iter().enumerate() {
+        h.text(&format!("{}\n", svc.execute(cmd)));
+        if (i + 1) % 100 == 0 {
+            h.text(&format!("{}\n", svc.execute(Command::Stats)));
+        }
+    }
+    h.0
+}
+
+/// Every reply byte — `REACH` answers, `INSERT added=`, `DELETE
+/// removed=` and the `STATS` line with `pairs=`, `incremental=`,
+/// `pairs_added=` and `recomputes=` — is pinned by digests recorded on
+/// the dense-closure service, so a change of how the closure is stored
+/// must answer exactly as before, in software and batched.
+#[test]
+fn replies_are_pinned() {
+    let software = |n| reply_digest(ReachService::new(DiGraph::new(n)), n, 10_000, 20260808);
+    assert_eq!(software(48), 0x9ffb_4f01_449f_583a, "n=48 software");
+    assert_eq!(software(512), 0xc0b2_6b1d_73fe_0f3c, "n=512 software");
+    let batcher = Arc::new(AdmissionBatcher::new(PackedEngine::new(3)));
+    let batched = ReachService::with_batcher(DiGraph::new(24), batcher);
+    assert_eq!(
+        reply_digest(batched, 24, 600, 7),
+        0x7d71_6d42_5a4e_7fb1,
+        "n=24 batched"
+    );
+}
