@@ -28,8 +28,8 @@ use systolic_metrics::{
 };
 use systolic_partition::{
     elimination_input, level_durations, run_elimination_timed, Algo, ClosureEngine,
-    EliminationMapping, FixedArrayEngine, FixedLinearEngine, GridEngine, GsetSchedule,
-    LinearEngine, LsgpEngine, PackedEngine, ParallelEngine,
+    FixedArrayEngine, FixedLinearEngine, GridEngine, GsetSchedule, LinearEngine, LsgpEngine,
+    PackedEngine, ParallelEngine,
 };
 use systolic_semiring::{warshall, Bool, DenseMatrix};
 use systolic_transform::{lu_time_grid, pipelined, regular, unidirectional, validate_stage};
@@ -1267,12 +1267,10 @@ impl VaryingMeasurement {
 pub fn varying_measurement(n: usize) -> VaryingMeasurement {
     let durs = level_durations(Algo::Lu, n);
     let a = elimination_input(n, 24);
-    let (f_lin, lin) =
-        run_elimination_timed(Algo::Lu, EliminationMapping::Linear { m: 4 }, &a, &durs)
-            .expect("linear elimination runs clean");
-    let (f_grid, grid) =
-        run_elimination_timed(Algo::Lu, EliminationMapping::Grid { s: 2 }, &a, &durs)
-            .expect("grid elimination runs clean");
+    let (f_lin, lin) = run_elimination_timed(&LinearEngine::new(4), Algo::Lu, &a, &durs)
+        .expect("linear elimination runs clean");
+    let (f_grid, grid) = run_elimination_timed(&GridEngine::new(2), Algo::Lu, &a, &durs)
+        .expect("grid elimination runs clean");
     assert_eq!(f_lin, f_grid, "mappings must agree bit-for-bit");
     let tg = Algo::Lu.graph(n).with_row_durations(&durs).time_grid();
     let a_lin = mapping_utilization(&tg, 4, MappingKind::Linear);

@@ -216,16 +216,18 @@ pub fn matmul_graph(n: usize) -> DependenceGraph {
     g
 }
 
-/// LU-decomposition dependence graph (no pivoting), one of the paper's §4.3
-/// examples of algorithms whose G-nodes have **varying computation time**:
-/// level `k` touches a shrinking `(n-k-1)²` trapezoid, so path lengths (and
-/// therefore G-node times) decrease monotonically across the graph
-/// (Fig. 22a's tagged computation times).
-pub fn lu_graph(n: usize) -> DependenceGraph {
+/// Gaussian-elimination dependence graph (no pivoting) over an `msize ×
+/// msize` matrix, eliminating pivots `0..levels` in place: level `k`
+/// divides the column below pivot `k` by it (the multipliers `l_ik`) and
+/// updates the trailing `(msize-k-1)²` block. LU and the Faddeev algorithm
+/// are this graph with `msize - 1` and `msize / 2` levels — the shrinking
+/// trapezoid behind the §4.3 varying computation times.
+pub fn elimination_graph(msize: usize, levels: usize) -> DependenceGraph {
+    let n = msize;
     let mut g = DependenceGraph::new(n);
     let inputs = add_inputs(&mut g, n);
     let mut last = LastWriter::new(n, |i, j| inputs[i * n + j]);
-    for k in 0..n.saturating_sub(1) {
+    for k in 0..levels {
         let level = (k + 1) as u32;
         let prev: Vec<(NodeId, Port)> = (0..n * n).map(|t| last.get(t / n, t % n)).collect();
         // Multiplier column: l_ik = x_ik / x_kk.
@@ -271,6 +273,15 @@ pub fn lu_graph(n: usize) -> DependenceGraph {
     g
 }
 
+/// LU-decomposition dependence graph (no pivoting), one of the paper's §4.3
+/// examples of algorithms whose G-nodes have **varying computation time**:
+/// level `k` touches a shrinking `(n-k-1)²` trapezoid, so path lengths (and
+/// therefore G-node times) decrease monotonically across the graph
+/// (Fig. 22a's tagged computation times).
+pub fn lu_graph(n: usize) -> DependenceGraph {
+    elimination_graph(n, n.saturating_sub(1))
+}
+
 /// Faddeev-algorithm dependence graph: Gaussian elimination of the `A` block
 /// of `[[A, B], [-C, D]]`, producing `D + C·A⁻¹·B` in the lower-right block.
 /// Like LU it has a trapezoidal iteration space — the second §4.3 example of
@@ -280,52 +291,7 @@ pub fn lu_graph(n: usize) -> DependenceGraph {
 /// The graph is over the `2n × 2n` augmented matrix; only the first `n`
 /// pivots are eliminated.
 pub fn faddeev_graph(n: usize) -> DependenceGraph {
-    let m = 2 * n;
-    let mut g = DependenceGraph::new(m);
-    let inputs = add_inputs(&mut g, m);
-    let mut last = LastWriter::new(m, |i, j| inputs[i * m + j]);
-    for k in 0..n {
-        let level = (k + 1) as u32;
-        let prev: Vec<(NodeId, Port)> = (0..m * m).map(|t| last.get(t / m, t % m)).collect();
-        let mut div_ids = vec![None; m];
-        for i in k + 1..m {
-            let id = g.add_node(
-                OpKind::Div,
-                Coord::new(level, i as u32, k as u32),
-                Pos::new(k as i64, (level as i64) * m as i64 + i as i64),
-                1,
-            );
-            let (xs, xp) = prev[i * m + k];
-            let (ps, pp) = prev[k * m + k];
-            g.add_edge(xs, xp, id, Port::X);
-            g.add_edge(ps, pp, id, Port::P);
-            last.set(i, k, (id, Port::X));
-            div_ids[i] = Some(id);
-        }
-        for i in k + 1..m {
-            for j in k + 1..m {
-                let id = g.add_node(
-                    OpKind::MulSub,
-                    Coord::new(level, i as u32, j as u32),
-                    Pos::new(j as i64, (level as i64) * m as i64 + i as i64),
-                    1,
-                );
-                let (xs, xp) = prev[i * m + j];
-                let (qs, qp) = prev[k * m + j];
-                g.add_edge(xs, xp, id, Port::X);
-                g.add_edge(div_ids[i].expect("divider exists"), Port::X, id, Port::P);
-                g.add_edge(qs, qp, id, Port::Q);
-                last.set(i, j, (id, Port::X));
-            }
-        }
-    }
-    for i in 0..m {
-        for j in 0..m {
-            let (nd, p) = last.get(i, j);
-            g.set_output(i as u32, j as u32, nd, p);
-        }
-    }
-    g
+    elimination_graph(2 * n, n)
 }
 
 /// Givens-rotation triangularization (QR) dependence graph — the paper's

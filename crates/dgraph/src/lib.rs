@@ -13,7 +13,8 @@
 //! * [`builders::matmul_graph`] — the `C = A ⊗ B` cube graph (substrate for
 //!   the Núñez–Torralba baseline),
 //! * [`builders::lu_graph`] / [`builders::faddeev_graph`] — the §4.3 examples
-//!   with *varying* node computation times.
+//!   with *varying* node computation times, both one
+//!   [`builders::elimination_graph`] over `msize` with a level count.
 //!
 //! Analyses ([`analysis`]) quantify exactly the properties the paper's
 //! transformations remove: broadcast fan-out, bi-directional flow, irregular
@@ -35,7 +36,8 @@ pub use analysis::{
     BroadcastCensus, DirectionCensus,
 };
 pub use builders::{
-    closure_full, closure_lean, faddeev_graph, givens_graph, lu_graph, matmul_graph,
+    closure_full, closure_lean, elimination_graph, faddeev_graph, givens_graph, lu_graph,
+    matmul_graph,
 };
 pub use dot::{to_dot, DotOptions};
 pub use eval::{

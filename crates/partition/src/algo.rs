@@ -1,39 +1,39 @@
 //! Elimination-algorithm pipelines (§4.3): LU decomposition and the
-//! Faddeev algorithm executed by the *same* partitioned-array machinery
-//! that runs transitive closure.
+//! Faddeev algorithm executed by the *same* partitioned-array engines that
+//! run transitive closure.
 //!
 //! The closure engines map the uniform Fig. 17 parallelogram; here the
 //! G-graph is a [`GenericGGraph`] elimination trapezoid whose rows shrink
 //! (`len = msize - k`), so G-node computation times *vary* across rows
-//! while staying uniform within a row — exactly the §4.3 situation. The
-//! two mappings are the closure engines' own G-set assignments, compiled
-//! over the trapezoid:
+//! while staying uniform within a row — exactly the §4.3 situation. Any
+//! engine whose mapping is a [`GraphMapping`] runs it, with the mapping's
+//! own G-set assignment compiled over the trapezoid:
 //!
-//! * [`EliminationMapping::Linear`] — LPGS onto `m` chained cells: cell
-//!   `c` owns skewed positions `h ≡ c (mod m)`; every G-set is a slice of
-//!   *one* row, so members share a computation time and no cell idles
-//!   inside a set (Fig. 22b's equal-time paths).
-//! * [`EliminationMapping::Grid`] — cut-and-pile onto `√m × √m` cells:
-//!   a G-set is an `s × s` block of `(k, h)` space mixing `s` different
-//!   row times, so fast members idle until the slowest finishes — the
-//!   *time mixing* that §4.3 charges against two-dimensional G-sets.
+//! * [`LinearEngine`](crate::LinearEngine) — LPGS onto `m` chained cells:
+//!   cell `c` owns skewed positions `h ≡ c (mod m)`; every G-set is a
+//!   slice of *one* row, so members share a computation time and no cell
+//!   idles inside a set (Fig. 22b's equal-time paths).
+//! * [`GridEngine`](crate::GridEngine) — cut-and-pile onto `√m × √m`
+//!   cells: a G-set is an `s × s` block of `(k, h)` space mixing `s`
+//!   different row times, so fast members idle until the slowest finishes
+//!   — the *time mixing* that §4.3 charges against two-dimensional G-sets.
 //!
 //! Cells run [`DivHead`](systolic_arraysim::TaskKind::DivHead) /
 //! [`ElimFuse`](systolic_arraysim::TaskKind::ElimFuse) programs over the
 //! [`Real`] semiring; each fuse's finished pivot-row element leaves
 //! through the task's dedicated `head_out` stream, each level's pivot
 //! stream (the `L` column) drains at the row's right edge, and the last
-//! level's fused sub-columns are the remaining trailing block.
-//! [`run_elimination`] reassembles those streams into the full in-place
-//! elimination state — for LU the compact `L\U` factors, bit-identical to
-//! the straight-line reference (identical expression trees, same f64
-//! operations in the same order).
+//! level's fused sub-columns are the remaining trailing block. The run goes
+//! through the engine's one runner — the plan cache, recycled simulator,
+//! fault arming and output-layout unload that closure batches use — which
+//! reassembles those streams into the full in-place elimination state: for
+//! LU the compact `L\U` factors, bit-identical to the straight-line
+//! reference (identical expression trees, same f64 operations in the same
+//! order). This module keeps what is elimination's own: the input checks
+//! and the numerics contract.
 
-use crate::compile::{compile, OutputLayout};
 use crate::engine::EngineError;
-use crate::grid::GridMapping;
-use crate::linear::LpgsMapping;
-use crate::plan::CompiledPlan;
+use crate::mapping::{GraphMapping, MappedEngine};
 use systolic_arraysim::RunStats;
 use systolic_semiring::{DenseMatrix, Real};
 use systolic_transform::GenericGGraph;
@@ -85,53 +85,6 @@ impl Algo {
     }
 }
 
-/// Array geometry for an elimination run.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum EliminationMapping {
-    /// LPGS chain of `m` cells (`m + 1` memory connections).
-    Linear {
-        /// Number of cells.
-        m: usize,
-    },
-    /// `s × s` grid (`2s` memory connections).
-    Grid {
-        /// Grid side length.
-        s: usize,
-    },
-}
-
-impl EliminationMapping {
-    /// Mapping name for reports and CLI output.
-    pub fn name(self) -> &'static str {
-        match self {
-            EliminationMapping::Linear { .. } => "lpgs-linear",
-            EliminationMapping::Grid { .. } => "grid-partitioned",
-        }
-    }
-
-    /// Total number of cells.
-    pub fn cells(self) -> usize {
-        match self {
-            EliminationMapping::Linear { m } => m,
-            EliminationMapping::Grid { s } => s * s,
-        }
-    }
-
-    fn validate(self) -> Result<(), EngineError> {
-        let ok = match self {
-            EliminationMapping::Linear { m } => m >= 1,
-            EliminationMapping::Grid { s } => s >= 1,
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(EngineError::BadInput(
-                "elimination mapping needs at least one cell".into(),
-            ))
-        }
-    }
-}
-
 /// Deterministic diagonally-dominant `msize × msize` input matrix —
 /// numerically stable under elimination without pivoting, shared by the
 /// CLI, the benchmarks and the tests so runs are reproducible.
@@ -157,52 +110,9 @@ pub fn level_durations(algo: Algo, n: usize) -> Vec<u32> {
     (0..algo.levels(n)).map(|k| (msize - k) as u32).collect()
 }
 
-/// Compiles the plan for one elimination pipeline: `batch_len` instances
-/// of `algo` at problem size `n` on `mapping`, with every G-node at the
-/// default per-word duration of 1.
-pub fn elimination_plan(
-    algo: Algo,
-    n: usize,
-    mapping: EliminationMapping,
-    batch_len: usize,
-) -> CompiledPlan {
-    plan_for(&algo.graph(n), mapping, batch_len)
-}
-
-/// [`elimination_plan`] with **varying per-row G-node durations** (§4.3):
-/// every word of a row-`k` G-node occupies its cell for `durs[k]` cycles.
-/// Durations change utilization, never results — outputs stay bit-identical
-/// to the uniform plan.
-pub fn elimination_plan_timed(
-    algo: Algo,
-    n: usize,
-    mapping: EliminationMapping,
-    batch_len: usize,
-    durs: &[u32],
-) -> CompiledPlan {
-    plan_for(&algo.graph(n).with_row_durations(durs), mapping, batch_len)
-}
-
-/// The elimination mappings are the closure engines' own assignments —
-/// LPGS on a chain, cut-and-pile on a grid — over the trapezoid, with a
-/// budget sized from the graph's total G-node time.
-fn plan_for(gg: &GenericGGraph, mapping: EliminationMapping, batch_len: usize) -> CompiledPlan {
-    let assignment = match mapping {
-        EliminationMapping::Linear { m } => LpgsMapping::new(m).assignment(gg),
-        EliminationMapping::Grid { s } => GridMapping::new(s).assignment(gg),
-    };
-    let total: u64 = (0..gg.rows())
-        .map(|k| gg.row(k).width as u64 * gg.row(k).gnode_time())
-        .sum();
-    compile(
-        &assignment,
-        batch_len,
-        batch_len as u64 * (total * 40 + 1_000) + 200_000,
-    )
-}
-
-/// Runs one elimination instance through the simulated partitioned array
-/// and reassembles the full in-place elimination state (`msize × msize`).
+/// Runs one elimination instance on `engine` — a [`crate::LinearEngine`]
+/// or a [`crate::GridEngine`] — and reassembles the full in-place
+/// elimination state (`msize × msize`).
 ///
 /// For [`Algo::Lu`] the result is the compact `L\U` factor matrix; for
 /// [`Algo::Faddeev`] it is the compound matrix after `n` levels, whose
@@ -221,12 +131,12 @@ fn plan_for(gg: &GenericGGraph, mapping: EliminationMapping, batch_len: usize) -
 /// `0.0` or that produced an inf/NaN (naming the level); simulator errors
 /// (deadlock, runaway) forwarded, [`EngineError::Corrupt`] when an output
 /// stream drained with the wrong word count.
-pub fn run_elimination(
+pub fn run_elimination<M: GraphMapping>(
+    engine: &MappedEngine<M>,
     algo: Algo,
-    mapping: EliminationMapping,
     a: &DenseMatrix<Real>,
 ) -> Result<(DenseMatrix<Real>, RunStats), EngineError> {
-    run_impl(algo, mapping, a, None)
+    eliminate(engine, algo, a, None)
 }
 
 /// [`run_elimination`] with varying per-row G-node durations (§4.3):
@@ -237,22 +147,23 @@ pub fn run_elimination(
 /// # Errors
 /// As [`run_elimination`], plus [`EngineError::BadInput`] when `durs` does
 /// not provide exactly one duration ≥ 1 per elimination level.
-pub fn run_elimination_timed(
+pub fn run_elimination_timed<M: GraphMapping>(
+    engine: &MappedEngine<M>,
     algo: Algo,
-    mapping: EliminationMapping,
     a: &DenseMatrix<Real>,
     durs: &[u32],
 ) -> Result<(DenseMatrix<Real>, RunStats), EngineError> {
-    run_impl(algo, mapping, a, Some(durs))
+    eliminate(engine, algo, a, Some(durs))
 }
 
-fn run_impl(
+/// The input checks, the engine's runner over the algorithm's G-graph,
+/// and the numerics contract on the result.
+fn eliminate<M: GraphMapping>(
+    engine: &MappedEngine<M>,
     algo: Algo,
-    mapping: EliminationMapping,
     a: &DenseMatrix<Real>,
     durs: Option<&[u32]>,
 ) -> Result<(DenseMatrix<Real>, RunStats), EngineError> {
-    mapping.validate()?;
     let msize = a.rows();
     if a.cols() != msize {
         return Err(EngineError::BadInput(format!(
@@ -288,8 +199,8 @@ fn run_impl(
         )));
     }
 
-    let plan = match durs {
-        None => elimination_plan(algo, n, mapping, 1),
+    let gg = match durs {
+        None => algo.graph(n),
         Some(d) => {
             if d.len() != algo.levels(n) || d.iter().any(|&x| x < 1) {
                 return Err(EngineError::BadInput(format!(
@@ -298,45 +209,12 @@ fn run_impl(
                     d
                 )));
             }
-            elimination_plan_timed(algo, n, mapping, 1, d)
+            algo.graph(n).with_row_durations(d)
         }
     };
-    let mut sim = plan.instantiate::<Real>(false);
-    plan.load(&mut sim, std::slice::from_ref(a));
-    let stats = sim.run()?;
+    let (f, stats) = engine.run_graph(&gg, a)?;
 
     let levels = algo.levels(n);
-    let layout = OutputLayout::new(&algo.graph(n));
-    let outs = sim.outputs();
-    let expect = |stream: usize, want: usize| -> Result<&Vec<f64>, EngineError> {
-        let s = &outs[stream];
-        if s.len() == want {
-            Ok(s)
-        } else {
-            Err(EngineError::Corrupt {
-                instance: 0,
-                detail: format!("output stream {stream} has {} of {want} words", s.len()),
-            })
-        }
-    };
-
-    let mut f = DenseMatrix::<Real>::zeros(msize, msize);
-    for k in 0..levels {
-        let lcol = expect(layout.lcol(0, k), msize - k)?;
-        for (r, &v) in lcol.iter().enumerate() {
-            f.set(k + r, k, v);
-        }
-        for h in k + 1..msize {
-            let head = expect(layout.head(0, k, h), 1)?;
-            f.set(k, h, head[0]);
-        }
-    }
-    for h in levels..msize {
-        let tail = expect(layout.tail(0, h), msize - levels)?;
-        for (r, &v) in tail.iter().enumerate() {
-            f.set(levels + r, h, v);
-        }
-    }
     // Entry (i, j) is last written by level min(i - 1, j): the division
     // that makes it an `L` entry, or the update that finishes its row. The
     // first such level holding an inf/NaN met a zero pivot or overflowed.
@@ -366,6 +244,7 @@ fn run_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GridEngine, LinearEngine};
 
     fn test_matrix(msize: usize, seed: u64) -> DenseMatrix<Real> {
         elimination_input(msize, seed)
@@ -405,8 +284,7 @@ mod tests {
             let a = test_matrix(n, n as u64);
             let want = elimination_reference(&a, n - 1);
             for m in [1usize, 2, 3, 4, 7] {
-                let (got, stats) =
-                    run_elimination(Algo::Lu, EliminationMapping::Linear { m }, &a).unwrap();
+                let (got, stats) = run_elimination(&LinearEngine::new(m), Algo::Lu, &a).unwrap();
                 assert_bit_equal(&got, &want, &format!("n={n} m={m}"));
                 assert_eq!(stats.memory_connections, m + 1);
             }
@@ -419,8 +297,7 @@ mod tests {
             let a = test_matrix(n, 40 + n as u64);
             let want = elimination_reference(&a, n - 1);
             for s in [1usize, 2, 3] {
-                let (got, stats) =
-                    run_elimination(Algo::Lu, EliminationMapping::Grid { s }, &a).unwrap();
+                let (got, stats) = run_elimination(&GridEngine::new(s), Algo::Lu, &a).unwrap();
                 assert_bit_equal(&got, &want, &format!("n={n} s={s}"));
                 assert_eq!(stats.memory_connections, 2 * s);
             }
@@ -432,13 +309,21 @@ mod tests {
         let n = 3;
         let a = test_matrix(2 * n, 7);
         let want = elimination_reference(&a, n);
-        for mapping in [
-            EliminationMapping::Linear { m: 2 },
-            EliminationMapping::Linear { m: 4 },
-            EliminationMapping::Grid { s: 2 },
+        for (tag, run) in [
+            (
+                "lpgs m=2",
+                run_elimination(&LinearEngine::new(2), Algo::Faddeev, &a),
+            ),
+            (
+                "lpgs m=4",
+                run_elimination(&LinearEngine::new(4), Algo::Faddeev, &a),
+            ),
+            (
+                "grid s=2",
+                run_elimination(&GridEngine::new(2), Algo::Faddeev, &a),
+            ),
         ] {
-            let (got, _) = run_elimination(Algo::Faddeev, mapping, &a).unwrap();
-            assert_bit_equal(&got, &want, &format!("{mapping:?}"));
+            assert_bit_equal(&run.unwrap().0, &want, tag);
         }
     }
 
@@ -446,8 +331,7 @@ mod tests {
     fn useful_ops_match_the_generic_graph() {
         let n = 6;
         let a = test_matrix(n, 3);
-        let (_, stats) =
-            run_elimination(Algo::Lu, EliminationMapping::Linear { m: 3 }, &a).unwrap();
+        let (_, stats) = run_elimination(&LinearEngine::new(3), Algo::Lu, &a).unwrap();
         assert_eq!(stats.useful_ops, GenericGGraph::lu(n).total_useful_ops());
     }
 
@@ -459,15 +343,20 @@ mod tests {
     fn varying_durations_never_change_the_result() {
         let n = 7;
         let a = test_matrix(n, 9);
-        let (want, uniform) =
-            run_elimination(Algo::Lu, EliminationMapping::Linear { m: 3 }, &a).unwrap();
-        for mapping in [
-            EliminationMapping::Linear { m: 3 },
-            EliminationMapping::Grid { s: 2 },
+        let (want, uniform) = run_elimination(&LinearEngine::new(3), Algo::Lu, &a).unwrap();
+        let durs = lu_durations(n);
+        for (tag, run) in [
+            (
+                "lpgs m=3",
+                run_elimination_timed(&LinearEngine::new(3), Algo::Lu, &a, &durs),
+            ),
+            (
+                "grid s=2",
+                run_elimination_timed(&GridEngine::new(2), Algo::Lu, &a, &durs),
+            ),
         ] {
-            let (got, timed) =
-                run_elimination_timed(Algo::Lu, mapping, &a, &lu_durations(n)).unwrap();
-            assert_bit_equal(&got, &want, &format!("{mapping:?} timed"));
+            let (got, timed) = run.unwrap();
+            assert_bit_equal(&got, &want, &format!("{tag} timed"));
             assert!(timed.cycles > uniform.cycles, "durations must cost cycles");
         }
     }
@@ -482,11 +371,8 @@ mod tests {
         let n = 12;
         let a = test_matrix(n, 5);
         let durs = lu_durations(n);
-        let (_, lin) =
-            run_elimination_timed(Algo::Lu, EliminationMapping::Linear { m: 4 }, &a, &durs)
-                .unwrap();
-        let (_, grid) =
-            run_elimination_timed(Algo::Lu, EliminationMapping::Grid { s: 2 }, &a, &durs).unwrap();
+        let (_, lin) = run_elimination_timed(&LinearEngine::new(4), Algo::Lu, &a, &durs).unwrap();
+        let (_, grid) = run_elimination_timed(&GridEngine::new(2), Algo::Lu, &a, &durs).unwrap();
         assert!(
             lin.occupancy() >= grid.occupancy(),
             "linear {} < grid {}",
@@ -495,19 +381,31 @@ mod tests {
         );
     }
 
+    type Eliminated = Result<(DenseMatrix<Real>, RunStats), EngineError>;
+    type Run = fn(Algo, &DenseMatrix<Real>) -> Eliminated;
+
+    fn on_chain(algo: Algo, a: &DenseMatrix<Real>) -> Eliminated {
+        run_elimination(&LinearEngine::new(2), algo, a)
+    }
+
+    fn on_grid(algo: Algo, a: &DenseMatrix<Real>) -> Eliminated {
+        run_elimination(&GridEngine::new(2), algo, a)
+    }
+
     /// The numerics contract's cases: both algorithms on a 4×4 input (LU
-    /// at n = 4, Faddeev at n = 2), each on a chain and a grid.
-    const NUMERICS: [(Algo, usize, EliminationMapping); 4] = [
-        (Algo::Lu, 4, EliminationMapping::Linear { m: 2 }),
-        (Algo::Lu, 4, EliminationMapping::Grid { s: 2 }),
-        (Algo::Faddeev, 2, EliminationMapping::Linear { m: 2 }),
-        (Algo::Faddeev, 2, EliminationMapping::Grid { s: 2 }),
+    /// at n = 4, Faddeev at n = 2), each on a two-cell chain and a 2×2
+    /// grid.
+    const NUMERICS: [(Algo, usize, &str, Run); 4] = [
+        (Algo::Lu, 4, "lpgs m=2", on_chain),
+        (Algo::Lu, 4, "grid s=2", on_grid),
+        (Algo::Faddeev, 2, "lpgs m=2", on_chain),
+        (Algo::Faddeev, 2, "grid s=2", on_grid),
     ];
 
-    fn refusal(algo: Algo, mapping: EliminationMapping, a: &DenseMatrix<Real>) -> String {
-        match run_elimination(algo, mapping, a) {
+    fn refusal(algo: Algo, engine: &str, run: Run, a: &DenseMatrix<Real>) -> String {
+        match run(algo, a) {
             Err(EngineError::BadInput(msg)) => msg,
-            other => panic!("{algo:?} on {mapping:?}: expected BadInput, got {other:?}"),
+            other => panic!("{algo:?} on {engine}: expected BadInput, got {other:?}"),
         }
     }
 
@@ -515,8 +413,8 @@ mod tests {
     fn a_zero_pivot_at_level_zero_is_refused() {
         let mut a = test_matrix(4, 2);
         a.set(0, 0, 0.0);
-        for (algo, _, mapping) in NUMERICS {
-            let msg = refusal(algo, mapping, &a);
+        for (algo, _, engine, run) in NUMERICS {
+            let msg = refusal(algo, engine, run, &a);
             assert!(msg.contains("level 0 has a zero pivot"), "{msg}");
         }
     }
@@ -531,8 +429,8 @@ mod tests {
             [3.0, 1.0, 2.0, 1.0],
         ];
         let a = DenseMatrix::<Real>::from_fn(4, 4, |i, j| rows[i][j]);
-        for (algo, _, mapping) in NUMERICS {
-            let msg = refusal(algo, mapping, &a);
+        for (algo, _, engine, run) in NUMERICS {
+            let msg = refusal(algo, engine, run, &a);
             assert!(msg.contains("level 1 has a zero pivot"), "{msg}");
         }
     }
@@ -542,8 +440,8 @@ mod tests {
         for bad in [f64::NAN, f64::NEG_INFINITY] {
             let mut a = test_matrix(4, 3);
             a.set(2, 1, bad);
-            for (algo, _, mapping) in NUMERICS {
-                let msg = refusal(algo, mapping, &a);
+            for (algo, _, engine, run) in NUMERICS {
+                let msg = refusal(algo, engine, run, &a);
                 assert!(msg.contains("input entry (2, 1)"), "{msg}");
             }
         }
@@ -554,8 +452,8 @@ mod tests {
         let mut a = test_matrix(4, 5);
         a.set(0, 0, 1e-300);
         a.set(1, 0, 1e300); // l = 1e600 overflows at level 0
-        for (algo, _, mapping) in NUMERICS {
-            let msg = refusal(algo, mapping, &a);
+        for (algo, _, engine, run) in NUMERICS {
+            let msg = refusal(algo, engine, run, &a);
             assert!(
                 msg.contains("level 0 produced a non-finite value at (1, 0)"),
                 "{msg}"
@@ -567,10 +465,10 @@ mod tests {
     fn near_singular_finite_input_stays_bit_exact() {
         let mut a = test_matrix(4, 4);
         a.set(0, 0, 1e-9);
-        for (algo, n, mapping) in NUMERICS {
-            let (got, _) = run_elimination(algo, mapping, &a).unwrap();
+        for (algo, n, engine, run) in NUMERICS {
+            let (got, _) = run(algo, &a).unwrap();
             let want = elimination_reference(&a, algo.levels(n));
-            assert_bit_equal(&got, &want, &format!("{algo:?} {mapping:?}"));
+            assert_bit_equal(&got, &want, &format!("{algo:?} {engine}"));
             assert!(
                 got.as_slice().iter().any(|x| x.abs() > 1e8),
                 "a 1e-9 pivot grows the factors"
@@ -582,16 +480,16 @@ mod tests {
     fn bad_inputs_are_rejected() {
         let a = test_matrix(5, 1); // odd size: no Faddeev compound
         assert!(matches!(
-            run_elimination(Algo::Faddeev, EliminationMapping::Linear { m: 2 }, &a),
+            run_elimination(&LinearEngine::new(2), Algo::Faddeev, &a),
             Err(EngineError::BadInput(_))
         ));
         assert!(matches!(
-            run_elimination(Algo::Lu, EliminationMapping::Linear { m: 0 }, &a),
+            run_elimination(&LinearEngine::new(0), Algo::Lu, &a),
             Err(EngineError::BadInput(_))
         ));
         let tiny = test_matrix(1, 1);
         assert!(matches!(
-            run_elimination(Algo::Lu, EliminationMapping::Linear { m: 1 }, &tiny),
+            run_elimination(&LinearEngine::new(1), Algo::Lu, &tiny),
             Err(EngineError::BadInput(_))
         ));
     }

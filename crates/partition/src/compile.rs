@@ -12,11 +12,12 @@
 //! links join members of one G-set, banks carry every stream that crosses
 //! a G-set boundary — and that the schedule is dependence-legal.
 
-use crate::engine::stream_key;
+use crate::engine::{stream_key, EngineError};
 use crate::plan::{CompiledPlan, Feed};
 use crate::schedule::{GsetSchedule, Placed};
 use systolic_arraysim::{StreamDst, StreamSrc, Task, TaskKind, TaskLabel};
-use systolic_transform::{GenRole, GenericGGraph};
+use systolic_semiring::{DenseMatrix, Semiring};
+use systolic_transform::{GRowSpec, GenRole, GenericGGraph};
 
 /// Where row 0 reads its input columns.
 #[derive(Copy, Clone, Debug)]
@@ -293,51 +294,45 @@ impl Wiring<'_> {
 /// 3. one stream per column the last row emits — the closure's result
 ///    columns, or the trailing block after the last elimination level.
 ///
-/// [`compile`] writes it and `run_elimination`'s assembler reads it.
+/// [`compile`] writes it and [`OutputLayout::unload`] reads it back.
 pub(crate) struct OutputLayout {
-    /// Per row: its first head stream and the `h` that stream belongs to.
-    heads: Vec<(usize, usize)>,
-    /// Per row: its L-column stream.
+    rows: Vec<GRowSpec>,
+    /// Per row: its first head stream and its L-column stream.
+    heads: Vec<usize>,
     lcols: Vec<usize>,
-    /// First last-row column stream and the `h` it belongs to.
-    tail: (usize, usize),
+    /// First last-row column stream.
+    tail: usize,
     per_instance: usize,
 }
 
 impl OutputLayout {
     pub(crate) fn new(gg: &GenericGGraph) -> Self {
-        let drains = |k: usize| !gg.row(k).has_tail;
+        let rows: Vec<GRowSpec> = (0..gg.rows()).map(|k| *gg.row(k)).collect();
+        let drains = |r: &GRowSpec| usize::from(!r.has_tail);
         let mut next = 0;
-        let heads = (0..gg.rows())
-            .map(|k| {
-                let first = next;
-                if drains(k) {
-                    next += gg.row(k).width - 1;
-                }
-                (first, gg.row(k).h_lo + 1)
-            })
+        let mut take = |count: usize| {
+            next += count;
+            next - count
+        };
+        let heads = rows
+            .iter()
+            .map(|r| take(drains(r) * (r.width - 1)))
             .collect();
-        let lcols = (0..gg.rows())
-            .map(|k| {
-                let stream = next;
-                next += usize::from(drains(k));
-                stream
-            })
-            .collect();
-        let last = gg.row(gg.rows() - 1);
-        let tail = (next, last.h_lo + 1);
+        let lcols = rows.iter().map(|r| take(drains(r))).collect();
+        let tail = take(0);
+        let per_instance = tail + rows[rows.len() - 1].width - 1;
         Self {
+            rows,
             heads,
             lcols,
             tail,
-            per_instance: next + last.width - 1,
+            per_instance,
         }
     }
 
     /// Head stream of elimination fuse `(k, h)`.
     pub(crate) fn head(&self, inst: usize, k: usize, h: usize) -> usize {
-        let (first, h0) = self.heads[k];
-        inst * self.per_instance + first + (h - h0)
+        inst * self.per_instance + self.heads[k] + (h - self.rows[k].h_lo - 1)
     }
 
     /// L-column stream of elimination level `k`.
@@ -347,6 +342,71 @@ impl OutputLayout {
 
     /// Stream of the column the last row emits at `h`.
     pub(crate) fn tail(&self, inst: usize, h: usize) -> usize {
-        inst * self.per_instance + self.tail.0 + (h - self.tail.1)
+        let last = &self.rows[self.rows.len() - 1];
+        inst * self.per_instance + self.tail + (h - last.h_lo - 1)
     }
+
+    /// Reassembles instance `inst`'s `msize × msize` result (`msize` =
+    /// row 0's stream length). Every row ends at the matrix's last column
+    /// and a stream fills its column bottom-up: each draining level leaves
+    /// its L-column and, through its heads, its finished pivot row; the
+    /// last row's columns hold the rest — for a closure graph, which has
+    /// no draining level, the whole result.
+    ///
+    /// # Errors
+    /// [`EngineError::Corrupt`] for instance `inst` when a stream drained
+    /// with the wrong word count (a dropped or duplicated word).
+    pub(crate) fn unload<S: Semiring>(
+        &self,
+        outs: &[Vec<S::Elem>],
+        inst: usize,
+    ) -> Result<DenseMatrix<S>, EngineError> {
+        let msize = self.rows[0].len;
+        let col = |row: &GRowSpec, h: usize| msize - 1 - (row.h_hi() - h);
+        let mut f = DenseMatrix::<S>::zeros(msize, msize);
+        let mut fill = |(what, id): (&str, usize), stream: usize, want, top, j| {
+            let got = &outs[stream];
+            if got.len() != want {
+                return Err(EngineError::Corrupt {
+                    instance: inst,
+                    detail: format!("{what} {id} has {} of {want} words", got.len()),
+                });
+            }
+            for (r, v) in got.iter().enumerate() {
+                f.set(top + r, j, v.clone());
+            }
+            Ok(())
+        };
+        for (k, row) in self.rows.iter().enumerate().filter(|(_, r)| !r.has_tail) {
+            let (top, lc) = (msize - row.len, self.lcol(inst, k));
+            fill(("output stream", lc), lc, row.len, top, col(row, row.h_lo))?;
+            for h in row.h_lo + 1..=row.h_hi() {
+                let head = self.head(inst, k, h);
+                fill(("output stream", head), head, 1, top, col(row, h))?;
+            }
+        }
+        let last = &self.rows[self.rows.len() - 1];
+        let len = last.len - usize::from(!last.has_tail);
+        for h in last.h_lo + 1..=last.h_hi() {
+            let j = col(last, h);
+            fill(
+                ("output column", j),
+                self.tail(inst, h),
+                len,
+                msize - len,
+                j,
+            )?;
+        }
+        Ok(f)
+    }
+}
+
+/// Cycle budget for `batch_len` instances of any G-graph a
+/// [`GraphMapping`](crate::GraphMapping) compiles, sized from the graph's
+/// total G-node time.
+pub(crate) fn graph_budget(gg: &GenericGGraph, batch_len: usize) -> u64 {
+    let total: u64 = (0..gg.rows())
+        .map(|k| gg.row(k).width as u64 * gg.row(k).gnode_time())
+        .sum();
+    batch_len as u64 * (total * 40 + 1_000) + 200_000
 }

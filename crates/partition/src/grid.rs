@@ -15,12 +15,13 @@
 //!
 //! [`GridMapping`] is that assignment — the grid G-set schedule, its links
 //! and its `2√m` banks — which the shared plan compiler turns into task
-//! programs; execution is the shared [`MappedEngine`]. The elimination
-//! pipelines' `Grid` mapping reuses the same assignment.
+//! programs; execution is the shared [`MappedEngine`]. As a
+//! [`GraphMapping`] it places the LU and Faddeev trapezoids of
+//! [`crate::algo`] on the same grid.
 
-use crate::compile::{compile, Assignment, Input};
+use crate::compile::{compile, graph_budget, Assignment, Input};
 use crate::engine::{ideal_cycles_per_instance, EngineError};
-use crate::mapping::{MappedEngine, Mapping};
+use crate::mapping::{GraphMapping, MappedEngine, Mapping};
 use crate::plan::CompiledPlan;
 use crate::schedule::GsetSchedule;
 use systolic_transform::GenericGGraph;
@@ -98,6 +99,12 @@ impl Mapping for GridMapping {
             batch_len,
             batch_len as u64 * ideal * 40 + 200_000,
         )
+    }
+}
+
+impl GraphMapping for GridMapping {
+    fn graph_plan(&self, gg: &GenericGGraph, batch_len: usize) -> CompiledPlan {
+        compile(&self.assignment(gg), batch_len, graph_budget(gg, batch_len))
     }
 }
 

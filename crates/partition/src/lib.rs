@@ -1,11 +1,12 @@
 //! Partitioning of the transitive-closure G-graph onto fixed-size
-//! systolic arrays — the paper's core contribution (§2–§3).
+//! systolic arrays — the paper's core contribution (§2–§3) — and of the
+//! §4.3 elimination algorithms onto the same arrays.
 //!
 //! Every engine is a [`Mapping`] (pure geometry: cell count, task
 //! placement, stream wiring) executed by the one generic [`MappedEngine`]
 //! (plan memoization, simulator recycling, fault arming, trace capture,
-//! output reassembly). All are generic over a bounded idempotent semiring
-//! and run on the cycle-level simulator (`systolic-arraysim`):
+//! output reassembly). All close over a bounded idempotent semiring and
+//! run on the cycle-level simulator (`systolic-arraysim`):
 //!
 //! * [`FixedArrayEngine`] — the Fig. 17 G-graph implemented directly as an
 //!   `n × (n+1)` array (fixed-size problems, throughput `1/n`).
@@ -28,6 +29,11 @@
 //! [`CompiledPlan`]; debug builds run the schedule's dependence-legality
 //! check on every plan, so the schedule experiment E10 reports is the one
 //! that runs.
+//!
+//! The LPGS chain and the grid are also [`GraphMapping`]s: they place any
+//! G-graph, and [`run_elimination`] runs LU and Faddeev (§4.3) on a
+//! [`LinearEngine`] or a [`GridEngine`] through the same runner, plan
+//! cache and simulator recycling as closure batches (see [`algo`]).
 //!
 //! [`ParallelEngine`] wraps any of the engines above and shards a batch of
 //! instances across engine replicas on a persistent host-side worker pool:
@@ -77,17 +83,14 @@ pub mod tiled;
 pub mod verify;
 
 pub use admission::{AdmissionBatcher, AdmissionStats, FlushReport, Ticket};
-pub use algo::{
-    elimination_input, elimination_plan, elimination_plan_timed, level_durations, run_elimination,
-    run_elimination_timed, Algo, EliminationMapping,
-};
+pub use algo::{elimination_input, level_durations, run_elimination, run_elimination_timed, Algo};
 pub use engine::{ClosureEngine, EngineError};
 pub use fault::{grid_fault_capacity, linear_fault_capacity, FaultyLinearEngine};
 pub use fixed::{FixedArrayEngine, FixedArrayMapping, FixedLinearEngine, FixedLinearMapping};
 pub use grid::{GridEngine, GridMapping};
 pub use linear::{LinearEngine, LpgsMapping};
 pub use lsgp::{LsgpEngine, LsgpMapping};
-pub use mapping::{MappedEngine, Mapping};
+pub use mapping::{GraphMapping, MappedEngine, Mapping};
 pub use packed::PackedEngine;
 pub use parallel::ParallelEngine;
 pub use plan::CompiledPlan;

@@ -18,20 +18,21 @@
 //!
 //! [`LpgsMapping`] states only the G-set assignment — the linear G-set
 //! schedule, the chain's links and its `m + 1` banks — and the shared
-//! plan compiler derives the streams above from it (see `compile`); the
-//! elimination pipelines' `Linear` mapping reuses the same assignment on
-//! their G-graphs. The shared [`MappedEngine`] executor does everything
-//! else: the plan is compiled once per `(n, batch_len)` into a
-//! [`CompiledPlan`] and memoized; repeat calls reset and reload a cached
-//! simulator instead of rebuilding anything. The plan never inspects
-//! *values*, so the engine is generic over the semiring — including the
-//! 64-lane `BoolLanes` packing [`crate::PackedEngine`] drives through it,
-//! which shares this engine's plan cache (a packed group and a scalar
-//! single run use the same `(n, 1)` plan).
+//! plan compiler derives the streams above from it (see `compile`). As a
+//! [`GraphMapping`] it places any G-graph the same way, so the LU and
+//! Faddeev runs of [`crate::algo`] execute on this engine too. The shared
+//! [`MappedEngine`] executor does everything else: the plan is compiled
+//! once per `(G-graph, batch_len)` into a [`CompiledPlan`] and memoized;
+//! repeat calls reset and reload a cached simulator instead of rebuilding
+//! anything. The plan never inspects *values*, so the engine is generic
+//! over the semiring — including the 64-lane `BoolLanes` packing
+//! [`crate::PackedEngine`] drives through it, which shares this engine's
+//! plan cache (a packed group and a scalar single run use the same
+//! `(n, 1)` closure plan).
 
-use crate::compile::{compile, Assignment, Input};
+use crate::compile::{compile, graph_budget, Assignment, Input};
 use crate::engine::ideal_cycles_per_instance;
-use crate::mapping::{MappedEngine, Mapping};
+use crate::mapping::{GraphMapping, MappedEngine, Mapping};
 use crate::plan::CompiledPlan;
 use crate::schedule::GsetSchedule;
 use systolic_arraysim::FaultEvent;
@@ -126,6 +127,12 @@ impl Mapping for LpgsMapping {
             batch_len,
             batch_len as u64 * ideal * 20 + 100_000,
         )
+    }
+}
+
+impl GraphMapping for LpgsMapping {
+    fn graph_plan(&self, gg: &GenericGGraph, batch_len: usize) -> CompiledPlan {
+        compile(&self.assignment(gg), batch_len, graph_budget(gg, batch_len))
     }
 }
 

@@ -6,35 +6,36 @@
 //! grid, the fixed-size arrays of §3.2, coalescing (LSGP, §2). What a
 //! mapping actually decides is small: how many cells, which cell runs
 //! which G-node, and how the pivot/column streams travel between them.
-//! Everything else — batch validation, plan memoization, simulator
-//! recycling, fault-plan arming, trace capture, output-column reassembly —
-//! is identical machinery.
 //!
-//! [`Mapping`] captures exactly the per-mapping decisions: a name, the
-//! cell count, and the [`CompiledPlan`] for a problem shape. Each
-//! mapping's plan is a G-set assignment — its schedule with every G-node
-//! placed on a cell, its links and its boundary banks — handed to the one
-//! plan compiler (`compile`), which derives every stream from it.
-//! [`MappedEngine`] owns the shared machinery exactly once. The concrete
-//! engines ([`crate::LinearEngine`], [`crate::FixedArrayEngine`],
+//! [`Mapping`] captures exactly those decisions: a name, the cell count,
+//! and the [`CompiledPlan`] for a closure shape — a G-set assignment (the
+//! schedule with every G-node placed on a cell, links, boundary banks)
+//! handed to the one plan compiler (`compile`). A [`GraphMapping`] places
+//! any G-graph, which is how the LPGS chain and the grid run the §4.3
+//! elimination trapezoids ([`crate::algo`]). [`MappedEngine`] owns
+//! everything else once, in one private runner that closure batches and
+//! elimination runs share: plan cache keyed by `(G-graph, batch_len)`,
+//! recycled simulator, load, fault arming, run, fault log, and one unload
+//! through the plan's output layout. The concrete engines
+//! ([`crate::LinearEngine`], [`crate::FixedArrayEngine`],
 //! [`crate::FixedLinearEngine`], [`crate::GridEngine`],
 //! [`crate::LsgpEngine`]) are type aliases `MappedEngine<SomeMapping>`
-//! plus inherent constructors — their run-time behavior is byte-identical
-//! to the pre-refactor engines because the executor below *is* the old
-//! `LinearEngine` run path, verbatim.
+//! plus inherent constructors.
 
+use crate::compile::OutputLayout;
 use crate::engine::{prepare_batch, ClosureEngine, EngineError};
 use crate::plan::{CompiledPlan, PlanCache, SimSlot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use systolic_arraysim::{ArraySim, FaultEvent, FaultPlan, RunStats};
-use systolic_semiring::{DenseMatrix, PathSemiring};
+use systolic_semiring::{DenseMatrix, PathSemiring, Semiring};
+use systolic_transform::GenericGGraph;
 
 /// How G-sets land on cells: the per-mapping third of an engine.
 ///
 /// A mapping is pure geometry/schedule — it never touches matrix values,
 /// so one implementation serves every semiring, and the compiled plan it
-/// returns may be memoized per `(n, batch_len)` shape and shared across
+/// returns may be memoized per `(G-graph, batch_len)` and shared across
 /// engine clones.
 pub trait Mapping: Clone + std::fmt::Debug + Send + Sync + 'static {
     /// Engine name for reports (the [`ClosureEngine::name`] of the
@@ -69,6 +70,15 @@ pub trait Mapping: Clone + std::fmt::Debug + Send + Sync + 'static {
     }
 }
 
+/// A mapping whose G-set assignment places any [`GenericGGraph`], not
+/// just the closure's (§4.3); [`crate::run_elimination`] runs on it.
+pub trait GraphMapping: Mapping {
+    /// Compiles `batch_len` instances of `gg`, with a cycle budget sized
+    /// from the graph's total G-node time (the closure's own plan and
+    /// budget stay [`Mapping::build_plan`]).
+    fn graph_plan(&self, gg: &GenericGGraph, batch_len: usize) -> CompiledPlan;
+}
+
 /// The one generic executor: runs any [`Mapping`]'s compiled plans on the
 /// cycle-level simulator with plan memoization, simulator recycling,
 /// fault-plan arming and trace capture.
@@ -78,14 +88,15 @@ pub struct MappedEngine<M: Mapping> {
     trace: bool,
     /// Transient-fault plan armed on every run (None = clean array).
     plan: Option<FaultPlan>,
-    /// Per-run reseed nonce: consecutive `closure_many` calls on the same
-    /// engine see decorrelated fault sequences (a retry must not replay the
-    /// identical fault), while a fresh engine with the same plan reproduces
-    /// the same sequence of sequences.
+    /// Per-run reseed nonce: consecutive runs (closure batches and
+    /// elimination runs alike) on the same engine see decorrelated fault
+    /// sequences (a retry must not replay the identical fault), while a
+    /// fresh engine with the same plan reproduces the same sequence of
+    /// sequences.
     nonce: AtomicU64,
     /// Faults applied during the most recent run (success or failure).
     last_faults: Mutex<Vec<FaultEvent>>,
-    /// Compiled schedules per `(n, batch_len)`, shared across clones.
+    /// Compiled schedules per `(G-graph, batch_len)`, shared across clones.
     plans: PlanCache,
     /// Reusable simulator from the previous run (per engine value).
     sims: SimSlot,
@@ -170,27 +181,37 @@ impl<M: Mapping> MappedEngine<M> {
         self.sims.clear();
     }
 
-    /// True when a plan for the `(n, batch_len)` shape is already compiled
-    /// — the next same-shape run is *warm* (no schedule rebuild). The
-    /// admission batcher uses this to prove a settled server never
-    /// recompiles.
+    /// True when the closure plan for the `(n, batch_len)` shape is
+    /// already compiled — the next same-shape closure batch is *warm* (no
+    /// schedule rebuild). The admission batcher uses this to prove a
+    /// settled server never recompiles.
     pub fn has_plan(&self, n: usize, batch_len: usize) -> bool {
-        self.plans.contains(n, batch_len)
+        n >= 2 && self.plans.contains(&GenericGGraph::closure(n), batch_len)
     }
 
-    /// Runs a prepared (reflexive) batch through the cached plan/simulator,
-    /// arming `armed` verbatim when given. The fault log is recorded into
-    /// `last_faults` iff a plan was armed.
-    fn run_batch<S: PathSemiring>(
+    /// The fault plan the next run arms: a fresh reseeding of this engine's
+    /// plan, or `None` on a clean array. Closure batches and elimination
+    /// runs draw from the one nonce sequence.
+    fn next_armed(&self) -> Option<FaultPlan> {
+        self.plan
+            .as_ref()
+            .map(|p| p.reseeded(self.nonce.fetch_add(1, Ordering::Relaxed)))
+    }
+
+    /// The one run path: runs `batch` through the plan memoized for
+    /// `(gg, batch.len())` (compiled by `build` on first use) on a recycled
+    /// simulator, arming `armed` verbatim when given, and reassembles every
+    /// instance's result through the plan's output layout. The fault log is
+    /// recorded into `last_faults` iff a plan was armed.
+    fn run<S: Semiring>(
         &self,
-        n: usize,
+        gg: &GenericGGraph,
         batch: &[DenseMatrix<S>],
         armed: Option<FaultPlan>,
+        build: impl FnOnce() -> CompiledPlan,
     ) -> Result<(Vec<DenseMatrix<S>>, RunStats), EngineError> {
         self.mapping.validate()?;
-        let plan = self
-            .plans
-            .get_or_build(n, batch.len(), || self.mapping.build_plan(n, batch.len()));
+        let plan = self.plans.get_or_build(gg, batch.len(), build);
         let mut sim: ArraySim<S> = self
             .sims
             .take(&plan)
@@ -208,27 +229,24 @@ impl<M: Mapping> MappedEngine<M> {
             *self.last_faults.lock().expect("fault log poisoned") = sim.take_fault_events();
         }
         let stats = run?;
-        let outs = sim.outputs();
-        let out0 = 0;
-        let mut results = Vec::with_capacity(batch.len());
-        for inst in 0..batch.len() {
-            let mut r = DenseMatrix::<S>::zeros(n, n);
-            for j in 0..n {
-                let col = &outs[out0 + inst * n + j];
-                if col.len() != n {
-                    // A dropped/duplicated stream word that still drained:
-                    // structurally corrupt output, not a simulator bug.
-                    return Err(EngineError::Corrupt {
-                        instance: inst,
-                        detail: format!("output column {j} has {} of {n} words", col.len()),
-                    });
-                }
-                r.set_col(j, col);
-            }
-            results.push(r);
-        }
+        let layout = OutputLayout::new(gg);
+        let results = (0..batch.len())
+            .map(|inst| layout.unload(sim.outputs(), inst))
+            .collect::<Result<_, _>>()?;
         self.sims.store(plan, sim);
         Ok((results, stats))
+    }
+
+    /// Closes a prepared (reflexive) batch of size-`n` instances.
+    fn run_closure<S: PathSemiring>(
+        &self,
+        n: usize,
+        batch: &[DenseMatrix<S>],
+        armed: Option<FaultPlan>,
+    ) -> Result<(Vec<DenseMatrix<S>>, RunStats), EngineError> {
+        self.run(&GenericGGraph::closure(n), batch, armed, || {
+            self.mapping.build_plan(n, batch.len())
+        })
     }
 
     /// [`ClosureEngine::closure_many`] with an explicit pre-reseeded fault
@@ -241,7 +259,24 @@ impl<M: Mapping> MappedEngine<M> {
         armed: Option<FaultPlan>,
     ) -> Result<(Vec<DenseMatrix<S>>, RunStats), EngineError> {
         let (n, batch) = prepare_batch(mats)?;
-        self.run_batch(n, &batch, armed)
+        self.run_closure(n, &batch, armed)
+    }
+}
+
+impl<M: GraphMapping> MappedEngine<M> {
+    /// Runs one instance of `gg` on the runner `closure_many` uses, arming
+    /// the engine's fault plan by the same rule, and returns the instance's
+    /// reassembled `msize × msize` result.
+    pub(crate) fn run_graph<S: Semiring>(
+        &self,
+        gg: &GenericGGraph,
+        a: &DenseMatrix<S>,
+    ) -> Result<(DenseMatrix<S>, RunStats), EngineError> {
+        let armed = self.next_armed();
+        let (mut out, stats) = self.run(gg, std::slice::from_ref(a), armed, || {
+            self.mapping.graph_plan(gg, 1)
+        })?;
+        Ok((out.pop().expect("one instance in, one out"), stats))
     }
 }
 
@@ -263,10 +298,68 @@ impl<M: Mapping, S: PathSemiring> ClosureEngine<S> for MappedEngine<M> {
         mats: &[DenseMatrix<S>],
     ) -> Result<(Vec<DenseMatrix<S>>, RunStats), EngineError> {
         let (n, batch) = prepare_batch(mats)?;
-        let armed = self
-            .plan
-            .as_ref()
-            .map(|p| p.reseeded(self.nonce.fetch_add(1, Ordering::Relaxed)));
-        self.run_batch(n, &batch, armed)
+        self.run_closure(n, &batch, self.next_armed())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::algo::{
+        elimination_input, level_durations, run_elimination, run_elimination_timed, Algo,
+    };
+    use crate::{GridEngine, LinearEngine};
+    use std::sync::Arc;
+    use systolic_semiring::Bool;
+
+    /// Step `i` of the mixed sequence on `engine`: LU n = 6, Faddeev n = 3,
+    /// a Boolean closure at n = 6, timed LU n = 6, then LU n = 6 twice (the
+    /// last run reloads the simulator the one before it left). Returns the
+    /// result's entries, spelled exactly, and the run's stats.
+    fn step<M: GraphMapping>(engine: &MappedEngine<M>, i: usize) -> (String, RunStats) {
+        let lu = elimination_input(6, 1);
+        let entries =
+            |(f, stats): (DenseMatrix<_>, RunStats)| (format!("{:?}", f.as_slice()), stats);
+        match i {
+            0 | 4 | 5 => entries(run_elimination(engine, Algo::Lu, &lu).unwrap()),
+            1 => entries(run_elimination(engine, Algo::Faddeev, &elimination_input(6, 2)).unwrap()),
+            2 => {
+                let a = DenseMatrix::<Bool>::from_fn(6, 6, |i, j| (i * 5 + j * 3) % 7 == 1);
+                let (c, stats) = ClosureEngine::<Bool>::closure(engine, &a).unwrap();
+                (format!("{:?}", c.as_slice()), stats)
+            }
+            3 => {
+                let durs = level_durations(Algo::Lu, 6);
+                entries(run_elimination_timed(engine, Algo::Lu, &lu, &durs).unwrap())
+            }
+            _ => unreachable!("six steps"),
+        }
+    }
+
+    /// One engine runs closure and elimination graphs back to back: every
+    /// step equals the same call on a fresh engine, the plan cache keeps
+    /// the four graphs apart, and the repeated LU runs reuse its plan.
+    fn one_engine_many_graphs<M: GraphMapping>(engine: MappedEngine<M>) {
+        let lu_plan = || {
+            engine
+                .plans
+                .get_or_build(&Algo::Lu.graph(6), 1, || panic!("the LU plan is cached"))
+        };
+        let mut first = None;
+        for i in 0..6 {
+            let fresh = MappedEngine::from_mapping(engine.mapping().clone());
+            assert_eq!(step(&engine, i), step(&fresh, i), "step {i}");
+            if i == 0 {
+                first = Some(lu_plan());
+            }
+        }
+        assert!(Arc::ptr_eq(&first.unwrap(), &lu_plan()), "LU recompiled");
+        assert_eq!(format!("{:?}", engine.plans), "PlanCache(4 plans)");
+    }
+
+    #[test]
+    fn one_engine_runs_closure_and_elimination_graphs() {
+        one_engine_many_graphs(LinearEngine::new(3));
+        one_engine_many_graphs(GridEngine::new(2));
     }
 }

@@ -1,12 +1,13 @@
 //! Compile-once G-set schedules.
 //!
 //! Building an engine's schedule — task programs for every cell, the host
-//! demand order, the stream wiring — depends only on the problem *shape*
-//! `(n, batch_len)` plus the engine's own geometry, never on the matrix
-//! entries. [`CompiledPlan`] captures that shape-dependent work once:
-//! engines memoize plans per shape (see `PlanCache`), instantiate a
-//! simulator from a plan, and on later calls [`ArraySim::reset`] the cached
-//! simulator (see `SimSlot`) and merely re-[`load`](CompiledPlan::load)
+//! demand order, the stream wiring — depends only on the G-graph being run
+//! (the closure's of size `n`, or an elimination trapezoid) and the batch
+//! length plus the engine's own geometry, never on the matrix entries.
+//! [`CompiledPlan`] captures that shape-dependent work once: engines
+//! memoize plans per `(G-graph, batch_len)` (see `PlanCache`), instantiate
+//! a simulator from a plan, and on later calls [`ArraySim::reset`] the
+//! cached simulator (see `SimSlot`) and merely re-[`load`](CompiledPlan::load)
 //! the new matrices, entering the hot loop with zero schedule rebuilding.
 //!
 //! At compile time every logical stream `stream_key(inst, k, h)` gets a
@@ -23,6 +24,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use systolic_arraysim::{ArraySim, Task};
 use systolic_semiring::{DenseMatrix, Semiring};
+use systolic_transform::GenericGGraph;
 
 /// One input-stream binding: which column of which batch instance enters
 /// the array where. Feeds replay in recorded order, which for host feeds
@@ -171,29 +173,31 @@ impl CompiledPlan {
     }
 }
 
-/// Plans memoized by `(n, batch_len)` shape.
-type PlanMap = HashMap<(usize, usize), Arc<CompiledPlan>>;
+/// Plans memoized by the G-graph they compile and the batch length.
+type PlanMap = HashMap<(GenericGGraph, usize), Arc<CompiledPlan>>;
 
-/// Shape-keyed plan memo, shared (via `Arc`) across engine clones — every
-/// `ParallelEngine` shard reuses the one compiled plan per shape.
+/// Plan memo keyed by `(G-graph, batch_len)`, shared (via `Arc`) across
+/// engine clones — every `ParallelEngine` shard reuses the one compiled
+/// plan per key. Keying by the graph, not by `n`, keeps a closure plan
+/// and an LU or Faddeev plan of the same `n` apart.
 #[derive(Clone, Default)]
 pub(crate) struct PlanCache {
     plans: Arc<Mutex<PlanMap>>,
 }
 
 impl PlanCache {
-    /// Returns the memoized plan for `(n, batch_len)`, building it under
+    /// Returns the memoized plan for `(gg, batch_len)`, building it under
     /// the lock on first use (concurrent shards wait and then share it).
     pub(crate) fn get_or_build(
         &self,
-        n: usize,
+        gg: &GenericGGraph,
         batch_len: usize,
         build: impl FnOnce() -> CompiledPlan,
     ) -> Arc<CompiledPlan> {
         let mut plans = self.plans.lock().expect("plan cache poisoned");
         Arc::clone(
             plans
-                .entry((n, batch_len))
+                .entry((gg.clone(), batch_len))
                 .or_insert_with(|| Arc::new(build())),
         )
     }
@@ -202,12 +206,12 @@ impl PlanCache {
         self.plans.lock().expect("plan cache poisoned").clear();
     }
 
-    /// True when a plan for `(n, batch_len)` is already memoized.
-    pub(crate) fn contains(&self, n: usize, batch_len: usize) -> bool {
+    /// True when a plan for `(gg, batch_len)` is already memoized.
+    pub(crate) fn contains(&self, gg: &GenericGGraph, batch_len: usize) -> bool {
         self.plans
             .lock()
             .expect("plan cache poisoned")
-            .contains_key(&(n, batch_len))
+            .contains_key(&(gg.clone(), batch_len))
     }
 }
 
@@ -347,13 +351,18 @@ mod tests {
     #[test]
     fn plan_cache_memoizes_per_shape() {
         let cache = PlanCache::default();
-        let p1 = cache.get_or_build(2, 1, trivial_plan);
-        let p2 = cache.get_or_build(2, 1, || panic!("must be memoized"));
+        let closure = GenericGGraph::closure(2);
+        let p1 = cache.get_or_build(&closure, 1, trivial_plan);
+        let p2 = cache.get_or_build(&closure, 1, || panic!("must be memoized"));
         assert!(Arc::ptr_eq(&p1, &p2));
-        let p3 = cache.get_or_build(2, 2, trivial_plan);
+        let p3 = cache.get_or_build(&closure, 2, trivial_plan);
         assert!(!Arc::ptr_eq(&p1, &p3));
+        // Another graph of the same n is another key.
+        let lu = cache.get_or_build(&GenericGGraph::lu(2), 1, trivial_plan);
+        assert!(!Arc::ptr_eq(&p1, &lu));
+        assert!(cache.contains(&closure, 1) && !cache.contains(&closure, 3));
         cache.clear();
-        let p4 = cache.get_or_build(2, 1, trivial_plan);
+        let p4 = cache.get_or_build(&closure, 1, trivial_plan);
         assert!(!Arc::ptr_eq(&p1, &p4));
     }
 }

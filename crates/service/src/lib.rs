@@ -22,7 +22,9 @@
 //! component-DAG closures of up to 64 tenants into one `BoolLanes` run on
 //! the packed engine's memoized plan — a warm server never recompiles and
 //! never runs scalar when it can pack. Its closed DAG is encoded into the
-//! same component rows.
+//! same component rows. A DAG of more than [`MAX_BATCHED_COMPONENTS`]
+//! components refreshes in software: the simulated array's cost grows
+//! with the cube of the DAG size.
 //!
 //! Production hardening on top of the core service:
 //!
@@ -49,6 +51,8 @@ pub mod wal;
 pub use chaos::{ChaosPlan, ChaosReader, ChaosWriter};
 pub use protocol::{parse_command, Command, Response};
 pub use server::{serve, serve_tcp, ServeSummary, SessionLimits, SharedService};
-pub use service::{ReachService, ServiceError, ServiceStats, MAX_LOAD_VERTICES};
+pub use service::{
+    ReachService, ServiceError, ServiceStats, MAX_BATCHED_COMPONENTS, MAX_LOAD_VERTICES,
+};
 pub use stream::seeded_stream;
 pub use wal::{Durability, RecoveryReport, WalOp, WalRecord};

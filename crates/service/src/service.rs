@@ -15,6 +15,20 @@ use systolic_partition::{AdmissionBatcher, EngineError, Ticket};
 /// file past it is refused on its size line, before anything is built.
 pub const MAX_LOAD_VERTICES: usize = 32_768;
 
+/// Largest component DAG a batched service hands the simulated array. A
+/// dirty closure with more components refreshes in software, as it does
+/// when the batcher answers `BUSY`. The array's banks hold Θ(c³) words
+/// for a `c`-component bucket, so a run costs about 8× per bucket
+/// doubling: one 2 %-dense random DAG on `PackedEngine::new(3)`, cold
+/// call then warm call, release build on a 2-vCPU VM, took
+///
+/// | bucket | cycles | cold / warm | peak RSS |
+/// |---:|---:|---:|---:|
+/// | 64 | 91.5k | 11 / 8 ms | 9.4 MiB |
+/// | 128 | 716k | 85 / 64 ms | 52 MiB |
+/// | 256 | 5.66M | 0.65 / 0.44 s | 371 MiB |
+pub const MAX_BATCHED_COMPONENTS: usize = 64;
+
 /// Service-level counters (superset of the closure's own update stats).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
@@ -192,8 +206,9 @@ impl ReachService {
 
     /// Phase one of a batched recompute: submit this tenant's pending
     /// component-DAG closure to the shared batcher (no-op when clean or
-    /// already submitted, or when running in software). Returns whether a
-    /// request was submitted.
+    /// already submitted, or when running in software). A DAG of more than
+    /// [`MAX_BATCHED_COMPONENTS`] components is refreshed in software here
+    /// instead. Returns whether a request was submitted.
     ///
     /// # Errors
     /// Propagates the batcher's admission error (including
@@ -208,6 +223,10 @@ impl ReachService {
         let Some(job) = self.inc.prepare_recompute() else {
             return Ok(false); // raced clean — nothing to do
         };
+        if job.components() > MAX_BATCHED_COMPONENTS {
+            self.inc.refresh();
+            return Ok(false);
+        }
         let ticket = batcher.submit(job.dag.clone())?;
         self.pending = Some((job, ticket));
         Ok(true)
@@ -714,6 +733,19 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn large_component_dags_refresh_in_software() {
+        // 100 isolated vertices: 100 components, past the batched bound.
+        let batcher = Arc::new(AdmissionBatcher::new(PackedEngine::new(3)));
+        let mut batched = ReachService::with_batcher(DiGraph::new(100), Arc::clone(&batcher));
+        let mut soft = ReachService::new(DiGraph::new(100));
+        for cmd in ["INSERT 0 1", "DELETE 0 1", "REACH 0 1"] {
+            assert_eq!(line(&mut batched, cmd), line(&mut soft, cmd), "{cmd}");
+        }
+        assert!(!batched.is_dirty());
+        assert_eq!(batcher.stats().submitted, 0, "nothing reached the array");
     }
 
     #[test]

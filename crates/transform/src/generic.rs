@@ -39,7 +39,7 @@ pub enum GenRole {
 }
 
 /// Geometry of one G-graph row (one algorithm level).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct GRowSpec {
     /// Skewed coordinate `h` of the row's first (head) G-node.
     pub h_lo: usize,
@@ -76,7 +76,7 @@ impl GRowSpec {
 /// An algorithm-generic G-graph: a list of rows in skewed `(k, h)`
 /// coordinates, where column streams flow straight down (same `h`, next
 /// `k`) and pivot streams flow right along a row.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct GenericGGraph {
     rows: Vec<GRowSpec>,
 }

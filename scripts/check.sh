@@ -28,11 +28,16 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # proptest_plan_cache pins cached replay and the bank slot table, its
 # ring FIFOs and its write-burst counter to a hash-map model;
 # serve_oracle replays seeded command streams through the service against
-# a recompute oracle and pins every reply byte by digest.
+# a recompute oracle and pins every reply byte by digest. In the member
+# crates, e30_pinned regenerates experiment E30 and compares it with its
+# EXPERIMENTS.md section byte for byte, and elimination_graph_pins pins
+# the LU and Faddeev dependence graphs of the one elimination builder.
 cargo test -q --test proptest_lanes --test proptest_swar --test proptest_laws \
     --test proptest_sparse --test sparse_memory --test proptest_durations --test condense_ids \
     --test determinism_and_goldens --test proptest_plan_cache --test proptest_schedule \
     --test serve_oracle
+cargo test -q -p systolic-bench --test e30_pinned
+cargo test -q -p systolic-dgraph --test elimination_graph_pins
 # The simulator's ring index arithmetic and its inlining differ between
 # the debug and release profiles (overflow checks, debug assertions), so
 # its pinning suites also run optimized.

@@ -18,14 +18,16 @@
 //! per line, vertices numbered from 0; `-` reads stdin.
 
 use std::io::Read;
-use systolic::arraysim::render_gantt;
+use systolic::arraysim::{render_gantt, RunStats};
 use systolic::closure::{
     shortest_paths_with_routes, Backend, ClosureSolver, CsrGraph, DiGraph, SparseClosure,
     SparseOptions, WeightedDiGraph,
 };
 use systolic::metrics::LinearModel;
-use systolic::partition::{ClosureEngine, GsetSchedule, LinearEngine, PackedEngine};
-use systolic_semiring::Bool;
+use systolic::partition::{
+    Algo, ClosureEngine, GraphMapping, GsetSchedule, LinearEngine, MappedEngine, PackedEngine,
+};
+use systolic_semiring::{Bool, DenseMatrix, Real};
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -510,12 +512,9 @@ fn cmd_info(args: &[String]) {
 /// partitioned array and cross-checks every output word bit-for-bit
 /// against the fully-parallel dependence-graph evaluation.
 fn cmd_algo(args: &[String]) {
-    use systolic::partition::{
-        elimination_input, level_durations, run_elimination, run_elimination_timed, Algo,
-        EliminationMapping,
-    };
+    use systolic::partition::{elimination_input, GridEngine};
     let mut algo: Option<Algo> = None;
-    let mut mapping = EliminationMapping::Linear { m: 4 };
+    let mut mapping = Backend::Linear { cells: 4 };
     let mut n = 8usize;
     let mut seed = 1u64;
     let mut timed = false;
@@ -531,11 +530,7 @@ fn cmd_algo(args: &[String]) {
             "faddeev" => algo = Some(Algo::Faddeev),
             "--mapping" => {
                 i += 1;
-                mapping = match parse_array("algo mapping", value(i), ALGO_MAPPINGS) {
-                    Backend::Linear { cells } => EliminationMapping::Linear { m: cells },
-                    Backend::Grid { side } => EliminationMapping::Grid { s: side },
-                    _ => unreachable!("ALGO_MAPPINGS names only lpgs and grid"),
-                };
+                mapping = parse_array("algo mapping", value(i), ALGO_MAPPINGS);
             }
             "-n" | "--n" => {
                 i += 1;
@@ -556,17 +551,13 @@ fn cmd_algo(args: &[String]) {
     }
     let msize = algo.msize(n);
     let a = elimination_input(msize, seed);
-    let (got, stats) = if timed {
-        run_elimination_timed(algo, mapping, &a, &level_durations(algo, n))
-    } else {
-        run_elimination(algo, mapping, &a)
-    }
-    .unwrap_or_else(|e| fail(&e.to_string()));
-    let graph = match algo {
-        Algo::Lu => systolic::dgraph::lu_graph(n),
-        Algo::Faddeev => systolic::dgraph::faddeev_graph(n),
+    let (got, stats, name, cells) = match mapping {
+        Backend::Linear { cells } => eliminate(&LinearEngine::new(cells), algo, n, &a, timed),
+        Backend::Grid { side } => eliminate(&GridEngine::new(side), algo, n, &a, timed),
+        _ => unreachable!("ALGO_MAPPINGS names only lpgs and grid"),
     };
-    let want = systolic::dgraph::eval_elimination_graph::<systolic::semiring::Real>(&graph, &a)
+    let graph = systolic::dgraph::elimination_graph(msize, algo.levels(n));
+    let want = systolic::dgraph::eval_elimination_graph::<Real>(&graph, &a)
         .unwrap_or_else(|e| fail(&format!("reference evaluation: {e:?}")));
     let mut mismatches = 0usize;
     for i in 0..msize {
@@ -580,8 +571,8 @@ fn cmd_algo(args: &[String]) {
         "{} n = {n} ({msize}×{msize} matrix, {} levels) on {} ({} cells{})",
         algo.name(),
         algo.levels(n),
-        mapping.name(),
-        mapping.cells(),
+        name,
+        cells,
         if timed {
             ", §4.3 varying G-node times"
         } else {
@@ -607,6 +598,27 @@ fn cmd_algo(args: &[String]) {
         eprintln!("error: {mismatches} words diverged from the reference");
         std::process::exit(1);
     }
+}
+
+/// Runs `algo` at problem size `n` on `engine`, with the §4.3 per-level
+/// durations when `timed`, returning the result, the run's stats and the
+/// engine's name and cell count.
+fn eliminate<M: GraphMapping>(
+    engine: &MappedEngine<M>,
+    algo: Algo,
+    n: usize,
+    a: &DenseMatrix<Real>,
+    timed: bool,
+) -> (DenseMatrix<Real>, RunStats, &'static str, usize) {
+    use systolic::partition::{level_durations, run_elimination, run_elimination_timed};
+    let (got, stats) = if timed {
+        run_elimination_timed(engine, algo, a, &level_durations(algo, n))
+    } else {
+        run_elimination(engine, algo, a)
+    }
+    .unwrap_or_else(|e| fail(&e.to_string()));
+    let mapping = engine.mapping();
+    (got, stats, mapping.name(), mapping.cells())
 }
 
 fn cmd_campaign(args: &[String]) {
@@ -838,7 +850,6 @@ fn cmd_plancache(args: &[String]) {
 fn cmd_packed(args: &[String]) {
     use std::time::Instant;
     use systolic::closure::gnp;
-    use systolic_arraysim::RunStats;
     let (mut n, mut m, mut instances, mut iters) = (24usize, 4usize, 64usize, 5u32);
     let mut i = 0;
     while i < args.len() {

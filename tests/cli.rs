@@ -535,7 +535,7 @@ fn algo_lu_matches_the_dependence_graph_reference() {
     );
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("lu n = 16"), "{text}");
-    assert!(text.contains("lpgs-linear"), "{text}");
+    assert!(text.contains("linear-partitioned"), "{text}");
     assert!(
         text.contains("bit-identical to the dependence-graph reference: true"),
         "{text}"

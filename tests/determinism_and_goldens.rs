@@ -5,10 +5,9 @@
 use systolic::arraysim::{FaultPlan, RunStats, SimError};
 use systolic::closure::{gnp, DiGraph};
 use systolic::partition::{
-    elimination_input, elimination_plan, elimination_plan_timed, level_durations,
-    run_elimination_timed, Algo, ClosureEngine, CompiledPlan, EliminationMapping, FixedArrayEngine,
-    FixedArrayMapping, FixedLinearMapping, GridEngine, GridMapping, LinearEngine, LpgsMapping,
-    LsgpMapping, Mapping,
+    elimination_input, level_durations, run_elimination_timed, Algo, ClosureEngine, CompiledPlan,
+    FixedArrayEngine, FixedArrayMapping, FixedLinearMapping, GraphMapping, GridEngine, GridMapping,
+    LinearEngine, LpgsMapping, LsgpMapping, Mapping,
 };
 use systolic_semiring::{Bool, BoolLanes, DenseMatrix, LaneWord, MinPlus, Semiring};
 use systolic_util::Rng;
@@ -252,13 +251,19 @@ fn simulator_runs_are_pinned_bit_for_bit() {
     }
 
     for (algo, size) in [(Algo::Lu, 6), (Algo::Faddeev, 3)] {
-        for mapping in [
-            EliminationMapping::Linear { m: 3 },
-            EliminationMapping::Grid { s: 2 },
+        let a = elimination_input(algo.msize(size), 5);
+        let durs = level_durations(algo, size);
+        for (name, run) in [
+            (
+                "lpgs-linear",
+                run_elimination_timed(&LinearEngine::new(3), algo, &a, &durs),
+            ),
+            (
+                "grid-partitioned",
+                run_elimination_timed(&GridEngine::new(2), algo, &a, &durs),
+            ),
         ] {
-            let a = elimination_input(algo.msize(size), 5);
-            let (m, stats) = run_elimination_timed(algo, mapping, &a, &level_durations(algo, size))
-                .expect("timed elimination runs");
+            let (m, stats) = run.expect("timed elimination runs");
             let mut h = Fnv::new();
             for i in 0..m.rows() {
                 for j in 0..m.cols() {
@@ -272,7 +277,7 @@ fn simulator_runs_are_pinned_bit_for_bit() {
                     ..stats
                 }
             ));
-            got.push((format!("timed {} / {}", algo.name(), mapping.name()), h.0));
+            got.push((format!("timed {} / {name}", algo.name()), h.0));
         }
     }
 
@@ -294,6 +299,20 @@ fn fold_plans(h: &mut Fnv, build: impl Fn(usize, usize) -> CompiledPlan) {
         for batch in [1, 3] {
             h.text(&format!("{:?}", build(n, batch)));
         }
+    }
+}
+
+/// Folds every `algo` plan each of `mappings` compiles over the shape
+/// grid of [`fold_plans`], with unit and with per-level durations.
+fn fold_graph_plans<M: GraphMapping>(h: &mut Fnv, algo: Algo, mappings: &[M]) {
+    for mapping in mappings {
+        fold_plans(h, |n, b| mapping.graph_plan(&algo.graph(n), b));
+        fold_plans(h, |n, b| {
+            mapping.graph_plan(
+                &algo.graph(n).with_row_durations(&level_durations(algo, n)),
+                b,
+            )
+        });
     }
 }
 
@@ -353,18 +372,20 @@ fn compiled_plans_are_pinned() {
         ),
     ];
     for algo in [Algo::Lu, Algo::Faddeev] {
-        let linear = [1, 3, 7].map(|m| EliminationMapping::Linear { m });
-        let grid = [1, 2, 3].map(|s| EliminationMapping::Grid { s });
-        for mappings in [linear, grid] {
-            let digest = family(&|h| {
-                for mapping in mappings {
-                    fold_plans(h, |n, b| elimination_plan(algo, n, mapping, b));
-                    fold_plans(h, |n, b| {
-                        elimination_plan_timed(algo, n, mapping, b, &level_durations(algo, n))
-                    });
-                }
-            });
-            got.push((format!("{} / {}", algo.name(), mappings[0].name()), digest));
+        let linear = [1, 3, 7].map(LpgsMapping::new);
+        let grid = [1, 2, 3].map(GridMapping::new);
+        let digests = [
+            (
+                "lpgs-linear",
+                family(&|h| fold_graph_plans(h, algo, &linear)),
+            ),
+            (
+                "grid-partitioned",
+                family(&|h| fold_graph_plans(h, algo, &grid)),
+            ),
+        ];
+        for (name, digest) in digests {
+            got.push((format!("{} / {name}", algo.name()), digest));
         }
     }
 
