@@ -5,13 +5,11 @@
 //! cache-blocked `BitMatrix` pivot sweep on the same graph. Both medians
 //! land in `BENCH_partition.json`, where `scripts/bench_smoke.sh` gates
 //! their same-run ratio at ≥ 20× — the sparse data plane's acceptance
-//! bar. `tiled_dag_4096` additionally times the tiled systolic bridge
-//! over the condensed DAG (informational).
+//! bar.
 
 use std::time::Duration;
-use systolic_bench::sparse::{compare_graph, TILE};
-use systolic_closure::{condense_csr, SparseClosure};
-use systolic_partition::tiled_dag_closure;
+use systolic_bench::sparse::compare_graph;
+use systolic_closure::SparseClosure;
 use systolic_semiring::BitMatrix;
 use systolic_util::{black_box, Bench};
 
@@ -22,17 +20,12 @@ fn main() {
     for (u, v) in g.edges() {
         dense_in.set(u as usize, v as usize, true);
     }
-    let cond = condense_csr(&g);
-    let dag_edges: Vec<(u32, u32)> = cond.dag.edges().collect();
 
     let bench = Bench::new("sparse_closure")
         .samples(5)
         .warmup(Duration::from_millis(300));
     bench.bench(format!("sparse_{n}"), || {
         black_box(SparseClosure::new(&g));
-    });
-    bench.bench(format!("tiled_dag_{n}"), || {
-        black_box(tiled_dag_closure(cond.len(), &dag_edges, TILE));
     });
     bench.bench(format!("dense_{n}"), || {
         black_box(dense_in.transitive_closure());

@@ -2,7 +2,7 @@
 //!
 //! Prints one `sparse_scale/<n>` line per scaling row (ascending, so the
 //! monotonic `VmHWM` snapshot after the 10⁵ row is not polluted by the
-//! 10⁶ run) and a `sparse_tiles/<n>` occupancy line for the smallest row.
+//! 10⁶ run).
 //! The smoke script parses the `key=value` pairs into
 //! `BENCH_partition.json` and gates the 10⁵ peak-memory ceiling; the
 //! 20× sparse-vs-dense gate comes from the `sparse_closure` bench's
@@ -11,7 +11,7 @@
 //! Usage: `sparse_bench [max_n]` — rows above `max_n` are skipped
 //! (default runs all three: 10⁴, 10⁵, 10⁶).
 
-use systolic_bench::sparse::{scale_row, TILE};
+use systolic_bench::sparse::scale_row;
 
 fn main() {
     let max_n: usize = std::env::args()
@@ -39,17 +39,5 @@ fn main() {
             r.gen_ms,
             r.close_ms,
         );
-        if n == 10_000 {
-            println!(
-                "sparse_tiles/{n} tile={TILE} grid={} total={} occupied_in={} occupied_out={} \
-                 muls={} skipped={}",
-                r.tiles.grid,
-                r.tiles.total_tiles,
-                r.tiles.occupied_input_tiles,
-                r.tiles.occupied_output_tiles,
-                r.tiles.tile_muls,
-                r.tiles.skipped_muls,
-            );
-        }
     }
 }

@@ -5,7 +5,6 @@
 
 use std::fmt::Write as _;
 use systolic_closure::{powerlaw, ClosureMode, CsrGraph, SparseClosure};
-use systolic_partition::{tiled_dag_closure, TileStats};
 
 /// Average out-edges per vertex for the pinned power-law workload. With
 /// the generator's ~28 % reciprocal edges the mean total out-degree lands
@@ -14,9 +13,6 @@ pub const POWERLAW_D: usize = 6;
 
 /// Seed of the pinned benchmark graphs.
 pub const POWERLAW_SEED: u64 = 0x5eed;
-
-/// Tile size used for the condensed-DAG occupancy accounting.
-pub const TILE: usize = 64;
 
 /// One row of the scaling sweep.
 #[derive(Clone, Debug)]
@@ -44,8 +40,6 @@ pub struct ScaleRow {
     /// Process peak RSS (VmHWM) right after this row, when available.
     /// Monotonic across rows — run ascending sizes.
     pub peak_rss_bytes: Option<u64>,
-    /// Tile occupancy of the condensed DAG at [`TILE`].
-    pub tiles: TileStats,
 }
 
 /// Generates the pinned power-law graph and runs the sparse closure,
@@ -58,9 +52,6 @@ pub fn scale_row(n: usize) -> ScaleRow {
     let sc = SparseClosure::new(&g);
     let close_ms = t1.elapsed().as_secs_f64() * 1e3;
     let stats = sc.stats(1000, 42);
-    let cond = sc.condensation();
-    let dag_edges: Vec<(u32, u32)> = cond.dag.edges().collect();
-    let (_, tiles) = tiled_dag_closure(cond.len(), &dag_edges, TILE);
     ScaleRow {
         n,
         edges: g.edge_count(),
@@ -73,7 +64,6 @@ pub fn scale_row(n: usize) -> ScaleRow {
         fill_exact: stats.fill.exact,
         mem_bytes: stats.memory_bytes,
         peak_rss_bytes: systolic_util::peak_rss_bytes(),
-        tiles,
     }
 }
 
@@ -94,21 +84,18 @@ pub fn e29() -> String {
     );
     let _ = writeln!(
         out,
-        "| n | edges | SCCs | DAG edges | tile occupancy (t={TILE}) | fill-in pairs | solver MiB | dense MiB (for scale) | gen ms | close ms |"
+        "| n | edges | SCCs | DAG edges | fill-in pairs | solver MiB | dense MiB (for scale) | gen ms | close ms |"
     );
-    let _ = writeln!(out, "|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|");
+    let _ = writeln!(out, "|---:|---:|---:|---:|---:|---:|---:|---:|---:|");
     for n in [10_000usize, 100_000, 1_000_000] {
         let r = scale_row(n);
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {}/{} ({:.1}%) | {:.3e}{} | {:.1} | {:.0} | {:.0} | {:.0} |",
+            "| {} | {} | {} | {} | {:.3e}{} | {:.1} | {:.0} | {:.0} | {:.0} |",
             r.n,
             r.edges,
             r.scc,
             r.dag_edges,
-            r.tiles.occupied_output_tiles,
-            r.tiles.total_tiles,
-            r.tiles.output_occupancy() * 100.0,
             r.fill_pairs,
             if r.fill_exact { "" } else { " (sampled)" },
             r.mem_bytes as f64 / (1024.0 * 1024.0),
@@ -160,7 +147,6 @@ mod tests {
         assert!(r.scc <= r.n);
         assert!(r.fill_pairs >= r.n as f64);
         assert!(r.mem_bytes > 0);
-        assert!(r.tiles.total_tiles > 0);
     }
 
     #[test]

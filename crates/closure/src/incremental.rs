@@ -24,6 +24,8 @@
 //! [`complete_recompute`](IncrementalClosure::complete_recompute) API lets
 //! a server batch many pending DAG closures into a single packed engine
 //! run; the engine's closed DAG is encoded into the same component rows.
+//! A DAG past the server's component bound is closed by the sweep in
+//! `prepare_recompute` itself, from the condensation it already holds.
 //!
 //! Over a bounded idempotent (path) semiring, inserting edge `u → v` with
 //! weight `w` into a graph whose closure `R = A*` is known updates the
@@ -43,7 +45,7 @@
 
 use crate::csr::CsrGraph;
 use crate::graph::DiGraph;
-use crate::sparse::SparseClosure;
+use crate::sparse::{SparseClosure, SparseOptions};
 use std::sync::Arc;
 use systolic_semiring::{BitMatrix, Bool, DenseMatrix, PathSemiring};
 
@@ -120,11 +122,6 @@ impl RecomputeJob {
     /// engines accept, and a coarse bucket that keeps plans warm).
     pub fn size(&self) -> usize {
         self.dag.rows()
-    }
-
-    /// Number of real (unpadded) components.
-    pub fn components(&self) -> usize {
-        self.condensed.condensation().len()
     }
 }
 
@@ -255,23 +252,27 @@ impl IncrementalClosure {
 
     /// Software recompute of a dirty closure.
     pub fn refresh(&mut self) {
-        if !self.dirty {
-            return;
+        if self.dirty {
+            self.recomputed(close(&self.graph));
         }
-        self.install(close(&self.graph));
-        self.dirty = false;
-        self.stats.recomputes += 1;
     }
 
     /// First half of an engine-batched recompute: condense the current
     /// graph and emit its padded DAG adjacency (reflexive, bucket-sized by
-    /// [`dag_bucket`]). Returns `None` when the closure is clean.
-    pub fn prepare_recompute(&self) -> Option<RecomputeJob> {
+    /// [`dag_bucket`]). A DAG of more than `max_components` components
+    /// is closed here by the sweep instead, from the same condensation,
+    /// and no matrix is built. Returns `None` when the closure is clean
+    /// or was recomputed here.
+    pub fn prepare_recompute(&mut self, max_components: usize) -> Option<RecomputeJob> {
         if !self.dirty {
             return None;
         }
         let condensed = SparseClosure::condensed(&CsrGraph::from_digraph(&self.graph));
         let cond = condensed.condensation();
+        if cond.len() > max_components {
+            self.recomputed(condensed.with_sweep(SparseOptions::default()));
+            return None;
+        }
         let size = dag_bucket(cond.len());
         let mut dag = DenseMatrix::<Bool>::zeros(size, size);
         for d in 0..size {
@@ -289,9 +290,14 @@ impl IncrementalClosure {
     ///
     /// # Panics
     /// Panics if `closed` is smaller than the job's component count.
-    pub fn complete_recompute(&mut self, job: &RecomputeJob, closed: &DenseMatrix<Bool>) {
+    pub fn complete_recompute(&mut self, job: RecomputeJob, closed: &DenseMatrix<Bool>) {
         let bits = BitMatrix::from_dense(closed);
-        self.install(job.condensed.clone().with_dag_closure(&bits));
+        self.recomputed(job.condensed.with_dag_closure(&bits));
+    }
+
+    /// Installs the recomputed closure of a dirty graph.
+    fn recomputed(&mut self, closure: SparseClosure) {
+        self.install(closure);
         self.dirty = false;
         self.stats.recomputes += 1;
     }
@@ -409,7 +415,10 @@ mod tests {
     #[test]
     fn two_phase_recompute_matches_software() {
         let mut inc = IncrementalClosure::new(gnp(20, 0.15, 9));
-        assert!(inc.prepare_recompute().is_none(), "clean → no job");
+        assert!(
+            inc.prepare_recompute(usize::MAX).is_none(),
+            "clean → no job"
+        );
         // Force a known deletion: remove an arbitrary existing edge.
         let (u, v) = {
             let g = inc.graph();
@@ -418,15 +427,32 @@ mod tests {
                 .expect("graph has edges")
         };
         inc.delete(u, v);
-        let job = inc.prepare_recompute().expect("dirty → job");
+        let job = inc.prepare_recompute(usize::MAX).expect("dirty → job");
         assert!(job.size().is_power_of_two() && job.size() >= 2);
-        assert!(job.components() <= job.size());
         // Close the padded DAG in software, as the engine batch would.
         let closed = warshall(&job.dag);
-        inc.complete_recompute(&job, &closed);
+        inc.complete_recompute(job, &closed);
         assert!(!inc.is_dirty());
         let want = oracle(inc.graph());
         assert_eq!(inc.closure().to_bitmatrix(), want);
+    }
+
+    #[test]
+    fn a_recompute_past_the_bound_is_swept_without_a_job() {
+        let mut inc = IncrementalClosure::new(gnp(40, 0.05, 3));
+        let (u, v) = (0..40)
+            .find_map(|u| inc.graph().successors(u).first().map(|&v| (u, v)))
+            .expect("graph has edges");
+        inc.delete(u, v);
+        let want = close(inc.graph());
+        let bound = want.condensation().len() - 1;
+        assert!(
+            inc.prepare_recompute(bound).is_none(),
+            "past the bound → no job"
+        );
+        assert!(!inc.is_dirty());
+        assert_eq!(inc.stats().recomputes, 1);
+        assert_eq!(inc.closure_if_clean(), Some(&want));
     }
 
     #[test]

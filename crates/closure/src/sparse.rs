@@ -16,7 +16,10 @@
 //!    (chosen when the rows would pass the memory budget) no closure
 //!    exists at all; queries run a DFS over the condensed DAG with an
 //!    id-order early exit (`x < target` prunes — lower ids can only reach
-//!    lower ids).
+//!    lower ids). The sweep is the only closure built here. The one
+//!    dense component matrix is the input of a batched service's engine
+//!    run, a DAG of at most 64 components; its closed result is encoded
+//!    into the same rows.
 //! 3. **Never expand**: the vertex-level closure is answered through
 //!    [`SparseClosure::reachable`] / [`SparseClosure::row`]; the dense
 //!    `n×n` matrix is only built by [`SparseClosure::to_bitmatrix`] for
@@ -36,7 +39,6 @@
 use crate::csr::CsrGraph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use systolic_partition::TileStats;
 use systolic_semiring::BitMatrix;
 
 /// SCC condensation of a [`CsrGraph`], with components grouped in flat
@@ -236,24 +238,16 @@ pub enum ClosureMode {
 #[derive(Copy, Clone, Debug)]
 pub struct SparseOptions {
     /// Budget for the component closure; above it the solver falls back
-    /// to [`ClosureMode::OnDemand`]. The untiled sweep counts the bytes
-    /// its rows and row offsets take as it writes them, so the choice
-    /// follows the real footprint. With [`SparseOptions::tile`] set, the
-    /// dense `c·⌈c/64⌉·8`-byte matrix the tiled bridge assembles must fit
-    /// instead. Default 1 GiB.
+    /// to [`ClosureMode::OnDemand`]. The sweep counts the bytes its rows
+    /// and row offsets take as it writes them, so the choice follows the
+    /// real footprint. Default 1 GiB.
     pub max_closure_bytes: usize,
-    /// When set, Exact-mode DAG closure runs through the tiled systolic
-    /// bridge ([`systolic_partition::tiled`]) at this tile size instead
-    /// of the software row-union sweep, and its dense result is encoded
-    /// into the same component rows.
-    pub tile: Option<usize>,
 }
 
 impl Default for SparseOptions {
     fn default() -> Self {
         Self {
             max_closure_bytes: 1 << 30,
-            tile: None,
         }
     }
 }
@@ -350,8 +344,8 @@ impl ClosedRows {
     }
 
     /// Encodes the first `c` rows of a reflexive, lower-triangular
-    /// closure (the tiled bridge's result, or an engine's, padded past `c`)
-    /// row by row, each in the form the sweep gives it.
+    /// closure (an engine's result, padded past `c`) row by row, each in
+    /// the form the sweep gives it.
     fn from_bitmatrix(m: &BitMatrix, c: usize) -> Self {
         assert!(m.n() >= c, "closed DAG matrix smaller than the DAG");
         let mut rows = Self {
@@ -487,13 +481,11 @@ pub struct SparseStats {
 
 /// Transitive closure of a [`CsrGraph`] answered through the condensation,
 /// with the dense `n×n` expansion replaced by a query API.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SparseClosure {
     cond: SparseCondensation,
     /// The component closure; `None` in OnDemand mode.
     rows: Option<ClosedRows>,
-    /// Tile census of a tiled build.
-    tiles: Option<TileStats>,
     /// Footprint and edge count of the input graph, which is not kept.
     graph_bytes: usize,
     graph_edges: usize,
@@ -507,36 +499,26 @@ impl SparseClosure {
 
     /// Closes `g`, choosing [`ClosureMode`] by the memory budget.
     pub fn with_options(g: &CsrGraph, opts: SparseOptions) -> Self {
-        let mut sc = Self::condensed(g);
-        let c = sc.cond.len();
-        match opts.tile {
-            // The tiled bridge assembles the dense c×c matrix before it
-            // is encoded, so that matrix is what must fit the budget.
-            Some(t)
-                if c.saturating_mul(c.div_ceil(64)).saturating_mul(8) <= opts.max_closure_bytes =>
-            {
-                let edges: Vec<(u32, u32)> = sc.cond.dag.edges().collect();
-                let (m, stats) = systolic_partition::tiled::tiled_dag_closure(c, &edges, t);
-                sc.rows = Some(ClosedRows::from_bitmatrix(&m, c));
-                sc.tiles = Some(stats);
-            }
-            Some(_) => {}
-            None => sc.rows = ClosedRows::sweep(&sc.cond.dag, opts.max_closure_bytes),
-        }
-        sc
+        Self::condensed(g).with_sweep(opts)
     }
 
     /// The condensation of `g` with no component closure yet: an
-    /// OnDemand closure until [`SparseClosure::with_dag_closure`] installs
-    /// one.
+    /// OnDemand closure until [`SparseClosure::with_sweep`] or
+    /// [`SparseClosure::with_dag_closure`] installs one.
     pub(crate) fn condensed(g: &CsrGraph) -> Self {
         Self {
             cond: condense_csr(g),
             rows: None,
-            tiles: None,
             graph_bytes: g.memory_bytes(),
             graph_edges: g.edge_count(),
         }
+    }
+
+    /// Closes the condensation's DAG by the ascending-id sweep, leaving
+    /// it OnDemand when the rows pass the budget.
+    pub(crate) fn with_sweep(mut self, opts: SparseOptions) -> Self {
+        self.rows = ClosedRows::sweep(&self.cond.dag, opts.max_closure_bytes);
+        self
     }
 
     /// Installs the closure of the component DAG computed elsewhere (an
@@ -558,12 +540,6 @@ impl SparseClosure {
             Some(_) => ClosureMode::Exact,
             None => ClosureMode::OnDemand,
         }
-    }
-
-    /// The tile census of a [`SparseOptions::tile`] build, `None` when
-    /// the closure was not tiled.
-    pub fn tile_stats(&self) -> Option<TileStats> {
-        self.tiles
     }
 
     /// Number of vertices.
@@ -860,7 +836,6 @@ mod tests {
             &g,
             SparseOptions {
                 max_closure_bytes: 0,
-                tile: None,
             },
         );
         assert_eq!(sc.mode(), ClosureMode::OnDemand);
@@ -884,7 +859,6 @@ mod tests {
             SparseOptions::default(),
             SparseOptions {
                 max_closure_bytes: 0,
-                tile: None,
             },
         ] {
             let sc = SparseClosure::with_options(&g, opts);
@@ -929,7 +903,6 @@ mod tests {
                 &g,
                 SparseOptions {
                     max_closure_bytes: 0,
-                    tile: None,
                 },
             );
             assert_eq!(exact.pair_count(), want, "Exact n={}", g.n());
@@ -944,7 +917,6 @@ mod tests {
             &g,
             SparseOptions {
                 max_closure_bytes: 0,
-                tile: None,
             },
         );
         let exact = warshall(&g).count_ones() as f64;
@@ -1086,7 +1058,6 @@ mod tests {
                 &g,
                 SparseOptions {
                     max_closure_bytes: 0,
-                    tile: None,
                 },
             );
             assert_eq!(sc.memory_bytes() - without.memory_bytes(), store);
@@ -1111,7 +1082,6 @@ mod tests {
                 &g,
                 SparseOptions {
                     max_closure_bytes: budget,
-                    tile: None,
                 },
             );
             assert_eq!(sc.mode(), mode, "budget {budget}");
@@ -1122,36 +1092,24 @@ mod tests {
                 }
             }
         }
-        // The tiled build checks its dense matrix against the budget.
-        let tiled = |budget| {
-            SparseClosure::with_options(
-                &g,
-                SparseOptions {
-                    max_closure_bytes: budget,
-                    tile: Some(64),
-                },
-            )
-        };
-        assert_eq!(tiled(dense - 1).mode(), ClosureMode::OnDemand);
-        assert_eq!(tiled(dense).mode(), ClosureMode::Exact);
     }
 
     #[test]
-    fn the_tiled_build_encodes_the_sweep_rows() {
+    fn an_engine_closure_encodes_the_sweep_rows() {
+        // The batched service hands the encoder the closure of the
+        // condensed DAG padded to its plan bucket; it must store exactly
+        // the rows the sweep writes.
         for g in [powerlaw(2000, 3, 4), bowtie(700, 9), gnp_csr(300, 0.01, 2)] {
             let sweep = SparseClosure::new(&g);
-            assert_eq!(sweep.tile_stats(), None);
-            for t in [1, 16, 64] {
-                let tiled = SparseClosure::with_options(
-                    &g,
-                    SparseOptions {
-                        tile: Some(t),
-                        ..SparseOptions::default()
-                    },
-                );
-                assert_eq!(tiled.rows, sweep.rows, "t={t}");
-                assert_eq!(tiled.tile_stats().map(|s| s.tile), Some(t));
+            let condensed = SparseClosure::condensed(&g);
+            let dag = &condensed.condensation().dag;
+            let mut closed = BitMatrix::identity(crate::incremental::dag_bucket(dag.n()));
+            for (a, b) in dag.edges() {
+                closed.set(a as usize, b as usize, true);
             }
+            closed.warshall_in_place();
+            let encoded = condensed.with_dag_closure(&closed);
+            assert_eq!(encoded.rows, sweep.rows, "n={}", g.n());
         }
     }
 

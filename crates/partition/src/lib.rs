@@ -47,6 +47,11 @@
 //! [`ParallelEngine`], which shards such batches in whole lane groups
 //! ([`ClosureEngine::preferred_chunk`]).
 //!
+//! The sparse data plane (`systolic-closure`) closes component DAGs in
+//! software, by one ascending-id sweep. It meets these engines only
+//! through [`AdmissionBatcher`]: a batched service hands the array the
+//! component DAG of a recompute when it has at most 64 components.
+//!
 //! ```
 //! use systolic_partition::{ClosureEngine, LinearEngine};
 //! use systolic_semiring::{warshall, Bool, DenseMatrix};
@@ -79,7 +84,6 @@ pub mod parallel;
 pub mod plan;
 pub mod recover;
 pub mod schedule;
-pub mod tiled;
 pub mod verify;
 
 pub use admission::{AdmissionBatcher, AdmissionStats, FlushReport, Ticket};
@@ -96,5 +100,4 @@ pub use parallel::ParallelEngine;
 pub use plan::CompiledPlan;
 pub use recover::{Escalation, FaultAware, RecoveringEngine, RecoveryPolicy};
 pub use schedule::{GsetSchedule, Placed, ScheduleEntry};
-pub use tiled::{tiled_dag_closure, tiled_dag_closure_with_engine, TileStats};
 pub use verify::{col_folds, row_folds, Verifier};

@@ -360,79 +360,6 @@ impl BitMatrix {
         debug_assert!(i < self.n);
         &self.words[i * self.words_per_row..(i + 1) * self.words_per_row]
     }
-
-    /// ORs row `src` into row `dst` (a no-op when they coincide).
-    ///
-    /// # Panics
-    /// Panics if a row is out of range.
-    pub fn or_row_into(&mut self, src: usize, dst: usize) {
-        assert!(src < self.n && dst < self.n, "row out of range");
-        if src == dst {
-            return;
-        }
-        let wpr = self.words_per_row;
-        let (lo, hi) = (src.min(dst), src.max(dst));
-        let (head, tail) = self.words.split_at_mut(hi * wpr);
-        let lo_row = &mut head[lo * wpr..(lo + 1) * wpr];
-        let hi_row = &mut tail[..wpr];
-        let (dst_row, src_row) = if dst == hi {
-            (hi_row, &*lo_row)
-        } else {
-            (lo_row, &*hi_row)
-        };
-        for (d, s) in dst_row.iter_mut().zip(src_row.iter()) {
-            *d |= *s;
-        }
-    }
-
-    /// True when no bit is set — the tile-skip predicate of the sparse
-    /// tiled bridge.
-    pub fn is_zero(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Boolean matrix multiply-accumulate `self |= a ⊗ b`: for every set
-    /// bit `(i, k)` of `a`, row `k` of `b` is ORed into row `i` of `self`.
-    /// `O(ones(a) · n/64)` word operations — the off-diagonal kernel of
-    /// the tiled closure, where tiles are sparse and full `n³/64` products
-    /// would waste the skip structure.
-    ///
-    /// # Panics
-    /// Panics if the three matrices differ in size.
-    pub fn or_mul_acc(&mut self, a: &Self, b: &Self) {
-        assert!(
-            a.n == self.n && b.n == self.n,
-            "or_mul_acc: size mismatch ({}, {}, {})",
-            self.n,
-            a.n,
-            b.n
-        );
-        let wpr = self.words_per_row;
-        for i in 0..self.n {
-            for (wi, &aw) in a.row_words(i).iter().enumerate() {
-                let mut bits = aw;
-                while bits != 0 {
-                    let k = wi * WORD_BITS + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let src = b.row_words(k);
-                    let dst = &mut self.words[i * wpr..(i + 1) * wpr];
-                    for (d, s) in dst.iter_mut().zip(src.iter()) {
-                        *d |= *s;
-                    }
-                }
-            }
-        }
-    }
-
-    /// True iff `self ≤ other` element-wise (every set bit also set in
-    /// `other`).
-    pub fn is_subset_of(&self, other: &Self) -> bool {
-        assert_eq!(self.n, other.n);
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .all(|(a, b)| a & !b == 0)
-    }
 }
 
 impl fmt::Debug for BitMatrix {
@@ -606,79 +533,10 @@ mod tests {
     }
 
     #[test]
-    fn or_row_into_ors_the_whole_row() {
-        let mut m = BitMatrix::zeros(130);
-        m.set(5, 1, true);
-        m.set(5, 65, true);
-        m.set(5, 129, true);
-        m.set(7, 2, true);
-        m.or_row_into(5, 7);
-        assert_eq!(m.row_words(7), &[6u64, 2, 2]);
-        m.or_row_into(7, 7);
-        assert_eq!(m.row_words(7), &[6u64, 2, 2]);
-    }
-
-    #[test]
     fn dense_roundtrip() {
         let mut m = BitMatrix::zeros(9);
         m.set(1, 7, true);
         m.set(8, 0, true);
         assert_eq!(BitMatrix::from_dense(&m.to_dense()), m);
-    }
-
-    #[test]
-    fn subset_relation() {
-        let mut a = BitMatrix::zeros(4);
-        a.set(1, 2, true);
-        let c = a.transitive_closure();
-        assert!(a.is_subset_of(&c));
-        assert!(!c.is_subset_of(&a));
-    }
-
-    #[test]
-    fn is_zero_detects_any_bit() {
-        let mut m = BitMatrix::zeros(70);
-        assert!(m.is_zero());
-        m.set(69, 69, true);
-        assert!(!m.is_zero());
-    }
-
-    #[test]
-    fn or_mul_acc_is_boolean_matmul() {
-        // Compare against the naive triple loop on a 70-vertex graph so
-        // both word lanes are exercised.
-        let n = 70;
-        let mut a = BitMatrix::zeros(n);
-        let mut b = BitMatrix::zeros(n);
-        let mut state = 0x9e3779b97f4a7c15u64;
-        for i in 0..n {
-            for j in 0..n {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                if state >> 61 == 0 {
-                    a.set(i, j, true);
-                }
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                if state >> 61 == 0 {
-                    b.set(i, j, true);
-                }
-            }
-        }
-        let mut got = BitMatrix::zeros(n);
-        got.set(0, 0, true); // accumulate on top of existing bits
-        got.or_mul_acc(&a, &b);
-        let mut want = BitMatrix::zeros(n);
-        want.set(0, 0, true);
-        for i in 0..n {
-            for k in 0..n {
-                if a.get(i, k) {
-                    for j in 0..n {
-                        if b.get(k, j) {
-                            want.set(i, j, true);
-                        }
-                    }
-                }
-            }
-        }
-        assert_eq!(got, want);
     }
 }

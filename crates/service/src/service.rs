@@ -207,8 +207,9 @@ impl ReachService {
     /// Phase one of a batched recompute: submit this tenant's pending
     /// component-DAG closure to the shared batcher (no-op when clean or
     /// already submitted, or when running in software). A DAG of more than
-    /// [`MAX_BATCHED_COMPONENTS`] components is refreshed in software here
-    /// instead. Returns whether a request was submitted.
+    /// [`MAX_BATCHED_COMPONENTS`] components is closed in software here
+    /// instead, from the condensation already made, without building its
+    /// matrix. Returns whether a request was submitted.
     ///
     /// # Errors
     /// Propagates the batcher's admission error (including
@@ -220,13 +221,9 @@ impl ReachService {
         if self.pending.is_some() || !self.inc.is_dirty() {
             return Ok(false);
         }
-        let Some(job) = self.inc.prepare_recompute() else {
-            return Ok(false); // raced clean — nothing to do
+        let Some(job) = self.inc.prepare_recompute(MAX_BATCHED_COMPONENTS) else {
+            return Ok(false); // recomputed in software past the bound
         };
-        if job.components() > MAX_BATCHED_COMPONENTS {
-            self.inc.refresh();
-            return Ok(false);
-        }
         let ticket = batcher.submit(job.dag.clone())?;
         self.pending = Some((job, ticket));
         Ok(true)
@@ -250,7 +247,7 @@ impl ReachService {
             got
         });
         match claimed {
-            Some(closed) => self.inc.complete_recompute(&job, &closed),
+            Some(closed) => self.inc.complete_recompute(job, &closed),
             None => self.inc.refresh(),
         }
         self.pending_depth = 0;

@@ -150,16 +150,6 @@ printf '%s\n' "$lines" | awk \
     vlin = kv["linear"]; vgrid = kv["grid"]; vok = kv["ok"]
     valin = kv["analytic_linear"]; vagrid = kv["analytic_grid"]
   }
-  /^sparse_tiles\// {
-    delete kv
-    for (i = 2; i <= NF; i++) {
-      split($(i), pair, "=")
-      kv[pair[1]] = pair[2]
-    }
-    nsp++
-    sprows[nsp] = sprintf("    {\"id\": \"%s\", \"tile\": %d, \"grid\": %d, \"total\": %d, \"occupied_in\": %d, \"occupied_out\": %d, \"muls\": %d, \"skipped\": %d}", \
-      $1, kv["tile"], kv["grid"], kv["total"], kv["occupied_in"], kv["occupied_out"], kv["muls"], kv["skipped"])
-  }
   END {
     if (bad) exit 1
     if (n == 0) {

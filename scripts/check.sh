@@ -17,8 +17,8 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # The widened data plane's equivalence suites, named explicitly so a
 # failure points straight at the plane that diverged (they also run
 # as part of the workspace suite above). proptest_sparse pins the sparse
-# CSR pipeline to the dense oracle and the tiled bridge to the untiled
-# closure; sparse_memory holds the component closure's rows under the
+# CSR pipeline and its on-demand mode to the dense oracle;
+# sparse_memory holds the component closure's rows under the
 # dense matrix they replace (under an eighth of it on power-law graphs);
 # condense_ids pins the component ids the DAG sweep relies on;
 # determinism_and_goldens pins every simulator path (clean and
@@ -40,9 +40,12 @@ cargo test -q -p systolic-bench --test e30_pinned
 cargo test -q -p systolic-dgraph --test elimination_graph_pins
 # The simulator's ring index arithmetic and its inlining differ between
 # the debug and release profiles (overflow checks, debug assertions), so
-# its pinning suites also run optimized.
+# its pinning suites also run optimized. e29_pinned regenerates E29's
+# 10⁴–10⁶-vertex sweep and compares every count with its EXPERIMENTS.md
+# section, wall-clock cells masked; the workspace pass runs it unoptimized.
 cargo test -q --release --test determinism_and_goldens --test proptest_lanes \
     --test proptest_plan_cache
+cargo test -q --release -p systolic-bench --test e29_pinned
 
 # Perf smoke (non-gating: wall-clock numbers are machine-dependent).
 ./scripts/bench_smoke.sh || echo "check.sh: bench_smoke failed (non-gating)"

@@ -21,7 +21,7 @@ use std::io::Read;
 use systolic::arraysim::{render_gantt, RunStats};
 use systolic::closure::{
     shortest_paths_with_routes, Backend, ClosureSolver, CsrGraph, DiGraph, SparseClosure,
-    SparseOptions, WeightedDiGraph,
+    WeightedDiGraph,
 };
 use systolic::metrics::LinearModel;
 use systolic::partition::{
@@ -35,7 +35,7 @@ fn fail(msg: &str) -> ! {
     eprintln!("usage:");
     eprintln!("  systolic closure  [--backend linear:M|grid:S|lsgp:M|fixed|fixed-linear|reference|bit|blocked:B] [--mapping lpgs:M|lsgp:M|grid:S|fixed|fixed-linear] [--threads T] [--show] <file|->");
     eprintln!("                    [--load mtx-file] [--gen powerlaw:n=N,d=D,seed=S | gnp:n=N,p=P,seed=S | bowtie:n=N,seed=S]");
-    eprintln!("                    [--sparse] [--tile T] [--stats]   (sparse path auto-selected above 4096 vertices)");
+    eprintln!("                    [--sparse] [--stats]   (sparse path auto-selected above 4096 vertices)");
     eprintln!("  systolic paths    <file> <src> <dst>");
     eprintln!("  systolic schedule <n> <m> [--grid]");
     eprintln!("  systolic gantt    <n> <m>");
@@ -218,7 +218,6 @@ fn cmd_closure(args: &[String]) {
     let mut show = false;
     let mut stats = false;
     let mut sparse = false;
-    let mut tile: Option<usize> = None;
     let mut file = None;
     let mut graph: Option<CsrGraph> = None;
     let mut i = 0;
@@ -272,18 +271,15 @@ fn cmd_closure(args: &[String]) {
                         .unwrap_or_else(|| fail("--gen needs a spec")),
                 ));
             }
-            "--tile" => {
-                i += 1;
-                tile = Some(positive(
-                    "--tile size",
-                    args.get(i)
-                        .and_then(|a| a.parse().ok())
-                        .unwrap_or_else(|| fail("--tile needs a positive integer")),
-                ));
-            }
             "--sparse" => sparse = true,
             "--stats" => stats = true,
             "--show" => show = true,
+            other if other.len() > 1 && other.starts_with('-') => {
+                fail(&format!("unknown closure flag `{other}`"))
+            }
+            other if file.is_some() => {
+                fail(&format!("closure takes one input file, not `{other}`"))
+            }
             other => file = Some(other.to_string()),
         }
         i += 1;
@@ -303,7 +299,7 @@ fn cmd_closure(args: &[String]) {
     }
     let use_sparse = sparse || (!backend_explicit && graph.n() > SPARSE_AUTO_THRESHOLD);
     if use_sparse {
-        closure_sparse(&graph, tile, stats, show);
+        closure_sparse(&graph, stats, show);
         return;
     }
     let g = graph.to_digraph();
@@ -339,15 +335,9 @@ fn cmd_closure(args: &[String]) {
 
 /// The sparse closure path: condensation + component-DAG closure, no
 /// dense `n×n` matrix at any point.
-fn closure_sparse(graph: &CsrGraph, tile: Option<usize>, stats: bool, show: bool) {
+fn closure_sparse(graph: &CsrGraph, stats: bool, show: bool) {
     let start = std::time::Instant::now();
-    let sc = SparseClosure::with_options(
-        graph,
-        SparseOptions {
-            tile,
-            ..SparseOptions::default()
-        },
-    );
+    let sc = SparseClosure::new(graph);
     let elapsed = start.elapsed();
     let s = sc.stats(1000, 42);
     println!(
@@ -375,21 +365,6 @@ fn closure_sparse(graph: &CsrGraph, tile: Option<usize>, stats: bool, show: bool
                 .unwrap_or(0) as f64,
             s.n
         );
-        if let Some(ts) = sc.tile_stats() {
-            println!(
-                "tiles: {}x{} grid of t={}, {}/{} input occupied, {}/{} output occupied ({:.1}%), {} muls, {} skipped",
-                ts.grid,
-                ts.grid,
-                ts.tile,
-                ts.occupied_input_tiles,
-                ts.total_tiles,
-                ts.occupied_output_tiles,
-                ts.total_tiles,
-                ts.output_occupancy() * 100.0,
-                ts.tile_muls,
-                ts.skipped_muls
-            );
-        }
     }
     if show {
         if graph.n() > 256 {

@@ -413,27 +413,22 @@ fn closure_sparse_matches_dense_rows_via_load() {
 }
 
 #[test]
-fn closure_sparse_tile_stats_line() {
-    let out = bin()
-        .args([
-            "closure",
-            "--gen",
-            "gnp:n=300,p=0.01,seed=3",
-            "--sparse",
-            "--tile",
-            "32",
-            "--stats",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("tiles:"), "{text}");
-    assert!(text.contains("t=32"), "{text}");
+fn closure_refuses_unknown_flags_and_a_second_input() {
+    let gen = ["closure", "--gen", "gnp:n=300,p=0.01,seed=3", "--sparse"];
+    for (extra, named) in [
+        (&["--tile", "64"][..], "--tile"),
+        (&["--tilee", "32"][..], "--tilee"),
+        (&["edges.txt", "more.txt"][..], "more.txt"),
+    ] {
+        let out = bin().args(gen).args(extra).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: usage exit");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(named) && err.contains("usage:"),
+            "{extra:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{extra:?}: nothing closed");
+    }
 }
 
 #[test]

@@ -6,16 +6,11 @@
 //! reflexive. On top of that: the on-demand DFS mode must answer every
 //! pair exactly like the materialized closure, the Matrix-Market
 //! loader must round-trip bit-identically (and reject malformed input
-//! with errors, never panics), and the tiled systolic bridge must match
-//! the untiled closure at tile sizes straddling every boundary —
-//! `1`, `t−1`, `t`, `t+1`, and `c` — including fully-empty and
-//! fully-dense tile grids.
+//! with errors, never panics).
 
 use systolic::closure::{
-    condense_csr, gnp_csr, powerlaw, sparse_closure, ClosureMode, CsrGraph, SparseClosure,
-    SparseOptions,
+    gnp_csr, powerlaw, sparse_closure, ClosureMode, CsrGraph, SparseClosure, SparseOptions,
 };
-use systolic::partition::tiled_dag_closure;
 use systolic::semiring::BitMatrix;
 use systolic_util::{Checker, Rng};
 
@@ -97,7 +92,6 @@ fn on_demand_mode_answers_like_exact() {
         let want = dense_oracle(&g);
         let opts = SparseOptions {
             max_closure_bytes: 0, // force the DFS fallback
-            ..SparseOptions::default()
         };
         let sc = SparseClosure::with_options(&g, opts);
         if sc.mode() != ClosureMode::OnDemand {
@@ -202,105 +196,4 @@ fn malformed_matrix_market_errors_do_not_panic() {
             "malformed input ({what}) parsed successfully"
         );
     }
-}
-
-/// Random strictly-lower-triangular DAG edges (`a > b`), the invariant
-/// the tiled bridge is specified against.
-fn random_dag_edges(rng: &mut Rng, c: usize) -> Vec<(u32, u32)> {
-    let mut edges = Vec::new();
-    for a in 1..c {
-        for b in 0..a {
-            if rng.gen_bool(0.15) {
-                edges.push((a as u32, b as u32));
-            }
-        }
-    }
-    edges
-}
-
-fn dag_oracle(c: usize, edges: &[(u32, u32)]) -> BitMatrix {
-    let mut m = BitMatrix::zeros(c);
-    for &(a, b) in edges {
-        m.set(a as usize, b as usize, true);
-    }
-    m.transitive_closure()
-}
-
-#[test]
-fn tiled_closure_matches_dense_at_boundary_tile_sizes() {
-    Checker::new("tiled DAG closure at boundary tile sizes", 12).run(|rng| {
-        let c = 2 + rng.gen_usize(80);
-        let edges = random_dag_edges(rng, c);
-        let want = dag_oracle(c, &edges);
-        let t0 = 2 + rng.gen_usize(c);
-        for t in [1, t0 - 1, t0, t0 + 1, c] {
-            if t == 0 {
-                continue;
-            }
-            let (got, stats) = tiled_dag_closure(c, &edges, t);
-            if got != want {
-                return Err(format!("tiled closure diverged at c={c} t={t}"));
-            }
-            let grid = c.div_ceil(t);
-            if stats.grid != grid || stats.total_tiles != grid * (grid + 1) / 2 {
-                return Err(format!("tile accounting wrong at c={c} t={t}: {stats:?}"));
-            }
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn tiled_closure_handles_empty_and_dense_grids() {
-    for c in [1usize, 7, 64, 65] {
-        for t in [1usize, 3, 64, 100] {
-            // Fully empty: closure is the identity, only the diagonal
-            // tiles are occupied (identity closure), and every
-            // off-diagonal multiply is skipped.
-            let (got, stats) = tiled_dag_closure(c, &[], t);
-            let grid = c.div_ceil(t);
-            assert_eq!(got, BitMatrix::identity(c), "empty c={c} t={t}");
-            assert_eq!(stats.occupied_input_tiles, grid, "empty c={c} t={t}");
-            assert_eq!(stats.tile_muls, 0, "empty c={c} t={t}");
-
-            // Fully dense: every pair (a > b) present, closure is total
-            // lower-triangular and every tile in the triangle is occupied.
-            let edges: Vec<(u32, u32)> = (1..c as u32)
-                .flat_map(|a| (0..a).map(move |b| (a, b)))
-                .collect();
-            let (got, stats) = tiled_dag_closure(c, &edges, t);
-            assert_eq!(got, dag_oracle(c, &edges), "dense c={c} t={t}");
-            if c > 1 {
-                assert_eq!(
-                    stats.occupied_input_tiles, stats.total_tiles,
-                    "dense c={c} t={t}"
-                );
-                assert_eq!(stats.skipped_muls, 0, "dense c={c} t={t}");
-            }
-        }
-    }
-}
-
-#[test]
-fn tile_option_routes_through_bridge_and_matches() {
-    Checker::new("SparseOptions::tile matches untiled", 10).run(|rng| {
-        let g = random_graph(rng);
-        let plain = sparse_closure(&g);
-        if plain.mode() != ClosureMode::Exact {
-            return Ok(());
-        }
-        let c = condense_csr(&g).len();
-        let t = 1 + rng.gen_usize(c.max(1));
-        let tiled = SparseClosure::with_options(
-            &g,
-            SparseOptions {
-                tile: Some(t),
-                ..SparseOptions::default()
-            },
-        );
-        if tiled.to_bitmatrix() != plain.to_bitmatrix() {
-            return Err(format!("tile={t} diverged from untiled at n={}", g.n()));
-        }
-        Ok(())
-    });
 }

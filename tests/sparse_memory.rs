@@ -21,7 +21,6 @@ fn close(g: &CsrGraph) -> (SparseClosure, SparseClosure, usize, usize) {
         g,
         SparseOptions {
             max_closure_bytes: 0,
-            tile: None,
         },
     );
     assert_eq!(exact.mode(), ClosureMode::Exact);
