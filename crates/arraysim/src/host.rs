@@ -109,11 +109,6 @@ impl<S: Semiring> Host<S> {
         Some(e)
     }
 
-    /// Words still in flight or buffered in R-blocks.
-    pub fn in_flight(&self) -> usize {
-        self.resident
-    }
-
     /// Longest chain transit (used for deadlock-detection grace).
     pub fn max_latency(&self) -> u64 {
         self.base_latency + self.rblocks.len() as u64 + 1
@@ -167,7 +162,7 @@ mod tests {
         h.tick(1);
         assert_eq!(h.read(0, 2, 10), Some(2));
         assert_eq!(h.read(0, 1, 10), Some(1));
-        assert_eq!(h.in_flight(), 0);
+        assert_eq!(h.resident, 0);
         assert_eq!(h.peak_resident, 2);
     }
 
@@ -178,7 +173,7 @@ mod tests {
         h.tick(0);
         h.reset();
         assert_eq!(h.pending(), 0);
-        assert_eq!(h.in_flight(), 0);
+        assert_eq!(h.resident, 0);
         assert_eq!(h.injected, 0);
         assert_eq!(h.max_latency(), 1 + 2 + 1);
         assert_eq!(h.read(1, 0, 100), None);

@@ -24,15 +24,6 @@ impl PhaseStats {
         self.load_cycles + self.compute_cycles + self.drain_cycles
     }
 
-    /// Fraction of the run spent in the compute phase (0 when empty).
-    pub fn compute_fraction(&self) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            return 0.0;
-        }
-        self.compute_cycles as f64 / t as f64
-    }
-
     fn merge(&mut self, other: &PhaseStats) {
         self.load_cycles += other.load_cycles;
         self.compute_cycles += other.compute_cycles;
@@ -321,7 +312,7 @@ mod tests {
         assert_eq!(s.occupancy(), 0.0);
         assert_eq!(s.io_bandwidth(), 0.0);
         assert_eq!(s.throughput(1), 0.0);
-        assert_eq!(s.phases.compute_fraction(), 0.0);
+        assert_eq!(s.phases.total(), 0);
     }
 
     #[test]
@@ -441,13 +432,12 @@ mod tests {
     }
 
     #[test]
-    fn phase_totals_and_fractions() {
+    fn phase_totals() {
         let p = PhaseStats {
             load_cycles: 5,
             compute_cycles: 10,
             drain_cycles: 5,
         };
         assert_eq!(p.total(), 20);
-        assert!((p.compute_fraction() - 0.5).abs() < 1e-12);
     }
 }

@@ -48,12 +48,6 @@ impl KungArrayModel {
     pub fn control_modes(&self) -> usize {
         2
     }
-
-    /// Communication paths between neighbor cells (\[23\] uses separate
-    /// load and compute paths; Fig. 17 uses a single path).
-    pub fn comm_paths(&self) -> usize {
-        2
-    }
 }
 
 #[cfg(test)]
@@ -74,6 +68,5 @@ mod tests {
     fn kung_needs_more_control() {
         let kung = KungArrayModel::new(8);
         assert_eq!(kung.control_modes(), 2);
-        assert_eq!(kung.comm_paths(), 2);
     }
 }

@@ -12,10 +12,9 @@
 use systolic_partition::EngineError;
 use systolic_semiring::{matmul, matmul_acc, warshall_inplace, DenseMatrix, PathSemiring};
 
-/// Functional blocked transitive closure with tile size `b` (the \[22\]
-/// decomposition; identical in structure to
-/// [`systolic_semiring::warshall_blocked`], restated here with explicit
-/// sub-problem accounting).
+/// Functional blocked transitive closure with tile size `b`: the \[22\]
+/// decomposition of [`NunezEngine`], returning the closure without its
+/// cost accounting.
 ///
 /// # Panics
 /// Panics on a zero tile size; use [`NunezEngine::closure`] to handle

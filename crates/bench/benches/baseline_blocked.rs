@@ -1,10 +1,10 @@
-//! E15 — the Núñez–Torralba blocked decomposition \[22\] vs the plain and
-//! blocked reference kernels.
+//! E15 — the Núñez–Torralba blocked decomposition \[22\] vs the plain
+//! reference kernel.
 
 use std::time::Duration;
 use systolic_baselines::NunezEngine;
 use systolic_closure::gnp;
-use systolic_semiring::{warshall, warshall_blocked, Bool, DenseMatrix};
+use systolic_semiring::{warshall, Bool, DenseMatrix};
 use systolic_util::{black_box, Bench};
 
 fn adj(n: usize) -> DenseMatrix<Bool> {
@@ -19,9 +19,6 @@ fn main() {
         let a = adj(n);
         bench.bench(format!("warshall/{n}"), || {
             black_box(warshall(&a));
-        });
-        bench.bench(format!("warshall_blocked_b8/{n}"), || {
-            black_box(warshall_blocked(&a, 8));
         });
         let eng = NunezEngine::new(8);
         bench.bench(format!("nunez_b8/{n}"), || {

@@ -9,9 +9,9 @@
 //! `PackedEngine` bit-slices the instances into the lanes of one element
 //! word and simulates a single instance's worth of events — 64/128/256
 //! Boolean lanes for `W = 1/2/4` words, and 8 saturating u8 tropical
-//! lanes for the SWAR min-plus plane. The `bitmatrix_*` rows compare the
-//! cache-blocked software pivot sweep against the classic one at small
-//! and large `n`. `scripts/bench_smoke.sh` records every median in
+//! lanes for the SWAR min-plus plane. The `bitmatrix_blocked` rows time
+//! the software pivot sweep at small and large `n`.
+//! `scripts/bench_smoke.sh` records every median in
 //! `BENCH_partition.json` and gates on the same-run ratios.
 
 use std::time::Duration;
@@ -86,17 +86,12 @@ fn main() {
         "min-plus bench batch must stay on the packed path"
     );
 
-    // Software pivot sweep: cache-blocked vs classic, small and large n.
+    // Software pivot sweep, small and large n.
     for bn in [256usize, 2048] {
         let input = random_bitmatrix(bn, 0xb17 + bn as u64);
-        bench.bench(format!("bitmatrix_unblocked/{bn}"), || {
-            let mut w = input.clone();
-            w.warshall_in_place_unblocked();
-            black_box(w);
-        });
         bench.bench(format!("bitmatrix_blocked/{bn}"), || {
             let mut w = input.clone();
-            w.warshall_in_place_blocked();
+            w.warshall_in_place();
             black_box(w);
         });
     }

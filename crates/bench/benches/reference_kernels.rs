@@ -1,12 +1,10 @@
-//! Software reference kernels: scalar Warshall vs bit-parallel vs blocked
-//! vs repeated squaring. Establishes the software baseline the simulated
+//! Software reference kernels: scalar Warshall vs bit-parallel vs
+//! repeated squaring. Establishes the software baseline the simulated
 //! arrays' operation counts are compared against (DESIGN.md §3).
 
 use std::time::Duration;
 use systolic_closure::gnp;
-use systolic_semiring::{
-    closure_by_squaring, warshall, warshall_blocked, BitMatrix, Bool, DenseMatrix,
-};
+use systolic_semiring::{closure_by_squaring, warshall, BitMatrix, Bool, DenseMatrix};
 use systolic_util::{black_box, Bench};
 
 fn adj(n: usize, seed: u64) -> DenseMatrix<Bool> {
@@ -22,23 +20,12 @@ fn main() {
         bench.bench(format!("warshall_scalar/{n}"), || {
             black_box(warshall(&a));
         });
-        bench.bench(format!("warshall_blocked_b16/{n}"), || {
-            black_box(warshall_blocked(&a, 16));
-        });
         bench.bench(format!("closure_by_squaring/{n}"), || {
             black_box(closure_by_squaring(&a));
         });
         let bits = BitMatrix::from_dense(&a);
         bench.bench(format!("warshall_bitparallel/{n}"), || {
             black_box(bits.transitive_closure());
-        });
-    }
-    // Thread scaling of the bit-parallel kernel at a size where the
-    // per-pivot dispatch cost is amortized.
-    let big = BitMatrix::from_dense(&adj(768, 9));
-    for threads in [1usize, 2, 4] {
-        bench.bench(format!("warshall_bitparallel_threads/{threads}"), || {
-            black_box(big.transitive_closure_parallel(threads));
         });
     }
 }

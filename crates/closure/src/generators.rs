@@ -1,6 +1,6 @@
 //! Graph generators for examples, tests and workloads.
 //!
-//! The original generators ([`gnp`], [`random_dag`], …) build adjacency
+//! The original generators ([`gnp`], [`random_weighted`], …) build adjacency
 //! lists by looping over all `n²` vertex pairs — fine for test-sized
 //! graphs, hopeless for the sparse data plane's 10⁵–10⁶-node inputs. The
 //! `*_csr` variants and the web-graph families ([`powerlaw`], [`bowtie`])
@@ -82,20 +82,6 @@ pub fn gnp(n: usize, p: f64, seed: u64) -> DiGraph {
     for u in 0..n {
         for v in 0..n {
             if u != v && rng.gen_bool(p) {
-                g.add_edge(u, v);
-            }
-        }
-    }
-    g
-}
-
-/// Random DAG: edges only from lower to higher vertex indices, density `p`.
-pub fn random_dag(n: usize, p: f64, seed: u64) -> DiGraph {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut g = DiGraph::new(n);
-    for u in 0..n {
-        for v in u + 1..n {
-            if rng.gen_bool(p) {
                 g.add_edge(u, v);
             }
         }
@@ -288,16 +274,6 @@ mod tests {
         let c = gnp(12, 0.3, 43);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn dag_has_no_back_edges() {
-        let g = random_dag(20, 0.4, 7);
-        for u in 0..20 {
-            for &v in g.successors(u) {
-                assert!(v > u);
-            }
-        }
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub mod sparse;
 
 pub use csr::{CsrGraph, CsrStats, LoadError};
 pub use generators::{
-    bowtie, complete, cycle, gnp, gnp_csr, path, powerlaw, random_dag, random_dag_csr,
-    random_weighted, star, GraphKind,
+    bowtie, complete, cycle, gnp, gnp_csr, path, powerlaw, random_dag_csr, random_weighted, star,
+    GraphKind,
 };
 pub use graph::{DiGraph, Reachability, WeightedDiGraph};
 pub use incremental::{

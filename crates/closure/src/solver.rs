@@ -56,31 +56,12 @@ pub struct SolveReport {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ClosureSolver {
     backend: Backend,
-    threads: usize,
 }
 
 impl ClosureSolver {
-    /// Creates a solver with the given backend, running single-threaded.
+    /// Creates a solver with the given backend.
     pub fn new(backend: Backend) -> Self {
-        Self {
-            backend,
-            threads: 1,
-        }
-    }
-
-    /// Sets the host thread count. Only the [`Backend::BitParallel`]
-    /// kernel exploits host threads for a single closure; the simulated
-    /// arrays are cycle-deterministic and unaffected. Zero is treated
-    /// as one.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configured host thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
+        Self { backend }
     }
 
     /// The configured backend.
@@ -140,19 +121,10 @@ impl ClosureSolver {
     pub fn transitive_closure(&self, g: &DiGraph) -> Result<Reachability, EngineError> {
         // The bit-parallel backend short-circuits to the u64-packed kernel.
         if self.backend == Backend::BitParallel {
-            return Ok(Reachability::from_matrix(&self.bit_closure(g).to_dense()));
+            return Ok(Reachability::from_matrix(&bit_closure(g).to_dense()));
         }
         let (m, _) = self.closure_matrix(&g.adjacency_matrix())?;
         Ok(Reachability::from_matrix(&m))
-    }
-
-    fn bit_closure(&self, g: &DiGraph) -> BitMatrix {
-        let bits = BitMatrix::from_dense(&g.adjacency_matrix());
-        if self.threads > 1 {
-            bits.transitive_closure_parallel(self.threads)
-        } else {
-            bits.transitive_closure()
-        }
     }
 
     /// Transitive closure plus the run report.
@@ -164,17 +136,11 @@ impl ClosureSolver {
         g: &DiGraph,
     ) -> Result<(Reachability, SolveReport), EngineError> {
         if self.backend == Backend::BitParallel {
-            let reach = Reachability::from_matrix(&self.bit_closure(g).to_dense());
-            let backend = if self.threads > 1 {
-                format!("software-bitparallel×{}", self.threads)
-            } else {
-                "software-bitparallel".into()
-            };
             return Ok((
-                reach,
+                Reachability::from_matrix(&bit_closure(g).to_dense()),
                 SolveReport {
                     stats: RunStats::default(),
-                    backend,
+                    backend: "software-bitparallel".into(),
                 },
             ));
         }
@@ -205,6 +171,10 @@ impl ClosureSolver {
     pub fn minimax_paths(&self, g: &WeightedDiGraph) -> Result<DenseMatrix<MinMax>, EngineError> {
         Ok(self.closure_matrix(&g.minimax_matrix())?.0)
     }
+}
+
+fn bit_closure(g: &DiGraph) -> BitMatrix {
+    BitMatrix::from_dense(&g.adjacency_matrix()).transitive_closure()
 }
 
 #[cfg(test)]
@@ -267,17 +237,16 @@ mod tests {
     }
 
     #[test]
-    fn threaded_bitparallel_matches_reference() {
+    fn bitparallel_matches_reference_and_names_its_backend() {
         let g = gnp(33, 0.1, 4);
         let want = ClosureSolver::new(Backend::Reference)
             .transitive_closure(&g)
             .unwrap();
-        let solver = ClosureSolver::new(Backend::BitParallel).with_threads(4);
+        let solver = ClosureSolver::new(Backend::BitParallel);
         assert_eq!(solver.transitive_closure(&g).unwrap(), want);
         let (reach, rep) = solver.transitive_closure_with_report(&g).unwrap();
         assert_eq!(reach, want);
-        assert_eq!(rep.backend, "software-bitparallel×4");
-        assert_eq!(ClosureSolver::new(Backend::Reference).threads(), 1);
+        assert_eq!(rep.backend, "software-bitparallel");
     }
 
     #[test]

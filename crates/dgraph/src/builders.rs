@@ -136,86 +136,6 @@ pub fn closure_lean(n: usize) -> DependenceGraph {
     g
 }
 
-/// Matrix-product dependence graph `C = A ⊗ B` for `n × n` operands: the
-/// classical cube of `n³` multiply-accumulate nodes. Used as the substrate
-/// of the Núñez–Torralba decomposition baseline (their sub-algorithms are
-/// sequences of matrix multiplications) and for fan-out analyses.
-///
-/// Input-terminal convention: element `(i, j)` of `A` is registered as input
-/// `(i, j)`; element `(i, j)` of `B` is registered as input `(n + i, j)`.
-/// The accumulator chain starts at an elided zero (the first level's `X`
-/// lane reads the `A⊗B` partial directly from a `Delay` seed node).
-pub fn matmul_graph(n: usize) -> DependenceGraph {
-    let mut g = DependenceGraph::new(n);
-    // A inputs.
-    let mut a_ids = Vec::with_capacity(n * n);
-    for i in 0..n {
-        for j in 0..n {
-            let id = g.add_node(
-                OpKind::Input,
-                Coord::new(0, i as u32, j as u32),
-                Pos::new(j as i64, i as i64),
-                0,
-            );
-            g.set_input(i as u32, j as u32, id);
-            a_ids.push(id);
-        }
-    }
-    // B inputs.
-    let mut b_ids = Vec::with_capacity(n * n);
-    for i in 0..n {
-        for j in 0..n {
-            let id = g.add_node(
-                OpKind::Input,
-                Coord::new(0, (n + i) as u32, j as u32),
-                Pos::new(j as i64, (n + i) as i64),
-                0,
-            );
-            g.set_input((n + i) as u32, j as u32, id);
-            b_ids.push(id);
-        }
-    }
-    // Zero seeds for the accumulator chains (Delay nodes with no input act
-    // as additive-identity sources for the evaluator).
-    let mut last: Vec<(NodeId, Port)> = Vec::with_capacity(n * n);
-    for i in 0..n {
-        for j in 0..n {
-            let z = g.add_node(
-                OpKind::Delay,
-                Coord::new(0, i as u32, j as u32),
-                Pos::new(j as i64, (2 * n + i) as i64),
-                0,
-            );
-            last.push((z, Port::X));
-        }
-    }
-    for k in 0..n {
-        let level = (k + 1) as u32;
-        for i in 0..n {
-            for j in 0..n {
-                let id = g.add_node(
-                    OpKind::Fuse,
-                    Coord::new(level, i as u32, j as u32),
-                    Pos::new(j as i64, (level as i64) * n as i64 + i as i64),
-                    1,
-                );
-                let (xs, xp) = last[i * n + j];
-                g.add_edge(xs, xp, id, Port::X);
-                g.add_edge(a_ids[i * n + k], Port::X, id, Port::P);
-                g.add_edge(b_ids[k * n + j], Port::X, id, Port::Q);
-                last[i * n + j] = (id, Port::X);
-            }
-        }
-    }
-    for i in 0..n {
-        for j in 0..n {
-            let (nd, p) = last[i * n + j];
-            g.set_output(i as u32, j as u32, nd, p);
-        }
-    }
-    g
-}
-
 /// Gaussian-elimination dependence graph (no pivoting) over an `msize ×
 /// msize` matrix, eliminating pivots `0..levels` in place: level `k`
 /// divides the column below pivot `k` by it (the multipliers `l_ik`) and
@@ -403,14 +323,6 @@ mod tests {
             let lean = closure_lean(n).compute_node_count();
             assert_eq!(full - lean, 3 * n * n - 2 * n, "n={n}");
         }
-    }
-
-    #[test]
-    fn matmul_graph_counts() {
-        let n = 4;
-        let g = matmul_graph(n);
-        g.validate().unwrap();
-        assert_eq!(g.compute_node_count(), n * n * n);
     }
 
     #[test]

@@ -61,10 +61,8 @@ fn lane_index(p: Port) -> usize {
 
 /// Evaluates a transitive-closure-family graph on input matrix `a`.
 ///
-/// Input terminals registered as `(i, j)` with `i < n` read `a[i][j]`;
-/// terminals with `i ≥ n` (the matmul builder's B convention) read from `b`
-/// when provided via [`eval_two_operand_graph`]. `Delay` nodes with no
-/// driven lanes act as `0̸` sources.
+/// Input terminals registered as `(i, j)` read `a[i][j]`. `Delay` nodes
+/// with no driven lanes act as `0̸` sources.
 ///
 /// # Errors
 /// See [`EvalError`].
@@ -106,34 +104,6 @@ pub fn eval_elimination_graph<S: Semiring>(
         return Err(EvalError::ShapeMismatch);
     }
     eval_with_inputs_mode(g, |i, j| Some(a.get(i as usize, j as usize).clone()), true)
-}
-
-/// Evaluates a two-operand graph (e.g. [`crate::builders::matmul_graph`]):
-/// input `(i, j)` with `i < n` reads `a[i][j]`, input `(n + i, j)` reads
-/// `b[i][j]`.
-///
-/// # Errors
-/// See [`EvalError`].
-pub fn eval_two_operand_graph<S: Semiring>(
-    g: &DependenceGraph,
-    a: &DenseMatrix<S>,
-    b: &DenseMatrix<S>,
-) -> Result<DenseMatrix<S>, EvalError> {
-    if a.rows() != g.n() || b.rows() != g.n() {
-        return Err(EvalError::ShapeMismatch);
-    }
-    let n = g.n() as u32;
-    eval_with_inputs_mode(
-        g,
-        |i, j| {
-            if i < n {
-                Some(a.get(i as usize, j as usize).clone())
-            } else {
-                Some(b.get((i - n) as usize, j as usize).clone())
-            }
-        },
-        false,
-    )
 }
 
 fn eval_with_inputs_mode<S: Semiring>(
@@ -202,7 +172,7 @@ fn eval_with_inputs_mode<S: Semiring>(
             }
             OpKind::Delay => {
                 // Pass every driven lane through; an undriven Delay is a 0̸
-                // source on X (the matmul accumulator seed).
+                // source on X.
                 if lanes.iter().all(Option::is_none) {
                     out[ui][0] = Some(S::zero());
                 } else {
@@ -388,10 +358,8 @@ pub fn eval_givens_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builders::{
-        closure_full, closure_lean, faddeev_graph, givens_graph, lu_graph, matmul_graph,
-    };
-    use systolic_semiring::{matmul, reflexive, warshall, Bool, MinPlus, Real};
+    use crate::builders::{closure_full, closure_lean, faddeev_graph, givens_graph, lu_graph};
+    use systolic_semiring::{reflexive, warshall, Bool, MinPlus, Real};
 
     fn bool_adj(n: usize, edges: &[(usize, usize)]) -> DenseMatrix<Bool> {
         let mut m = DenseMatrix::<Bool>::zeros(n, n);
@@ -434,21 +402,9 @@ mod tests {
     }
 
     #[test]
-    fn matmul_graph_evaluates_product() {
-        use systolic_semiring::Counting;
-        let n = 3;
-        let a = DenseMatrix::<Counting>::from_fn(n, n, |i, j| ((i + j) % 3) as u64);
-        let b = DenseMatrix::<Counting>::from_fn(n, n, |i, j| ((2 * i + j) % 4) as u64);
-        let want = matmul(&a, &b);
-        let got = eval_two_operand_graph::<Counting>(&matmul_graph(n), &a, &b).unwrap();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn shape_mismatch_detected() {
-        let a = DenseMatrix::<Bool>::zeros(3, 3);
-        let b = DenseMatrix::<Bool>::zeros(3, 3);
-        let err = eval_two_operand_graph::<Bool>(&matmul_graph(4), &a, &b).unwrap_err();
+        let a = DenseMatrix::<Real>::zeros(3, 3);
+        let err = eval_elimination_graph::<Real>(&lu_graph(4), &a).unwrap_err();
         assert_eq!(err, EvalError::ShapeMismatch);
     }
 

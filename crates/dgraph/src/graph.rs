@@ -121,12 +121,6 @@ impl DependenceGraph {
         &self.nodes[id.index()]
     }
 
-    /// Mutable node by id.
-    #[inline]
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.index()]
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {

@@ -72,9 +72,6 @@ pub enum Port {
     Q,
 }
 
-/// All ports, in lane order.
-pub const PORTS: [Port; 3] = [Port::X, Port::P, Port::Q];
-
 /// Algorithm coordinates of a node: iteration level `k` and matrix indices
 /// `(i, j)`. Input terminals use `level = 0`; level `k ≥ 1` computes `X^k`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]

@@ -10,8 +10,6 @@
 //! * [`builders::closure_full`] — the fully-parallel transitive-closure graph
 //!   of Fig. 10 (all `n³` nodes),
 //! * [`builders::closure_lean`] — with superfluous nodes removed (Fig. 11),
-//! * [`builders::matmul_graph`] — the `C = A ⊗ B` cube graph (substrate for
-//!   the Núñez–Torralba baseline),
 //! * [`builders::lu_graph`] / [`builders::faddeev_graph`] — the §4.3 examples
 //!   with *varying* node computation times, both one
 //!   [`builders::elimination_graph`] over `msize` with a level count.
@@ -37,12 +35,8 @@ pub use analysis::{
 };
 pub use builders::{
     closure_full, closure_lean, elimination_graph, faddeev_graph, givens_graph, lu_graph,
-    matmul_graph,
 };
 pub use dot::{to_dot, DotOptions};
-pub use eval::{
-    eval_closure_graph, eval_elimination_graph, eval_givens_graph, eval_two_operand_graph,
-    EvalError,
-};
+pub use eval::{eval_closure_graph, eval_elimination_graph, eval_givens_graph, EvalError};
 pub use graph::{DependenceGraph, Edge, Node};
 pub use ids::{Coord, NodeId, OpKind, Port, Pos};

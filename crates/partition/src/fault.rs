@@ -115,11 +115,6 @@ impl FaultyLinearEngine {
         self.last_faults.lock().expect("fault log poisoned").clone()
     }
 
-    /// Physical cells in the array.
-    pub fn physical_cells(&self) -> usize {
-        self.physical
-    }
-
     /// Healthy (working) cells.
     pub fn healthy_cells(&self) -> usize {
         self.healthy.len()
@@ -128,12 +123,6 @@ impl FaultyLinearEngine {
     /// The fault set.
     pub fn faults(&self) -> &[usize] {
         &self.faulty
-    }
-
-    /// Expected throughput relative to the fault-free array: the healthy
-    /// cells absorb all G-sets, so the ideal degradation is `(m-f)/m`.
-    pub fn expected_degradation(&self) -> f64 {
-        self.healthy.len() as f64 / self.physical as f64
     }
 
     /// Pivot-link delays of the reconfigured chain (for inspection).
@@ -256,7 +245,6 @@ mod tests {
         assert_eq!(eng.healthy_cells(), 4);
         // healthy = [0,1,4,5]: gaps 1, 3, 1.
         assert_eq!(eng.link_delays(), &[1, 3, 1]);
-        assert!((eng.expected_degradation() - 4.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

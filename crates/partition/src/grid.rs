@@ -83,9 +83,9 @@ impl Mapping for GridMapping {
         self.s * self.s
     }
 
-    fn validate(&self) -> Result<(), crate::engine::EngineError> {
+    fn validate(&self) -> Result<(), EngineError> {
         if self.s == 0 {
-            return Err(crate::engine::EngineError::BadInput(
+            return Err(EngineError::BadInput(
                 "grid needs at least a 1×1 array (side ≥ 1)".into(),
             ));
         }
@@ -115,25 +115,6 @@ impl GridEngine {
     /// Creates an engine with an `s × s` grid (`m = s²` cells, `s ≥ 1`).
     pub fn new(s: usize) -> Self {
         Self::from_mapping(GridMapping::new(s))
-    }
-
-    /// Creates the engine from a total cell budget `m`, which must be a
-    /// perfect square.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::BadInput`] when `m` is not a perfect square.
-    pub fn from_cells(m: usize) -> Result<Self, EngineError> {
-        let s = (m as f64).sqrt().round() as usize;
-        if s * s == m && s >= 1 {
-            Ok(Self::new(s))
-        } else {
-            Err(EngineError::BadInput(format!(
-                "grid cell budget m={m} is not a perfect square \
-                 (nearest squares: {} and {})",
-                s.saturating_sub(1).pow(2),
-                (s + 1).pow(2)
-            )))
-        }
     }
 
     /// Grid side length `√m`.
@@ -187,19 +168,6 @@ mod tests {
         let eng = GridEngine::new(2);
         let (got, _) = ClosureEngine::<MinPlus>::closure(&eng, &a).unwrap();
         assert_eq!(got, warshall(&a));
-    }
-
-    #[test]
-    fn from_cells_accepts_squares_only() {
-        assert!(GridEngine::from_cells(9).is_ok());
-        assert_eq!(GridEngine::from_cells(9).unwrap().side(), 3);
-        match GridEngine::from_cells(8) {
-            Err(EngineError::BadInput(msg)) => {
-                assert!(msg.contains("m=8"), "{msg}");
-                assert!(msg.contains("perfect square"), "{msg}");
-            }
-            other => panic!("expected BadInput for m=8, got {other:?}"),
-        }
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl CompiledPlan {
         self.cells
     }
 
-    /// Total stream slots across all banks.
-    pub fn bank_stream_slots(&self) -> usize {
-        self.bank_slots.iter().map(Vec::len).sum()
-    }
-
     /// Builds a fresh simulator with this plan's structure and programs
     /// installed (no input data yet — see [`CompiledPlan::load`]).
     pub fn instantiate<S: Semiring>(&self, trace: bool) -> ArraySim<S> {

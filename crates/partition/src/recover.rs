@@ -153,12 +153,6 @@ impl<E> RecoveringEngine<E> {
         }
     }
 
-    /// Overrides the verifier.
-    pub fn with_verifier(mut self, v: Verifier) -> Self {
-        self.verifier = v;
-        self
-    }
-
     /// Overrides the policy.
     pub fn with_policy(mut self, p: RecoveryPolicy) -> Self {
         self.policy = p;

@@ -3,12 +3,13 @@
 //!
 //! * [`warshall`] / [`warshall_inplace`] — the scalar recurrence of §3.1,
 //!   literally the paper's triple loop.
-//! * [`warshall_blocked`] — cache-blocked variant (also the skeleton of the
-//!   Núñez–Torralba decomposition baseline in `systolic-baselines`).
-//! * [`closure_by_squaring`] — `(I ⊕ A)^(2^⌈log₂ n⌉)` by repeated squaring,
-//!   an algebraically independent cross-check.
-//! * [`matmul`] — semiring matrix product, used by the squaring check and
-//!   the blocked baseline.
+//! * [`closure_by_squaring`] — `(I ⊕ A)^(2^⌈log₂ n⌉)` by repeated squaring.
+//!   It stays beside [`warshall`] because it is algebraically independent
+//!   of it: it shares no pivot order or in-place update, so the tests that
+//!   check [`warshall`] against it cannot share a bug with it.
+//! * [`matmul`] / [`matmul_acc`] — semiring matrix product, used by the
+//!   squaring check and by the Núñez–Torralba blocked baseline in
+//!   `systolic-baselines`.
 
 use crate::matrix::DenseMatrix;
 use crate::traits::{PathSemiring, Semiring};
@@ -120,67 +121,6 @@ pub fn closure_by_squaring<S: PathSemiring>(a: &DenseMatrix<S>) -> DenseMatrix<S
     x
 }
 
-/// Blocked (tiled) Warshall with tile size `b`.
-///
-/// This is the classical blocked Floyd–Warshall decomposition: for each
-/// diagonal tile, (1) close the diagonal tile, (2) update its row and column
-/// panels, (3) rank-update the remainder with tile products. It is both a
-/// cache-friendly reference and the algorithmic skeleton of the
-/// Núñez–Torralba \[22\] decomposition baseline.
-pub fn warshall_blocked<S: PathSemiring>(a: &DenseMatrix<S>, b: usize) -> DenseMatrix<S> {
-    assert!(b > 0, "tile size must be positive");
-    let n = a.rows();
-    let mut x = reflexive(a);
-    let tiles = n.div_ceil(b);
-    let span = |t: usize| -> (usize, usize) {
-        let lo = t * b;
-        (lo, (lo + b).min(n) - lo)
-    };
-    for t in 0..tiles {
-        let (k0, kb) = span(t);
-        // (1) close the diagonal tile in place.
-        let mut diag = x.block(k0, k0, kb, kb);
-        warshall_inplace(&mut diag);
-        x.set_block(k0, k0, &diag);
-        // (2) row and column panels through the closed diagonal tile.
-        for u in 0..tiles {
-            if u == t {
-                continue;
-            }
-            let (c0, cb) = span(u);
-            // row panel: X[k][u] ← X[k][u] ⊕ diag ⊗ X[k][u]
-            let mut panel = x.block(k0, c0, kb, cb);
-            let prod = matmul(&diag, &panel);
-            panel = panel.ewise_add(&prod);
-            x.set_block(k0, c0, &panel);
-            // column panel: X[u][k] ← X[u][k] ⊕ X[u][k] ⊗ diag
-            let mut cpanel = x.block(c0, k0, cb, kb);
-            let cprod = matmul(&cpanel, &diag);
-            cpanel = cpanel.ewise_add(&cprod);
-            x.set_block(c0, k0, &cpanel);
-        }
-        // (3) remainder: X[u][v] ← X[u][v] ⊕ X[u][k] ⊗ X[k][v]
-        for u in 0..tiles {
-            if u == t {
-                continue;
-            }
-            let (r0, rb) = span(u);
-            let left = x.block(r0, k0, rb, kb);
-            for v in 0..tiles {
-                if v == t {
-                    continue;
-                }
-                let (c0, cb) = span(v);
-                let top = x.block(k0, c0, kb, cb);
-                let mut tgt = x.block(r0, c0, rb, cb);
-                matmul_acc(&mut tgt, &left, &top);
-                x.set_block(r0, c0, &tgt);
-            }
-        }
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,15 +209,6 @@ mod tests {
         }
         let a2 = matmul(&a, &a);
         assert_eq!(*a2.get(0, 3), 2);
-    }
-
-    #[test]
-    fn blocked_matches_plain_for_many_tile_sizes() {
-        let a = bool_from(7, &[(0, 3), (3, 5), (5, 1), (1, 6), (2, 4), (4, 2), (6, 0)]);
-        let plain = warshall(&a);
-        for b in 1..=8 {
-            assert_eq!(warshall_blocked(&a, b), plain, "tile size {b}");
-        }
     }
 
     #[test]

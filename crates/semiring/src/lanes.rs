@@ -7,8 +7,8 @@
 //! element into bit `l` of a machine word and the per-lane `OR`/`AND` of
 //! all lanes is a single word `|`/`&` (the same SWAR row-OR trick
 //! [`crate::BitMatrix`] uses). [`BoolLanes`] is that lane semiring;
-//! [`pack_lanes`]/[`unpack_lanes`] transpose a batch of scalar Boolean
-//! matrices into one lane-word matrix and back.
+//! [`pack_into_lanes`]/[`unpack_from_lanes`] transpose a batch of scalar
+//! Boolean matrices into one lane-word matrix and back.
 //!
 //! Since the schedule is value-width-agnostic, the word does not have to
 //! stop at 64 bits: [`LaneWord<W>`](LaneWord) carries `W` words — 64·W
@@ -52,12 +52,6 @@ impl<const W: usize> Default for LaneWord<W> {
 impl<const W: usize> LaneWord<W> {
     /// Total number of Boolean lanes this word carries.
     pub const COUNT: usize = 64 * W;
-
-    /// Word with every lane set to `v`.
-    #[inline]
-    pub fn splat(v: bool) -> Self {
-        Self([if v { u64::MAX } else { 0 }; W])
-    }
 
     /// Word with the given raw bit pattern.
     #[inline]
@@ -296,28 +290,6 @@ pub fn unpack_from_lanes<L: LaneSemiring>(
     (0..count).map(|l| unpack_lane_of(packed, l)).collect()
 }
 
-/// Transposes a batch of `1..=64` same-shape Boolean matrices into one
-/// lane-word matrix (the `W = 1` instantiation of [`pack_into_lanes`],
-/// kept under its original name).
-///
-/// # Panics
-/// Panics on an empty batch, more than [`LANES`] matrices, or shape
-/// mismatch within the batch.
-pub fn pack_lanes(mats: &[DenseMatrix<Bool>]) -> DenseMatrix<BoolLanes> {
-    pack_into_lanes::<BoolLanes>(mats)
-}
-
-/// Extracts one lane of a lane-word matrix as a scalar Boolean matrix.
-pub fn unpack_lane(packed: &DenseMatrix<BoolLanes>, lane: usize) -> DenseMatrix<Bool> {
-    unpack_lane_of::<BoolLanes>(packed, lane)
-}
-
-/// Extracts the first `count` lanes of a lane-word matrix, in lane order —
-/// the inverse of [`pack_lanes`] for a batch of `count` matrices.
-pub fn unpack_lanes(packed: &DenseMatrix<BoolLanes>, count: usize) -> Vec<DenseMatrix<Bool>> {
-    unpack_from_lanes::<BoolLanes>(packed, count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,8 +317,6 @@ mod tests {
         assert!(!w.get(17));
         assert_eq!(w.bits(), (1 << 63) | 1);
         assert_eq!(LaneWord::from_bits(w.bits()), w);
-        assert_eq!(LaneWord::<1>::splat(true).bits(), u64::MAX);
-        assert_eq!(LaneWord::<1>::splat(false), BoolLanes::<1>::zero());
     }
 
     #[test]
@@ -361,11 +331,6 @@ mod tests {
         assert!(!w.get(65));
         w.set(64, false);
         assert!(!w.get(64) && w.get(127));
-        assert_eq!(
-            LaneWord::<2>::splat(true).words(),
-            [u64::MAX, u64::MAX],
-            "splat fills every word"
-        );
     }
 
     #[test]
@@ -433,12 +398,12 @@ mod tests {
             let mats: Vec<_> = (0..count)
                 .map(|_| DenseMatrix::<Bool>::from_fn(5, 5, |_, _| rng.gen_bool(0.3)))
                 .collect();
-            let packed = pack_lanes(&mats);
-            assert_eq!(unpack_lanes(&packed, count), mats, "count={count}");
+            let packed = pack_into_lanes::<BoolLanes>(&mats);
+            assert_eq!(unpack_from_lanes(&packed, count), mats, "count={count}");
             // Unused lanes are the empty graph.
             if count < LANES {
                 assert_eq!(
-                    unpack_lane(&packed, LANES - 1),
+                    unpack_lane_of(&packed, LANES - 1),
                     DenseMatrix::<Bool>::zeros(5, 5)
                 );
             }
@@ -470,10 +435,10 @@ mod tests {
         let mats: Vec<_> = (0..LANES)
             .map(|_| DenseMatrix::<Bool>::from_fn(7, 7, |i, j| i != j && rng.gen_bool(0.2)))
             .collect();
-        let packed_closure = warshall(&pack_lanes(&mats));
+        let packed_closure = warshall(&pack_into_lanes::<BoolLanes>(&mats));
         for (lane, m) in mats.iter().enumerate() {
             assert_eq!(
-                unpack_lane(&packed_closure, lane),
+                unpack_lane_of(&packed_closure, lane),
                 warshall(m),
                 "lane {lane}"
             );

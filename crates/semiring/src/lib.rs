@@ -19,9 +19,9 @@
 //! because Warshall's recurrence is not valid for it.
 //!
 //! The crate also provides the dense and bit-packed matrix containers and the
-//! *reference kernels* (scalar Warshall, bit-parallel Warshall, blocked
-//! Warshall, closure by repeated squaring) against which every simulated
-//! array in the workspace is verified.
+//! *reference kernels* (scalar Warshall, bit-parallel Warshall, closure by
+//! repeated squaring) against which every simulated array in the workspace
+//! is verified.
 //!
 //! ```
 //! use systolic_semiring::{warshall, Bool, DenseMatrix, MinPlus};
@@ -54,13 +54,9 @@ pub mod traits;
 
 pub use bitmatrix::BitMatrix;
 pub use instances::{Bool, Counting, MaxMin, MinMax, MinPlus, Real};
-pub use kernels::{
-    closure_by_squaring, matmul, matmul_acc, reflexive, warshall, warshall_blocked,
-    warshall_inplace,
-};
+pub use kernels::{closure_by_squaring, matmul, matmul_acc, reflexive, warshall, warshall_inplace};
 pub use lanes::{
-    pack_into_lanes, pack_lanes, unpack_from_lanes, unpack_lane, unpack_lane_of, unpack_lanes,
-    BoolLanes, LaneSemiring, LaneWord, LANES,
+    pack_into_lanes, unpack_from_lanes, unpack_lane_of, BoolLanes, LaneSemiring, LaneWord, LANES,
 };
 pub use matrix::DenseMatrix;
 pub use swar::{MinPlusSwar16, MinPlusSwar8};

@@ -114,12 +114,6 @@ impl<S: Semiring> DenseMatrix<S> {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [S::Elem] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Column `j`, copied into a fresh `Vec` (columns are strided).
     pub fn col(&self, j: usize) -> Vec<S::Elem> {
         (0..self.rows).map(|i| self.get(i, j).clone()).collect()

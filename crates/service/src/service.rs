@@ -192,18 +192,6 @@ impl ReachService {
         self.inc.stale_closure()
     }
 
-    /// Answers `REACH u v` from the possibly-stale closure (missing
-    /// deletes since the last recompute) — the degraded read a server
-    /// gives under overload rather than blocking. Counts the query.
-    ///
-    /// # Panics
-    /// Panics if `u` or `v` is out of range (callers bounds-check first).
-    pub fn reach_stale(&self, u: usize, v: usize) -> bool {
-        assert!(u < self.n() && v < self.n(), "vertex out of range");
-        self.queries.fetch_add(1, Relaxed);
-        self.inc.stale_closure().reachable(u, v)
-    }
-
     /// Phase one of a batched recompute: submit this tenant's pending
     /// component-DAG closure to the shared batcher (no-op when clean or
     /// already submitted, or when running in software). A DAG of more than
@@ -609,7 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn reach_clean_answers_without_mut_and_reach_stale_degrades() {
+    fn reach_clean_answers_without_mut_and_stale_reads_degrade() {
         let mut svc = ReachService::new(DiGraph::new(4));
         line(&mut svc, "INSERT 0 1");
         line(&mut svc, "INSERT 1 2");
@@ -621,7 +609,10 @@ mod tests {
             None,
             "dirty closure has no fast path"
         );
-        assert!(svc.reach_stale(0, 2), "stale read still sees the old path");
+        assert!(
+            svc.stale_closure().reachable(0, 2),
+            "stale read still sees the old path"
+        );
         assert_eq!(line(&mut svc, "REACH 0 2"), "REACH 0 2 false");
         assert!(svc.reach_clean(0, 2) == Some(false));
     }
@@ -647,7 +638,10 @@ mod tests {
         assert_eq!(line(&mut svc, "REACH 0 2"), "REACH 0 2 false");
         assert_eq!(line(&mut svc, "INSERT 4 5"), "OK INSERT 4 5 added=1");
         // The graph reflects exactly the admitted mutations.
-        assert!(svc.reach_stale(2, 3), "shed delete was not applied");
+        assert!(
+            svc.stale_closure().reachable(2, 3),
+            "shed delete was not applied"
+        );
     }
 
     #[test]

@@ -274,19 +274,6 @@ impl GenericGGraph {
                 .collect(),
         }
     }
-
-    /// Lock-step row entry times: row `k` starts once rows `0..k` have each
-    /// run for one full G-node time. With uniform time `n` this reduces to
-    /// the closure schedule's analytic starts `k · n`.
-    pub fn lockstep_starts(&self) -> Vec<u64> {
-        let mut starts = Vec::with_capacity(self.rows.len());
-        let mut t = 0u64;
-        for r in &self.rows {
-            starts.push(t);
-            t += r.gnode_time();
-        }
-        starts
-    }
 }
 
 impl GGraph {
@@ -384,19 +371,6 @@ mod tests {
         assert_eq!(tg.times[1], vec![8; 4]);
         assert!(tg.rows_uniform());
         assert!(!tg.is_uniform());
-    }
-
-    #[test]
-    fn lockstep_starts_reduce_to_analytic_for_uniform_times() {
-        let n = 6;
-        let g = GenericGGraph::closure(n);
-        let starts = g.lockstep_starts();
-        for (k, s) in starts.iter().enumerate() {
-            assert_eq!(*s, (k * n) as u64);
-        }
-        // Varying times accumulate the actual per-row G-node time.
-        let lu = GenericGGraph::lu(4); // lens 4, 3, 2
-        assert_eq!(lu.lockstep_starts(), vec![0, 4, 7]);
     }
 
     #[test]

@@ -2,10 +2,7 @@
 //!
 //! Workers are spawned once and live until the pool is dropped; jobs are
 //! boxed closures drained FIFO from a shared queue. This is the substrate
-//! both for host-side batch parallelism
-//! (`systolic-partition::ParallelEngine`) and for the pooled bit-parallel
-//! closure (`systolic-semiring::BitMatrix::transitive_closure_parallel`),
-//! which previously spawned fresh scoped threads per Warshall pivot.
+//! for host-side batch parallelism (`systolic-partition::ParallelEngine`).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

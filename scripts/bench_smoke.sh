@@ -3,7 +3,7 @@
 # plan_reuse benches with pinned sample counts and records the results —
 # one row per mapping and lane plane (linear_m4, lsgp_m4, packed_m4, the
 # packed_w1/w2/w4 lane-width sweep, the min-plus scalar/SWAR pair, the
-# blocked/unblocked bitmatrix sweeps, plus the plan_reuse shapes) — in
+# bitmatrix sweep, plus the plan_reuse shapes) — in
 # BENCH_partition.json at the repo root, together with the
 # reachability-service stream numbers (query p50/p99 latency at
 # fractional-µs precision, sustained command throughput) from the
@@ -23,8 +23,6 @@
 #   * the lane-width sweep must record all three packed_w1/w2/w4 rows,
 #   * minplus_packed_m4 must be >= 4x faster than the same run's scalar
 #     minplus_m4 (the SWAR tropical plane's acceptance bar),
-#   * the blocked bitmatrix sweep must be no slower than the classic one
-#     at n = 256 (ratio >= 0.95) and faster at n = 2048 (>= 1.02),
 #   * every serve stream must report ok=true (answers cross-checked
 #     against a full-recompute oracle; latency itself is not gated),
 #   * the chaos smoke must record the 4-client concurrent run and the
@@ -181,12 +179,6 @@ printf '%s\n' "$lines" | awk \
     printf "  \"minplus_packed_speedup\": %s,\n", \
       ratio_or_null(med_of["batched_closure/minplus_m4/32x32"], \
                     med_of["batched_closure/minplus_packed_m4/32x32"])
-    printf "  \"bitmatrix_blocked_speedup_256\": %s,\n", \
-      ratio_or_null(med_of["batched_closure/bitmatrix_unblocked/256"], \
-                    med_of["batched_closure/bitmatrix_blocked/256"])
-    printf "  \"bitmatrix_blocked_speedup_2048\": %s,\n", \
-      ratio_or_null(med_of["batched_closure/bitmatrix_unblocked/2048"], \
-                    med_of["batched_closure/bitmatrix_blocked/2048"])
     printf "  \"sparse_speedup_vs_dense_4096\": %s,\n", \
       ratio_or_null(med_of["sparse_closure/dense_4096"], \
                     med_of["sparse_closure/sparse_4096"])
@@ -268,12 +260,7 @@ gate packed_w4_speedup_vs_w1 0.1
 # Gate 3: the SWAR tropical plane must beat scalar min-plus >= 4x.
 gate minplus_packed_speedup 4.0
 
-# Gate 4: the cache-blocked pivot sweep is no slower at n = 256 and
-# faster at n = 2048.
-gate bitmatrix_blocked_speedup_256 0.95
-gate bitmatrix_blocked_speedup_2048 1.02
-
-# Gate 5: the sparse data plane. Same-run ratio vs the dense BitMatrix
+# Gate 4: the sparse data plane. Same-run ratio vs the dense BitMatrix
 # sweep on the pinned n=4096 power-law graph (>= 20x), all three scaling
 # rows recorded, and peak resident memory after the 10^5 row under a hard
 # 128 MiB ceiling (dense n^2/8 alone would be 1.16 GiB).
@@ -281,7 +268,7 @@ gate sparse_speedup_vs_dense_4096 20.0
 gate sparse_scale_rows 3
 gate_max sparse_peak_bytes_1e5 134217728
 
-# Gate 6: the §4.3 varying-time comparison (E30). Both utilization keys
+# Gate 5: the §4.3 varying-time comparison (E30). Both utilization keys
 # must be recorded (a missing key fails), the linear chain must be at
 # least as utilized as the equal-cell grid, and the in-binary tolerance
 # check against the lock-step analytic model must have passed (ok=true —
@@ -304,7 +291,7 @@ awk '
     }
   }' "$OUT"
 
-# Gate 7: both serve streams recorded, and every answer matched the oracle.
+# Gate 6: both serve streams recorded, and every answer matched the oracle.
 awk '
   /"id": "serve_stream\// {
     n++
@@ -320,7 +307,7 @@ awk '
     }
   }' "$OUT"
 
-# Gate 8: the chaos smoke recorded both runs — four concurrent sessions
+# Gate 7: the chaos smoke recorded both runs — four concurrent sessions
 # all oracle-correct with none failed, and kill-and-recover rebuilding the
 # exact committed closure (recover_ms present). Missing keys fail.
 awk '

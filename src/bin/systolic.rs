@@ -1,7 +1,7 @@
 //! `systolic` — command-line front end to the reproduction.
 //!
 //! ```text
-//! systolic closure  [--backend B] [--mapping M] [--threads T] [--show] <edges-file|->
+//! systolic closure  [--backend B] [--mapping M] [--show] <edges-file|->
 //!                                                            transitive closure
 //! systolic paths    <weighted-edges-file> <src> <dst>       shortest route
 //! systolic schedule <n> <m> [--grid]                        G-set schedule summary
@@ -33,7 +33,7 @@ fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!();
     eprintln!("usage:");
-    eprintln!("  systolic closure  [--backend linear:M|grid:S|lsgp:M|fixed|fixed-linear|reference|bit|blocked:B] [--mapping lpgs:M|lsgp:M|grid:S|fixed|fixed-linear] [--threads T] [--show] <file|->");
+    eprintln!("  systolic closure  [--backend linear:M|grid:S|lsgp:M|fixed|fixed-linear|reference|bit|blocked:B] [--mapping lpgs:M|lsgp:M|grid:S|fixed|fixed-linear] [--show] <file|->");
     eprintln!("                    [--load mtx-file] [--gen powerlaw:n=N,d=D,seed=S | gnp:n=N,p=P,seed=S | bowtie:n=N,seed=S]");
     eprintln!("                    [--sparse] [--stats]   (sparse path auto-selected above 4096 vertices)");
     eprintln!("  systolic paths    <file> <src> <dst>");
@@ -214,12 +214,12 @@ const SPARSE_AUTO_THRESHOLD: usize = 4096;
 fn cmd_closure(args: &[String]) {
     let mut backend = Backend::Linear { cells: 4 };
     let mut backend_explicit = false;
-    let mut threads = 1usize;
     let mut show = false;
     let mut stats = false;
     let mut sparse = false;
     let mut file = None;
-    let mut graph: Option<CsrGraph> = None;
+    // `--load F` or `--gen S` as (flag, value), read once parsing is done.
+    let mut source: Option<(&str, &str)> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -245,31 +245,21 @@ fn cmd_closure(args: &[String]) {
                 );
                 backend_explicit = true;
             }
-            "--threads" => {
+            flag @ ("--load" | "--gen") => {
                 i += 1;
-                threads = args
-                    .get(i)
-                    .and_then(|a| a.parse().ok())
-                    .filter(|&t| t >= 1)
-                    .unwrap_or_else(|| fail("--threads needs a positive integer"));
-            }
-            "--load" => {
-                i += 1;
-                let path = args
-                    .get(i)
-                    .unwrap_or_else(|| fail("--load needs a Matrix-Market file"));
-                graph = Some(
-                    CsrGraph::load(std::path::Path::new(path))
-                        .unwrap_or_else(|e| fail(&format!("loading {path}: {e}"))),
-                );
-            }
-            "--gen" => {
-                i += 1;
-                graph = Some(parse_gen(
-                    args.get(i)
-                        .map(String::as_str)
-                        .unwrap_or_else(|| fail("--gen needs a spec")),
-                ));
+                let value = args.get(i).map(String::as_str).unwrap_or_else(|| {
+                    fail(if flag == "--load" {
+                        "--load needs a Matrix-Market file"
+                    } else {
+                        "--gen needs a spec"
+                    })
+                });
+                if let Some((f, v)) = source {
+                    fail(&format!(
+                        "closure takes one input, not `{flag} {value}` as well as `{f} {v}`"
+                    ));
+                }
+                source = Some((flag, value));
             }
             "--sparse" => sparse = true,
             "--stats" => stats = true,
@@ -284,16 +274,23 @@ fn cmd_closure(args: &[String]) {
         }
         i += 1;
     }
-    let graph = graph.unwrap_or_else(|| {
-        let file =
-            file.unwrap_or_else(|| fail("closure needs an input (file, -, --load or --gen)"));
-        let (n, edges) = parse_edges(&read_input(&file), false);
-        let pairs: Vec<(u32, u32)> = edges
-            .iter()
-            .map(|&(u, v, _)| (u as u32, v as u32))
-            .collect();
-        CsrGraph::from_edges(n, &pairs)
-    });
+    let graph = match (source, file) {
+        (Some((flag, value)), Some(file)) => fail(&format!(
+            "closure takes one input, not `{file}` as well as `{flag} {value}`"
+        )),
+        (Some(("--load", path)), None) => CsrGraph::load(std::path::Path::new(path))
+            .unwrap_or_else(|e| fail(&format!("loading {path}: {e}"))),
+        (Some((_, spec)), None) => parse_gen(spec),
+        (None, Some(file)) => {
+            let (n, edges) = parse_edges(&read_input(&file), false);
+            let pairs: Vec<(u32, u32)> = edges
+                .iter()
+                .map(|&(u, v, _)| (u as u32, v as u32))
+                .collect();
+            CsrGraph::from_edges(n, &pairs)
+        }
+        (None, None) => fail("closure needs an input (file, -, --load or --gen)"),
+    };
     if stats {
         println!("graph: {}", graph.stats());
     }
@@ -303,7 +300,7 @@ fn cmd_closure(args: &[String]) {
         return;
     }
     let g = graph.to_digraph();
-    let solver = ClosureSolver::new(backend).with_threads(threads);
+    let solver = ClosureSolver::new(backend);
     let (reach, report) = solver
         .transitive_closure_with_report(&g)
         .unwrap_or_else(|e| fail(&e.to_string()));

@@ -415,12 +415,29 @@ fn closure_sparse_matches_dense_rows_via_load() {
 #[test]
 fn closure_refuses_unknown_flags_and_a_second_input() {
     let gen = ["closure", "--gen", "gnp:n=300,p=0.01,seed=3", "--sparse"];
-    for (extra, named) in [
-        (&["--tile", "64"][..], "--tile"),
-        (&["--tilee", "32"][..], "--tilee"),
-        (&["edges.txt", "more.txt"][..], "more.txt"),
+    let mtx = write_temp(
+        "refuse-second-input.mtx",
+        "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n2 3\n",
+    );
+    let load = ["closure", "--load", mtx.to_str().unwrap()];
+    for (base, extra, named) in [
+        (&gen[..], &["--tile", "64"][..], "--tile"),
+        (&gen, &["--tilee", "32"], "--tilee"),
+        (&gen, &["edges.txt", "more.txt"], "more.txt"),
+        (&gen, &["/nonexistent/edges.txt"], "/nonexistent/edges.txt"),
+        (
+            &gen,
+            &["--gen", "gnp:n=30,p=0.1,seed=1"],
+            "gnp:n=30,p=0.1,seed=1",
+        ),
+        (
+            &load,
+            &["--gen", "gnp:n=30,p=0.1,seed=1"],
+            "gnp:n=30,p=0.1,seed=1",
+        ),
+        (&gen, &["--threads", "4"], "--threads"),
     ] {
-        let out = bin().args(gen).args(extra).output().unwrap();
+        let out = bin().args(base).args(extra).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{extra:?}: usage exit");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
@@ -429,6 +446,7 @@ fn closure_refuses_unknown_flags_and_a_second_input() {
         );
         assert!(out.stdout.is_empty(), "{extra:?}: nothing closed");
     }
+    std::fs::remove_file(mtx).ok();
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! Property-based correctness: random problems through every layer.
 
+use systolic::baselines::nunez_closure;
 use systolic::partition::{ClosureEngine, GridEngine, LinearEngine};
 use systolic::transform::GGraph;
 use systolic_semiring::{
-    closure_by_squaring, reflexive, warshall, warshall_blocked, BitMatrix, Bool, DenseMatrix,
-    MaxMin, MinPlus,
+    closure_by_squaring, reflexive, warshall, BitMatrix, Bool, DenseMatrix, MaxMin, MinPlus,
 };
 use systolic_util::{Checker, Rng};
 
@@ -30,7 +30,7 @@ fn software_kernels_agree() {
         let a = bool_matrix(rng, 12);
         let w = warshall(&a);
         assert_eq!(w, closure_by_squaring(&a));
-        assert_eq!(w, warshall_blocked(&a, 3));
+        assert_eq!(w, nunez_closure(&a, 3));
         let bits = BitMatrix::from_dense(&a).transitive_closure();
         assert_eq!(BitMatrix::from_dense(&w), bits);
         Ok(())
@@ -47,13 +47,13 @@ fn blocked_warshall_handles_non_dividing_tiles() {
         // ragged tile covering everything) — the ragged boundary tiles are
         // the case the divisible-b tests never reach.
         for b in (1..=n + 2).filter(|&b| !n.is_multiple_of(b)) {
-            assert_eq!(warshall_blocked(&a, b), want, "n={n} b={b}");
+            assert_eq!(nunez_closure(&a, b), want, "n={n} b={b}");
         }
         // And a weighted semiring through the same ragged tiling.
         let d = weight_matrix(rng, 11);
         let m = d.rows();
         for b in (2..=m + 1).filter(|&b| !m.is_multiple_of(b)) {
-            assert_eq!(warshall_blocked(&d, b), warshall(&d), "minplus m={m} b={b}");
+            assert_eq!(nunez_closure(&d, b), warshall(&d), "minplus m={m} b={b}");
         }
         Ok(())
     });
@@ -125,7 +125,6 @@ fn transformation_stages_preserve_semantics() {
 #[test]
 fn blocked_baselines_match() {
     Checker::new("blocked baselines match", 12).run(|rng| {
-        use systolic::baselines::nunez_closure;
         let a = bool_matrix(rng, 10);
         let b = 1 + rng.gen_usize(5); // 1..=5
         assert_eq!(nunez_closure(&a, b), warshall(&a));
