@@ -1,20 +1,34 @@
-//! Compressed-sparse-row graph storage and a Matrix-Market-style text
-//! format.
+//! Compressed-sparse-row graph storage and the one reader of graph files.
 //!
 //! [`CsrGraph`] stores a digraph as two flat arrays — `row_ptr` (n+1
 //! offsets) and `col_idx` (edge targets) — so a graph with `e` edges costs
 //! `O(n + e)` memory regardless of density. This is the entry format of
-//! the sparse data plane: generators emit it directly, the Matrix-Market
-//! loader parses into it, and [`crate::sparse`] condenses it without ever
-//! materializing a dense `n×n` adjacency.
+//! the sparse data plane: generators emit it directly, the reader parses
+//! into it, and [`crate::sparse`] condenses it without ever materializing
+//! a dense `n×n` adjacency.
 //!
-//! The text format is the coordinate Matrix-Market dialect used by sparse
-//! linear-algebra tools: `%`-prefixed comment lines, one `rows cols nnz`
-//! size line, then one `row col` pair per line, **1-based**. Writing a
-//! graph and reading it back is bit-identical (edges come out sorted and
-//! deduplicated both ways).
+//! Every graph file enters through [`read_entries`], which reads any
+//! `BufRead` line by line (never the whole text at once) in one of two
+//! dialects, chosen by the first non-blank line:
+//!
+//! - **Matrix-Market** (that line starts with `%`, as the
+//!   `%%MatrixMarket` banner does): the coordinate dialect of sparse
+//!   linear-algebra tools. `%` comment lines, one `rows cols nnz` size
+//!   line, then one `row col [value]` entry per line, **1-based**.
+//! - **Edge list** (anything else): one `u v [w]` edge per line,
+//!   **0-based**, `#` starting a comment. The vertex count is one more
+//!   than the largest id.
+//!
+//! Fields are separated by ASCII whitespace. Ids parse straight to `u32`
+//! and must leave the vertex count inside the `u32` id space. Every
+//! failure — a malformed or over-long line, an id out of range, invalid
+//! UTF-8, an I/O error — is a [`LoadError`] naming its line; CRLF line
+//! ends are accepted. Writing a graph as Matrix-Market and reading it back
+//! is bit-identical (edges come out sorted and deduplicated both ways).
 
 use std::fmt;
+use std::io::{BufRead, Read as _};
+use std::str::FromStr;
 
 /// A digraph in compressed-sparse-row form. Vertex ids fit in `u32`
 /// (4 billion vertices is beyond the data plane's ambitions; halving the
@@ -229,30 +243,26 @@ impl CsrGraph {
         out
     }
 
-    /// Parses the coordinate Matrix-Market dialect. Errors (never panics)
-    /// on malformed headers, out-of-range or non-numeric coordinates, and
-    /// truncated entry lists. Duplicate entries are deduplicated, so
+    /// Parses the coordinate Matrix-Market dialect only: unlike
+    /// [`CsrGraph::read`], a text without a size line is an error, not an
+    /// edge list. Duplicate entries are deduplicated, so
     /// `parse(write(g)) == g` exactly.
     pub fn parse_matrix_market(text: &str) -> Result<Self, LoadError> {
-        let (n, edges) = parse_edges(text)?;
+        let (n, edges) = collect_edges(text.as_bytes(), Some(Dialect::MatrixMarket))?;
         Ok(Self::from_edges(n, &edges))
     }
 
-    /// Reads a Matrix-Market file from disk.
+    /// Reads a graph in either dialect (see the module docs).
+    pub fn read(input: impl BufRead) -> Result<Self, LoadError> {
+        let (n, edges) = read_edges(input)?;
+        Ok(Self::from_edges(n, &edges))
+    }
+
+    /// Reads a graph file from disk, in either dialect.
     pub fn load(path: &std::path::Path) -> Result<Self, LoadError> {
-        let (n, edges) = Self::load_edges(path)?;
-        Ok(Self::from_edges(n, &edges))
-    }
-
-    /// Reads a Matrix-Market file as its declared vertex count and its
-    /// 0-based entries, checked as [`CsrGraph::parse_matrix_market`]
-    /// checks them. Nothing vertex-sized is allocated, so a caller with a
-    /// vertex cap can refuse an oversized declaration before
-    /// [`CsrGraph::from_edges`] builds the graph.
-    pub fn load_edges(path: &std::path::Path) -> Result<(usize, Vec<(u32, u32)>), LoadError> {
-        let text = std::fs::read_to_string(path)
+        let file = std::fs::File::open(path)
             .map_err(|e| LoadError::new(0, format!("{}: {e}", path.display())))?;
-        parse_edges(&text)
+        Self::read(std::io::BufReader::new(file))
     }
 
     /// Writes a Matrix-Market file to disk.
@@ -261,88 +271,188 @@ impl CsrGraph {
     }
 }
 
-/// The size line's vertex count and the entries of a Matrix-Market text.
-fn parse_edges(text: &str) -> Result<(usize, Vec<(u32, u32)>), LoadError> {
-    let mut lines = text.lines().enumerate();
-    // Size line: first non-comment, non-blank line.
-    let (n, declared_nnz) = loop {
-        let Some((idx, raw)) = lines.next() else {
-            return Err(LoadError::new(0, "missing size line `rows cols nnz`"));
-        };
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('%') {
+/// Longest line the reader takes, in bytes. A longer line is an error, so
+/// no input makes the reader buffer more than this at once.
+const MAX_LINE_BYTES: usize = 1 << 16;
+
+/// The two text dialects of a graph file (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Dialect {
+    MatrixMarket,
+    EdgeList,
+}
+
+/// Reads a graph in either dialect as its vertex count and its edges in
+/// file order; a weight column must be a number and is dropped. Nothing
+/// vertex-sized is allocated, so a caller with a vertex cap can refuse
+/// the count before [`CsrGraph::from_edges`] builds the graph.
+pub fn read_edges(input: impl BufRead) -> Result<(usize, Vec<(u32, u32)>), LoadError> {
+    collect_edges(input, None)
+}
+
+fn collect_edges(
+    input: impl BufRead,
+    dialect: Option<Dialect>,
+) -> Result<(usize, Vec<(u32, u32)>), LoadError> {
+    let mut edges = Vec::new();
+    let n = read_dialect(input, dialect, |u, v, _: Option<f64>| {
+        edges.push((u, v));
+        Ok(())
+    })?;
+    Ok((n, edges))
+}
+
+/// The graph reader: hands each entry of `input`, in file order, to
+/// `entry` as a 0-based `(u, v)` and its optional weight column parsed as
+/// `W`, and returns the vertex count. The dialect is sniffed from the
+/// first non-blank line (see the module docs).
+///
+/// # Errors
+/// A [`LoadError`] naming the line for a malformed line, an id outside
+/// the `u32` id space (or outside a Matrix-Market size line's range), a
+/// weight that does not parse as `W`, a line over 64 KiB, invalid UTF-8,
+/// an I/O error or an error `entry` returns. An edge list without edges,
+/// and a Matrix-Market text whose entry count differs from its size line,
+/// are errors too.
+pub fn read_entries<W: FromStr>(
+    input: impl BufRead,
+    entry: impl FnMut(u32, u32, Option<W>) -> Result<(), String>,
+) -> Result<usize, LoadError> {
+    read_dialect(input, None, entry)
+}
+
+fn read_dialect<W: FromStr>(
+    mut input: impl BufRead,
+    mut dialect: Option<Dialect>,
+    mut entry: impl FnMut(u32, u32, Option<W>) -> Result<(), String>,
+) -> Result<usize, LoadError> {
+    let mut buf = Vec::new();
+    let mut line = 0;
+    // Matrix-Market: the size line's vertex and entry counts.
+    let mut size = None;
+    // Edge list: one more than the largest id.
+    let mut vertices = 0;
+    let mut entries = 0;
+    loop {
+        line += 1;
+        let at = |message: String| LoadError::new(line, message);
+        buf.clear();
+        let got = (&mut input)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut buf)
+            .map_err(|e| at(format!("read failed: {e}")))?;
+        if got == 0 {
+            break;
+        }
+        if buf.len() > MAX_LINE_BYTES && !buf.ends_with(b"\n") {
+            return Err(at(format!("line longer than {MAX_LINE_BYTES} bytes")));
+        }
+        let text = std::str::from_utf8(&buf)
+            .map_err(|_| at("invalid UTF-8".into()))?
+            .trim_ascii();
+        if text.is_empty() {
             continue;
         }
-        let mut it = line.split_whitespace();
-        let (Some(r), Some(c), Some(z), None) = (it.next(), it.next(), it.next(), it.next()) else {
-            return Err(LoadError::new(
-                idx + 1,
-                "size line must be exactly `rows cols nnz`",
-            ));
+        let dialect = *dialect.get_or_insert(if text.starts_with('%') {
+            Dialect::MatrixMarket
+        } else {
+            Dialect::EdgeList
+        });
+        let data = match dialect {
+            Dialect::MatrixMarket if text.starts_with('%') => continue,
+            Dialect::MatrixMarket => text,
+            Dialect::EdgeList => match text.bytes().position(|b| b == b'#') {
+                Some(hash) => text[..hash].trim_ascii_end(),
+                None => text,
+            },
         };
-        let rows: usize = r
-            .parse()
-            .map_err(|_| LoadError::new(idx + 1, format!("bad row count {r:?}")))?;
-        let cols: usize = c
-            .parse()
-            .map_err(|_| LoadError::new(idx + 1, format!("bad column count {c:?}")))?;
-        if rows != cols {
-            return Err(LoadError::new(
-                idx + 1,
-                format!("adjacency matrix must be square, got {rows}×{cols}"),
-            ));
-        }
-        if rows > u32::MAX as usize {
-            return Err(LoadError::new(
-                idx + 1,
-                format!("{rows} vertices exceeds the u32 id space"),
-            ));
-        }
-        let nnz: usize = z
-            .parse()
-            .map_err(|_| LoadError::new(idx + 1, format!("bad entry count {z:?}")))?;
-        break (rows, nnz);
-    };
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(declared_nnz.min(1 << 24));
-    for (idx, raw) in lines {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('%') {
+        if data.is_empty() {
             continue;
         }
-        let mut it = line.split_whitespace();
-        let (Some(a), Some(b)) = (it.next(), it.next()) else {
-            return Err(LoadError::new(idx + 1, "entry line must be `row col`"));
-        };
-        // A third token is tolerated (pattern files written with a
-        // weight column); more is malformed.
-        let _weight = it.next();
-        if it.next().is_some() {
-            return Err(LoadError::new(idx + 1, "too many fields on entry line"));
+        if dialect == Dialect::MatrixMarket && size.is_none() {
+            size = Some(size_line(data).map_err(at)?);
+            continue;
         }
-        let u: usize = a
-            .parse()
-            .map_err(|_| LoadError::new(idx + 1, format!("bad row index {a:?}")))?;
-        let v: usize = b
-            .parse()
-            .map_err(|_| LoadError::new(idx + 1, format!("bad column index {b:?}")))?;
-        if u == 0 || v == 0 || u > n || v > n {
-            return Err(LoadError::new(
-                idx + 1,
-                format!("entry ({u}, {v}) outside 1..={n}"),
+        let mut fields = data.split_ascii_whitespace();
+        let (Some(a), Some(b)) = (fields.next(), fields.next()) else {
+            return Err(at(
+                "entry line must be two ids and an optional weight".into()
             ));
+        };
+        let weight = match fields.next() {
+            Some(w) => Some(w.parse().map_err(|_| at(format!("bad weight {w:?}")))?),
+            None => None,
+        };
+        if fields.next().is_some() {
+            return Err(at("too many fields on entry line".into()));
         }
-        edges.push(((u - 1) as u32, (v - 1) as u32));
+        let (u, v) = match size {
+            Some((n, _)) => matrix_market_entry(a, b, n),
+            None => vertex_id(a).and_then(|u| Ok((u, vertex_id(b)?))),
+        }
+        .map_err(at)?;
+        entry(u, v, weight).map_err(at)?;
+        entries += 1;
+        vertices = vertices.max(u.max(v) as usize + 1);
     }
-    if edges.len() != declared_nnz {
-        return Err(LoadError::new(
+    match (dialect, size) {
+        (Some(Dialect::MatrixMarket), Some((n, declared))) if entries == declared => Ok(n),
+        (Some(Dialect::MatrixMarket), Some((_, declared))) => Err(LoadError::new(
             0,
-            format!(
-                "size line declared {declared_nnz} entries but file has {}",
-                edges.len()
-            ),
+            format!("size line declared {declared} entries but file has {entries}"),
+        )),
+        (Some(Dialect::MatrixMarket), None) => {
+            Err(LoadError::new(0, "missing size line `rows cols nnz`"))
+        }
+        _ if entries == 0 => Err(LoadError::new(
+            0,
+            "input contains no edges (empty or comment-only)",
+        )),
+        _ => Ok(vertices),
+    }
+}
+
+/// A Matrix-Market size line `rows cols nnz` as the vertex count and the
+/// declared entry count.
+fn size_line(line: &str) -> Result<(usize, usize), String> {
+    let mut it = line.split_ascii_whitespace();
+    let (Some(r), Some(c), Some(z), None) = (it.next(), it.next(), it.next(), it.next()) else {
+        return Err("size line must be exactly `rows cols nnz`".into());
+    };
+    let count = |tok: &str, what: &str| -> Result<usize, String> {
+        tok.parse().map_err(|_| format!("bad {what} count {tok:?}"))
+    };
+    let (rows, cols) = (count(r, "row")?, count(c, "column")?);
+    if rows != cols {
+        return Err(format!(
+            "adjacency matrix must be square, got {rows}×{cols}"
         ));
     }
-    Ok((n, edges))
+    if rows > u32::MAX as usize {
+        return Err(format!("{rows} vertices exceeds the u32 id space"));
+    }
+    Ok((rows, count(z, "entry")?))
+}
+
+/// A 1-based Matrix-Market entry `row col` as a 0-based edge.
+fn matrix_market_entry(a: &str, b: &str, n: usize) -> Result<(u32, u32), String> {
+    let index = |tok: &str, what: &str| -> Result<u32, String> {
+        tok.parse().map_err(|_| format!("bad {what} index {tok:?}"))
+    };
+    let (u, v) = (index(a, "row")?, index(b, "column")?);
+    if u == 0 || v == 0 || u as usize > n || v as usize > n {
+        return Err(format!("entry ({u}, {v}) outside 1..={n}"));
+    }
+    Ok((u - 1, v - 1))
+}
+
+/// A 0-based edge-list id. The largest is `u32::MAX - 1`, so the vertex
+/// count still fits the `u32` id space.
+fn vertex_id(tok: &str) -> Result<u32, String> {
+    tok.parse()
+        .ok()
+        .filter(|&id| id < u32::MAX)
+        .ok_or_else(|| format!("bad vertex id {tok:?} (ids run 0..={})", u32::MAX - 1))
 }
 
 /// Degree and occupancy summary of a [`CsrGraph`].

@@ -166,9 +166,12 @@ pub struct Reachability {
 impl Reachability {
     /// Wraps a closure matrix.
     pub fn from_matrix(m: &DenseMatrix<Bool>) -> Self {
-        Self {
-            bits: BitMatrix::from_dense(m),
-        }
+        Self::from_bits(BitMatrix::from_dense(m))
+    }
+
+    /// Wraps a closed bit matrix.
+    pub(crate) fn from_bits(bits: BitMatrix) -> Self {
+        Self { bits }
     }
 
     /// True iff a path (possibly of length 0) runs `u → v`.

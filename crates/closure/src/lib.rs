@@ -26,7 +26,7 @@ pub mod paths;
 pub mod solver;
 pub mod sparse;
 
-pub use csr::{CsrGraph, CsrStats, LoadError};
+pub use csr::{read_edges, read_entries, CsrGraph, CsrStats, LoadError};
 pub use generators::{
     bowtie, complete, cycle, gnp, gnp_csr, path, powerlaw, random_dag_csr, random_weighted, star,
     GraphKind,

@@ -119,15 +119,12 @@ impl ClosureSolver {
     /// # Errors
     /// Propagates engine failures.
     pub fn transitive_closure(&self, g: &DiGraph) -> Result<Reachability, EngineError> {
-        // The bit-parallel backend short-circuits to the u64-packed kernel.
-        if self.backend == Backend::BitParallel {
-            return Ok(Reachability::from_matrix(&bit_closure(g).to_dense()));
-        }
-        let (m, _) = self.closure_matrix(&g.adjacency_matrix())?;
-        Ok(Reachability::from_matrix(&m))
+        Ok(self.transitive_closure_with_report(g)?.0)
     }
 
-    /// Transitive closure plus the run report.
+    /// Transitive closure plus the run report. The bit-parallel backend
+    /// closes a bit matrix built from the successor lists, one bit per
+    /// pair, and answers from it.
     ///
     /// # Errors
     /// Propagates engine failures.
@@ -136,8 +133,15 @@ impl ClosureSolver {
         g: &DiGraph,
     ) -> Result<(Reachability, SolveReport), EngineError> {
         if self.backend == Backend::BitParallel {
+            let mut bits = BitMatrix::identity(g.n());
+            for u in 0..g.n() {
+                for &v in g.successors(u) {
+                    bits.set(u, v, true);
+                }
+            }
+            bits.warshall_in_place();
             return Ok((
-                Reachability::from_matrix(&bit_closure(g).to_dense()),
+                Reachability::from_bits(bits),
                 SolveReport {
                     stats: RunStats::default(),
                     backend: "software-bitparallel".into(),
@@ -171,10 +175,6 @@ impl ClosureSolver {
     pub fn minimax_paths(&self, g: &WeightedDiGraph) -> Result<DenseMatrix<MinMax>, EngineError> {
         Ok(self.closure_matrix(&g.minimax_matrix())?.0)
     }
-}
-
-fn bit_closure(g: &DiGraph) -> BitMatrix {
-    BitMatrix::from_dense(&g.adjacency_matrix()).transitive_closure()
 }
 
 #[cfg(test)]

@@ -100,4 +100,4 @@ pub use parallel::ParallelEngine;
 pub use plan::CompiledPlan;
 pub use recover::{Escalation, FaultAware, RecoveringEngine, RecoveryPolicy};
 pub use schedule::{GsetSchedule, Placed, ScheduleEntry};
-pub use verify::{col_folds, row_folds, Verifier};
+pub use verify::{col_folds, row_folds, verify_closure};

@@ -5,7 +5,7 @@
 //! 1. **Checkpoint** — inputs are immutable at instance boundaries, so the
 //!    checkpoint of an instance is simply its input matrix; a failed
 //!    instance re-runs without disturbing its neighbors.
-//! 2. **Verify** — every result passes the [`Verifier`]'s semiring
+//! 2. **Verify** — every result passes [`verify_closure`]'s semiring
 //!    checksum and closure invariants before it is accepted.
 //! 3. **Retry** — a rejected (or structurally failed) attempt re-runs up
 //!    to [`RecoveryPolicy::max_retries`] times. Transient-fault plans
@@ -31,7 +31,7 @@
 
 use crate::engine::{ClosureEngine, EngineError};
 use crate::fault::FaultyLinearEngine;
-use crate::verify::Verifier;
+use crate::verify::verify_closure;
 use std::collections::HashMap;
 use std::sync::Mutex;
 use systolic_arraysim::{FaultEvent, FaultReport, RunStats};
@@ -115,7 +115,7 @@ pub struct InstanceOutcome {
     pub accepted_events: Vec<FaultEvent>,
     /// Faults injected during rejected attempts (all were detected).
     pub rejected_events: Vec<FaultEvent>,
-    /// Verifier/engine diagnostics of the rejected attempts.
+    /// Verification/engine diagnostics of the rejected attempts.
     pub rejections: Vec<String>,
     /// Physical cells bypassed by the time this instance was accepted.
     pub bypassed: Vec<usize>,
@@ -125,7 +125,6 @@ pub struct InstanceOutcome {
 #[derive(Debug)]
 pub struct RecoveringEngine<E> {
     inner: E,
-    verifier: Verifier,
     policy: RecoveryPolicy,
     outcomes: Mutex<Vec<InstanceOutcome>>,
 }
@@ -134,7 +133,6 @@ impl<E: Clone> Clone for RecoveringEngine<E> {
     fn clone(&self) -> Self {
         Self {
             inner: self.inner.clone(),
-            verifier: self.verifier,
             policy: self.policy,
             outcomes: Mutex::new(Vec::new()),
         }
@@ -142,12 +140,10 @@ impl<E: Clone> Clone for RecoveringEngine<E> {
 }
 
 impl<E> RecoveringEngine<E> {
-    /// Wraps `inner` with a full-idempotence verifier and the default
-    /// policy (3 retries, then bypass).
+    /// Wraps `inner` with the default policy (3 retries, then bypass).
     pub fn new(inner: E) -> Self {
         Self {
             inner,
-            verifier: Verifier::full(),
             policy: RecoveryPolicy::default(),
             outcomes: Mutex::new(Vec::new()),
         }
@@ -272,7 +268,7 @@ impl<S: PathSemiring, E: FaultAware<S>> ClosureEngine<S> for RecoveringEngine<E>
                 };
 
                 match run {
-                    Ok((r, stats)) => match self.verifier.verify(instance, a, &r) {
+                    Ok((r, stats)) => match verify_closure(a, &r) {
                         Ok(()) => break (r, stats),
                         Err(msg) => {
                             extra.injected += events.len() as u64;

@@ -3,7 +3,7 @@
 //! A transient fault inside the array (see `systolic-arraysim::inject`) can
 //! silently corrupt the closure an engine returns. Re-running Warshall on
 //! the host to check every instance would cost the same O(n³) the array was
-//! bought to avoid, so the [`Verifier`] instead exploits algebraic
+//! bought to avoid, so [`verify_closure`] instead exploits algebraic
 //! invariants every correct closure `R = A⁺` (reflexive form) must satisfy
 //! over a [`PathSemiring`]:
 //!
@@ -19,8 +19,8 @@
 //!    perturbs one product term of a fold and, since path semirings are
 //!    selective in practice (the fold takes the *best* term), generically
 //!    breaks the fixed point somewhere along the affected row/column.
-//! 4. **Idempotence** — `R ⊗ R = R` itself, either in full (O(n³), exact)
-//!    or spot-checked on a deterministic sample of rows (O(samples · n²)).
+//! 4. **Idempotence** — `R ⊗ R = R` itself, in full (O(n³), exact; a
+//!    multiply is cheaper than a closure).
 //! 5. **Justification (Bellman minimality)** — for every off-diagonal
 //!    entry, `R[i][j] = refl(A)[i][j] ⊕ ⊕_{k∉{i,j}} R[i][k] ⊗ R[k][j]`.
 //!    Idempotence only bounds the result from one side (`R ⊗ R ⊑ R`);
@@ -29,7 +29,7 @@
 //!    closure folds over simple paths, and a simple path of length ≥ 2 has
 //!    an interior vertex `k ∉ {i, j}`. This kills the classic phantom: a
 //!    fabricated entry with no witness (e.g. a source→sink pair) leaves the
-//!    matrix idempotent but unjustified. Spot mode samples rows here too.
+//!    matrix idempotent but unjustified.
 //!
 //! Together the checks reject any result that is not the exact closure of
 //! *some* graph containing `A` whose extra reachability is self-witnessing.
@@ -42,191 +42,117 @@
 //! measure the escape rate.
 
 use systolic_semiring::{matmul, reflexive, DenseMatrix, PathSemiring, Semiring};
-use systolic_util::Rng;
 
-/// How thoroughly [`Verifier::verify`] checks idempotence.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum IdempotenceMode {
-    /// Full `R ⊗ R = R` (O(n³)).
-    Full,
-    /// Deterministically sampled rows (O(samples · n²)).
-    Spot {
-        /// Rows sampled per instance.
-        samples: usize,
-        /// Seed of the row sampler.
-        seed: u64,
-    },
-}
-
-/// Checks closure results against the invariants listed in the module docs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Verifier {
-    idempotence: IdempotenceMode,
-}
-
-impl Verifier {
-    /// A verifier that checks idempotence in full (O(n³) — same order as
-    /// recomputing the closure, but a multiply is cheaper than a closure
-    /// and catches *every* invariant-visible corruption).
-    pub fn full() -> Self {
-        Self {
-            idempotence: IdempotenceMode::Full,
-        }
+/// Verifies that `result` is plausible as `refl(input)⁺`, by the checks in
+/// the module docs.
+///
+/// # Errors
+/// The first violated invariant, naming the check and the matrix
+/// coordinate where it failed.
+pub fn verify_closure<S: PathSemiring>(
+    input: &DenseMatrix<S>,
+    result: &DenseMatrix<S>,
+) -> Result<(), String> {
+    let n = input.rows();
+    if result.rows() != n || result.cols() != n {
+        return Err(format!(
+            "shape: result is {}x{}, expected {n}x{n}",
+            result.rows(),
+            result.cols()
+        ));
     }
 
-    /// A verifier that spot-checks idempotence on `samples`
-    /// deterministically chosen rows (seeded by `seed` and the instance
-    /// index, so repeated runs sample identically). Checks 1–3 stay exact;
-    /// total cost O(n² · samples).
-    pub fn spot(samples: usize, seed: u64) -> Self {
-        Self {
-            idempotence: IdempotenceMode::Spot { samples, seed },
-        }
-    }
-
-    /// Verifies that `result` is plausible as `refl(input)⁺`.
-    ///
-    /// `instance` indexes the batch (diagnostics and spot-sample seeding).
-    ///
-    /// # Errors
-    /// The first violated invariant, naming the check and the matrix
-    /// coordinate where it failed.
-    pub fn verify<S: PathSemiring>(
-        &self,
-        instance: usize,
-        input: &DenseMatrix<S>,
-        result: &DenseMatrix<S>,
-    ) -> Result<(), String> {
-        let n = input.rows();
-        if result.rows() != n || result.cols() != n {
+    // 1. Reflexive diagonal.
+    let one = S::one();
+    for i in 0..n {
+        if *result.get(i, i) != one {
             return Err(format!(
-                "shape: result is {}x{}, expected {n}x{n}",
-                result.rows(),
-                result.cols()
+                "diagonal: R[{i}][{i}] = {:?}, expected {one:?}",
+                result.get(i, i)
             ));
         }
-
-        // 1. Reflexive diagonal.
-        let one = S::one();
-        for i in 0..n {
-            if *result.get(i, i) != one {
-                return Err(format!(
-                    "diagonal: R[{i}][{i}] = {:?}, expected {one:?}",
-                    result.get(i, i)
-                ));
-            }
-        }
-
-        // 2. Containment refl(A) ⊑ R.
-        let base = reflexive(input);
-        for i in 0..n {
-            for j in 0..n {
-                let a = base.get(i, j);
-                let r = result.get(i, j);
-                if S::add(a, r) != *r {
-                    return Err(format!(
-                        "containment: R[{i}][{j}] = {r:?} does not absorb input {a:?}"
-                    ));
-                }
-            }
-        }
-
-        // 3. Checksum fixed points R ⊗ s = s and tᵀ ⊗ R = tᵀ.
-        let s = row_folds(result);
-        for i in 0..n {
-            let mut acc = S::zero();
-            for (k, sk) in s.iter().enumerate() {
-                acc = S::add(&acc, &S::mul(result.get(i, k), sk));
-            }
-            if acc != s[i] {
-                return Err(format!(
-                    "row checksum: (R ⊗ s)[{i}] = {acc:?}, expected s[{i}] = {:?}",
-                    s[i]
-                ));
-            }
-        }
-        let t = col_folds(result);
-        for j in 0..n {
-            let mut acc = S::zero();
-            for (k, tk) in t.iter().enumerate() {
-                acc = S::add(&acc, &S::mul(tk, result.get(k, j)));
-            }
-            if acc != t[j] {
-                return Err(format!(
-                    "column checksum: (tᵀ ⊗ R)[{j}] = {acc:?}, expected t[{j}] = {:?}",
-                    t[j]
-                ));
-            }
-        }
-
-        // 5 (shared body). Justification of one row: each off-diagonal
-        // entry must be achieved by the direct edge or a witness vertex.
-        let justify_row = |i: usize| -> Result<(), String> {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let mut acc = base.get(i, j).clone();
-                for k in 0..n {
-                    if k != i && k != j {
-                        acc = S::add(&acc, &S::mul(result.get(i, k), result.get(k, j)));
-                    }
-                }
-                if acc != *result.get(i, j) {
-                    return Err(format!(
-                        "justification: R[{i}][{j}] = {:?} but direct edge ⊕ best \
-                         witness gives {acc:?}",
-                        result.get(i, j)
-                    ));
-                }
-            }
-            Ok(())
-        };
-
-        // 4 + 5. Idempotence and justification, full or row-sampled.
-        match self.idempotence {
-            IdempotenceMode::Full => {
-                let rr = matmul(result, result);
-                for i in 0..n {
-                    for j in 0..n {
-                        if rr.get(i, j) != result.get(i, j) {
-                            return Err(format!(
-                                "idempotence: (R ⊗ R)[{i}][{j}] = {:?} ≠ R[{i}][{j}] = {:?}",
-                                rr.get(i, j),
-                                result.get(i, j)
-                            ));
-                        }
-                    }
-                }
-                for i in 0..n {
-                    justify_row(i)?;
-                }
-            }
-            IdempotenceMode::Spot { samples, seed } => {
-                let mut rng =
-                    Rng::seed_from_u64(seed ^ (instance as u64).wrapping_mul(0x9e37_79b9));
-                for _ in 0..samples.min(n) {
-                    let i = rng.gen_usize(n);
-                    for j in 0..n {
-                        let mut acc = S::zero();
-                        for k in 0..n {
-                            acc = S::add(&acc, &S::mul(result.get(i, k), result.get(k, j)));
-                        }
-                        if acc != *result.get(i, j) {
-                            return Err(format!(
-                                "idempotence (spot): (R ⊗ R)[{i}][{j}] = {acc:?} \
-                                 ≠ R[{i}][{j}] = {:?}",
-                                result.get(i, j)
-                            ));
-                        }
-                    }
-                    justify_row(i)?;
-                }
-            }
-        }
-
-        Ok(())
     }
+
+    // 2. Containment refl(A) ⊑ R.
+    let base = reflexive(input);
+    for i in 0..n {
+        for j in 0..n {
+            let a = base.get(i, j);
+            let r = result.get(i, j);
+            if S::add(a, r) != *r {
+                return Err(format!(
+                    "containment: R[{i}][{j}] = {r:?} does not absorb input {a:?}"
+                ));
+            }
+        }
+    }
+
+    // 3. Checksum fixed points R ⊗ s = s and tᵀ ⊗ R = tᵀ.
+    let s = row_folds(result);
+    for i in 0..n {
+        let mut acc = S::zero();
+        for (k, sk) in s.iter().enumerate() {
+            acc = S::add(&acc, &S::mul(result.get(i, k), sk));
+        }
+        if acc != s[i] {
+            return Err(format!(
+                "row checksum: (R ⊗ s)[{i}] = {acc:?}, expected s[{i}] = {:?}",
+                s[i]
+            ));
+        }
+    }
+    let t = col_folds(result);
+    for j in 0..n {
+        let mut acc = S::zero();
+        for (k, tk) in t.iter().enumerate() {
+            acc = S::add(&acc, &S::mul(tk, result.get(k, j)));
+        }
+        if acc != t[j] {
+            return Err(format!(
+                "column checksum: (tᵀ ⊗ R)[{j}] = {acc:?}, expected t[{j}] = {:?}",
+                t[j]
+            ));
+        }
+    }
+
+    // 4. Idempotence R ⊗ R = R.
+    let rr = matmul(result, result);
+    for i in 0..n {
+        for j in 0..n {
+            if rr.get(i, j) != result.get(i, j) {
+                return Err(format!(
+                    "idempotence: (R ⊗ R)[{i}][{j}] = {:?} ≠ R[{i}][{j}] = {:?}",
+                    rr.get(i, j),
+                    result.get(i, j)
+                ));
+            }
+        }
+    }
+
+    // 5. Justification: each off-diagonal entry must be achieved by the
+    // direct edge or a witness vertex.
+    for i in 0..n {
+        for j in 0..n {
+            if i == j {
+                continue;
+            }
+            let mut acc = base.get(i, j).clone();
+            for k in 0..n {
+                if k != i && k != j {
+                    acc = S::add(&acc, &S::mul(result.get(i, k), result.get(k, j)));
+                }
+            }
+            if acc != *result.get(i, j) {
+                return Err(format!(
+                    "justification: R[{i}][{j}] = {:?} but direct edge ⊕ best \
+                     witness gives {acc:?}",
+                    result.get(i, j)
+                ));
+            }
+        }
+    }
+
+    Ok(())
 }
 
 /// Row checksums `s[i] = ⊕_j R[i][j]`.
@@ -263,8 +189,7 @@ mod tests {
         for seed in 0..8 {
             let a = gnp_bool(9, 0.2, seed);
             let r = warshall(&a);
-            Verifier::full().verify(0, &a, &r).unwrap();
-            Verifier::spot(3, 42).verify(seed as usize, &a, &r).unwrap();
+            verify_closure(&a, &r).unwrap();
         }
     }
 
@@ -279,17 +204,14 @@ mod tests {
             }
         });
         let r = warshall(&a);
-        Verifier::full().verify(0, &a, &r).unwrap();
+        verify_closure(&a, &r).unwrap();
     }
 
     #[test]
     fn rejects_shape_mismatch() {
         let a = gnp_bool(4, 0.3, 1);
         let bad = DenseMatrix::<Bool>::zeros(3, 3);
-        assert!(Verifier::full()
-            .verify(0, &a, &bad)
-            .unwrap_err()
-            .starts_with("shape"));
+        assert!(verify_closure(&a, &bad).unwrap_err().starts_with("shape"));
     }
 
     #[test]
@@ -297,7 +219,7 @@ mod tests {
         let a = gnp_bool(5, 0.3, 2);
         let mut r = warshall(&a);
         r.set(2, 2, false);
-        let err = Verifier::full().verify(0, &a, &r).unwrap_err();
+        let err = verify_closure(&a, &r).unwrap_err();
         assert!(err.starts_with("diagonal"), "{err}");
     }
 
@@ -307,7 +229,7 @@ mod tests {
         a.set(0, 3, true);
         let mut r = warshall(&a);
         r.set(0, 3, false);
-        let err = Verifier::full().verify(0, &a, &r).unwrap_err();
+        let err = verify_closure(&a, &r).unwrap_err();
         assert!(err.starts_with("containment"), "{err}");
     }
 
@@ -329,7 +251,7 @@ mod tests {
                     let mut bad = r.clone();
                     bad.set(i, j, true);
                     flips += 1;
-                    let err = Verifier::full().verify(0, &a, &bad).unwrap_err();
+                    let err = verify_closure(&a, &bad).unwrap_err();
                     let idempotent = matmul(&bad, &bad) == bad;
                     assert!(
                         !idempotent || err.starts_with("justification"),
@@ -355,7 +277,7 @@ mod tests {
         bigger.set(0, 1, true);
         let masquerade = warshall(&bigger);
         assert_ne!(masquerade, warshall(&a));
-        Verifier::full().verify(0, &a, &masquerade).unwrap();
+        verify_closure(&a, &masquerade).unwrap();
     }
 
     #[test]
@@ -368,25 +290,7 @@ mod tests {
         a.set(2, 3, 4);
         let mut r = warshall(&a);
         r.set(0, 2, 1); // true distance is 8; 1 + r[2][3] < r[0][3] propagates
-        assert!(Verifier::full().verify(0, &a, &r).is_err());
-    }
-
-    #[test]
-    fn spot_verifier_is_deterministic() {
-        let a = gnp_bool(7, 0.2, 4);
-        let mut r = warshall(&a);
-        // Corrupt a single non-diagonal entry that survives containment.
-        'outer: for i in 0..7 {
-            for j in 0..7 {
-                if i != j && !*a.get(i, j) && *r.get(i, j) {
-                    r.set(i, j, false);
-                    break 'outer;
-                }
-            }
-        }
-        let v = Verifier::spot(2, 9);
-        let first = v.verify(3, &a, &r);
-        assert_eq!(first, v.verify(3, &a, &r), "same sample rows each run");
+        assert!(verify_closure(&a, &r).is_err());
     }
 
     #[test]

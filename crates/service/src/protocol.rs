@@ -18,9 +18,9 @@ pub enum Command {
     Insert(usize, usize),
     /// `DELETE u v` — remove edge `u → v`.
     Delete(usize, usize),
-    /// `LOAD <path>` — replace the graph with a Matrix-Market edge list
-    /// read server-side from `path` (bulk initial load; rejected on
-    /// durable services, where it would bypass the WAL).
+    /// `LOAD <path>` — replace the graph with a graph file (edge list or
+    /// Matrix-Market) read server-side from `path` (bulk initial load;
+    /// rejected on durable services, where it would bypass the WAL).
     Load(String),
     /// `STATS` — one line of service counters.
     Stats,

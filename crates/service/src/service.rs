@@ -410,11 +410,13 @@ impl ReachService {
                     )
                     .into());
                 }
-                let (n, entries) =
-                    systolic_closure::CsrGraph::load_edges(std::path::Path::new(&path))
-                        .map_err(|e| EngineError::BadInput(format!("LOAD {path}: {e}")))?;
+                let bad =
+                    |e: &dyn std::fmt::Display| EngineError::BadInput(format!("LOAD {path}: {e}"));
+                let file = std::fs::File::open(&path).map_err(|e| bad(&e))?;
+                let (n, entries) = systolic_closure::read_edges(std::io::BufReader::new(file))
+                    .map_err(|e| bad(&e))?;
                 // The cap (see `MAX_LOAD_VERTICES`) is checked on the
-                // declared size, before anything n-sized is built.
+                // vertex count, before anything n-sized is built.
                 if n > MAX_LOAD_VERTICES {
                     return Err(EngineError::BadInput(format!(
                         "LOAD {path}: {n} vertices exceeds the dense service cap of \
@@ -499,22 +501,28 @@ mod tests {
         // about 96 GB.
         let path =
             std::env::temp_dir().join(format!("systolic-svc-load-cap-{}.mtx", std::process::id()));
-        std::fs::write(&path, "4000000000 4000000000 0\n").unwrap();
+        std::fs::write(
+            &path,
+            "%%MatrixMarket matrix coordinate pattern general\n4000000000 4000000000 0\n",
+        )
+        .unwrap();
         let mut svc = ReachService::new(DiGraph::new(3));
         assert_eq!(line(&mut svc, "INSERT 0 1"), "OK INSERT 0 1 added=1");
-        let resp = line(&mut svc, &format!("LOAD {}", path.display()));
-        assert_eq!(
-            resp,
-            format!(
-                "ERR backend: bad input: LOAD {}: 4000000000 vertices exceeds the dense \
-                 service cap of 32768 (use `systolic closure --sparse` for offline queries \
-                 at this scale)",
-                path.display()
-            )
+        let refusal = format!(
+            "ERR backend: bad input: LOAD {}: 4000000000 vertices exceeds the dense \
+             service cap of 32768 (use `systolic closure --sparse` for offline queries \
+             at this scale)",
+            path.display()
         );
+        let resp = line(&mut svc, &format!("LOAD {}", path.display()));
+        assert_eq!(resp, refusal);
         // The previous graph keeps serving and mutating.
         assert_eq!(line(&mut svc, "REACH 0 1"), "REACH 0 1 true");
         assert_eq!(line(&mut svc, "INSERT 1 2"), "OK INSERT 1 2 added=2");
+        // The same vertex count as an edge list: its largest id.
+        std::fs::write(&path, "3999999999 0\n").unwrap();
+        assert_eq!(line(&mut svc, &format!("LOAD {}", path.display())), refusal);
+        assert_eq!(line(&mut svc, "REACH 0 2"), "REACH 0 2 true");
         std::fs::remove_file(&path).ok();
     }
 

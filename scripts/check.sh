@@ -17,7 +17,9 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # The widened data plane's equivalence suites, named explicitly so a
 # failure points straight at the plane that diverged (they also run
 # as part of the workspace suite above). proptest_sparse pins the sparse
-# CSR pipeline and its on-demand mode to the dense oracle;
+# CSR pipeline and its on-demand mode to the dense oracle; graph_reader
+# drives the one graph-file reader through both dialects and the seeded
+# chaos reader (fragmented, cut and corrupted streams, hostile lines);
 # sparse_memory holds the component closure's rows under the
 # dense matrix they replace (under an eighth of it on power-law graphs);
 # condense_ids pins the component ids the DAG sweep relies on;
@@ -33,9 +35,9 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # EXPERIMENTS.md section byte for byte, and elimination_graph_pins pins
 # the LU and Faddeev dependence graphs of the one elimination builder.
 cargo test -q --test proptest_lanes --test proptest_swar --test proptest_laws \
-    --test proptest_sparse --test sparse_memory --test proptest_durations --test condense_ids \
-    --test determinism_and_goldens --test proptest_plan_cache --test proptest_schedule \
-    --test serve_oracle
+    --test proptest_sparse --test graph_reader --test sparse_memory --test proptest_durations \
+    --test condense_ids --test determinism_and_goldens --test proptest_plan_cache \
+    --test proptest_schedule --test serve_oracle
 cargo test -q -p systolic-bench --test e30_pinned
 cargo test -q -p systolic-dgraph --test elimination_graph_pins
 # The simulator's ring index arithmetic and its inlining differ between

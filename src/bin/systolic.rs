@@ -1,9 +1,9 @@
 //! `systolic` — command-line front end to the reproduction.
 //!
 //! ```text
-//! systolic closure  [--backend B] [--mapping M] [--show] <edges-file|->
-//!                                                            transitive closure
-//! systolic paths    <weighted-edges-file> <src> <dst>       shortest route
+//! systolic closure  [--backend B] [--mapping M] [--show] <file|-|--load F|--gen S>
+//!                                                           transitive closure
+//! systolic paths    <file|-> <src> <dst>                    shortest route
 //! systolic schedule <n> <m> [--grid]                        G-set schedule summary
 //! systolic gantt    <n> <m>                                 cell-occupancy chart
 //! systolic info     <n> [m]                                 paper's analytic measures
@@ -11,17 +11,21 @@
 //! systolic algo     <lu|faddeev> [--mapping M] [-n N]       elimination pipeline vs reference
 //! systolic plancache [--n N] [--cells M] [--instances K]    plan-cache reuse check
 //! systolic packed   [--n N] [--cells M] [--instances K]     lane-packed identity check
-//! systolic serve    [--vertices N|--file F] [--socket ADDR] long-running reachability server
+//! systolic serve    [--vertices N|--file F|-] [--socket A] long-running reachability server
 //! ```
 //!
-//! Edge files are whitespace-separated `u v` (or `u v w` for `paths`) pairs
-//! per line, vertices numbered from 0; `-` reads stdin.
+//! Every graph input (`closure`, `paths`, `serve --file` and the service's
+//! `LOAD`) goes through the one reader in `closure::csr`, which takes
+//! either dialect: an edge list of `u v [w]` lines, vertices numbered from
+//! 0 and `#` comments, or a Matrix-Market file (`%%MatrixMarket` banner,
+//! size line, 1-based entries). `paths` needs the weight column; `-`
+//! reads stdin.
 
-use std::io::Read;
+use std::io::{BufRead, BufReader};
 use systolic::arraysim::{render_gantt, RunStats};
 use systolic::closure::{
-    shortest_paths_with_routes, Backend, ClosureSolver, CsrGraph, DiGraph, SparseClosure,
-    WeightedDiGraph,
+    read_entries, shortest_paths_with_routes, Backend, ClosureSolver, CsrGraph, DiGraph,
+    SparseClosure, WeightedDiGraph,
 };
 use systolic::metrics::LinearModel;
 use systolic::partition::{
@@ -33,10 +37,10 @@ fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!();
     eprintln!("usage:");
-    eprintln!("  systolic closure  [--backend linear:M|grid:S|lsgp:M|fixed|fixed-linear|reference|bit|blocked:B] [--mapping lpgs:M|lsgp:M|grid:S|fixed|fixed-linear] [--show] <file|->");
-    eprintln!("                    [--load mtx-file] [--gen powerlaw:n=N,d=D,seed=S | gnp:n=N,p=P,seed=S | bowtie:n=N,seed=S]");
-    eprintln!("                    [--sparse] [--stats]   (sparse path auto-selected above 4096 vertices)");
-    eprintln!("  systolic paths    <file> <src> <dst>");
+    eprintln!("  systolic closure  [--backend linear:M|grid:S|lsgp:M|fixed|fixed-linear|reference|bit|blocked:B] [--mapping lpgs:M|lsgp:M|grid:S|fixed|fixed-linear] [--show]");
+    eprintln!("                    [--sparse] [--stats]   (sparse path auto-selected above 4096 vertices, where a dense closure is refused)");
+    eprintln!("                    <file|-> | --load <file|-> | --gen powerlaw:n=N,d=D,seed=S | gnp:n=N,p=P,seed=S | bowtie:n=N,seed=S");
+    eprintln!("  systolic paths    <file|-> <src> <dst>");
     eprintln!("  systolic schedule <n> <m> [--grid]");
     eprintln!("  systolic gantt    <n> <m>");
     eprintln!("  systolic info     <n> [m]");
@@ -48,50 +52,37 @@ fn fail(msg: &str) -> ! {
     eprintln!("  systolic packed   [--n N] [--cells M] [--instances K] [--iters I]");
     eprintln!("  systolic serve    [--vertices N | --file F|-] [--batched] [--cells M] [--socket ADDR] [--sessions K] [--accept N]");
     eprintln!("                    [--wal F [--snapshot-every N]] [--max-pending N] [--max-line BYTES] [--read-timeout-ms MS]");
+    eprintln!("  graph files: `u v [w]` lines (0-based, `#` comments) or Matrix-Market (`%%MatrixMarket` banner, 1-based)");
     std::process::exit(2);
 }
 
-fn read_input(path: &str) -> String {
+/// Opens a graph input for the reader: a file, or `-` for stdin.
+fn graph_input(path: &str) -> Box<dyn BufRead> {
     if path == "-" {
-        let mut s = String::new();
-        std::io::stdin()
-            .read_to_string(&mut s)
-            .unwrap_or_else(|e| fail(&format!("reading stdin: {e}")));
-        s
-    } else {
-        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")))
+        return Box::new(std::io::stdin().lock());
     }
+    let file = std::fs::File::open(path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
+    Box::new(BufReader::new(file))
 }
 
-fn parse_edges(text: &str, weighted: bool) -> (usize, Vec<(usize, usize, u64)>) {
-    let mut edges = Vec::new();
-    let mut max_v = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let parse = |tok: Option<&str>| -> usize {
-            tok.and_then(|t| t.parse().ok())
-                .unwrap_or_else(|| fail(&format!("line {}: malformed edge", lineno + 1)))
-        };
-        let u = parse(it.next());
-        let v = parse(it.next());
-        let w = if weighted { parse(it.next()) as u64 } else { 1 };
-        if let Some(extra) = it.next() {
-            fail(&format!(
-                "line {}: trailing token `{extra}` after edge",
-                lineno + 1
-            ));
-        }
-        max_v = max_v.max(u).max(v);
-        edges.push((u, v, w));
-    }
-    if edges.is_empty() {
-        fail("input contains no edges (empty or comment-only)");
-    }
-    (max_v + 1, edges)
+/// Reads a graph file or `-` (either dialect) as a [`CsrGraph`].
+fn read_graph(path: &str) -> CsrGraph {
+    CsrGraph::read(graph_input(path)).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")))
+}
+
+/// The value after the flag at `args[*i]`, moving `*i` onto it.
+fn flag_value<'a>(args: &'a [String], i: &mut usize) -> &'a str {
+    *i += 1;
+    args.get(*i)
+        .unwrap_or_else(|| fail(&format!("{} needs a value", args[*i - 1])))
+}
+
+/// The parsed value after the flag at `args[*i]`, moving `*i` onto it.
+fn parsed<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T {
+    let flag = &args[*i];
+    flag_value(args, i)
+        .parse()
+        .unwrap_or_else(|_| fail(&format!("bad {flag}")))
 }
 
 /// Rejects zero-sized array parameters at the flag parser, so `linear:0`
@@ -207,9 +198,20 @@ fn parse_gen(spec: &str) -> CsrGraph {
     }
 }
 
-/// Above this vertex count, `closure` routes through the sparse plane
-/// unless an explicit dense `--backend`/`--mapping` pins it down.
+/// Above this vertex count, `closure` routes through the sparse plane,
+/// and a dense (`n×n`) closure — an explicit `--backend`/`--mapping`, or
+/// `paths` — is refused before anything `n²`-sized is built.
 const SPARSE_AUTO_THRESHOLD: usize = 4096;
+
+/// Fails usage when a dense closure of `n` vertices is above the limit.
+fn dense_limit(n: usize) {
+    if n > SPARSE_AUTO_THRESHOLD {
+        fail(&format!(
+            "a dense closure is limited to {SPARSE_AUTO_THRESHOLD} vertices and this graph has \
+             {n} (closure --sparse has no such limit)"
+        ));
+    }
+}
 
 fn cmd_closure(args: &[String]) {
     let mut backend = Backend::Linear { cells: 4 };
@@ -217,85 +219,56 @@ fn cmd_closure(args: &[String]) {
     let mut show = false;
     let mut stats = false;
     let mut sparse = false;
-    let mut file = None;
-    // `--load F` or `--gen S` as (flag, value), read once parsing is done.
-    let mut source: Option<(&str, &str)> = None;
+    // Every input as (flag, value), a bare file with an empty flag (it is
+    // the same input as `--load FILE`). Exactly one is read once parsing
+    // is done.
+    let mut inputs: Vec<(&str, &str)> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--backend" => {
-                i += 1;
-                backend = parse_array(
-                    "backend",
-                    args.get(i)
-                        .map(String::as_str)
-                        .unwrap_or_else(|| fail("--backend needs a value")),
-                    BACKENDS,
-                );
+                backend = parse_array("backend", flag_value(args, &mut i), BACKENDS);
                 backend_explicit = true;
             }
             "--mapping" => {
-                i += 1;
-                backend = parse_array(
-                    "mapping",
-                    args.get(i)
-                        .map(String::as_str)
-                        .unwrap_or_else(|| fail("--mapping needs a value")),
-                    MAPPINGS,
-                );
+                backend = parse_array("mapping", flag_value(args, &mut i), MAPPINGS);
                 backend_explicit = true;
             }
-            flag @ ("--load" | "--gen") => {
-                i += 1;
-                let value = args.get(i).map(String::as_str).unwrap_or_else(|| {
-                    fail(if flag == "--load" {
-                        "--load needs a Matrix-Market file"
-                    } else {
-                        "--gen needs a spec"
-                    })
-                });
-                if let Some((f, v)) = source {
-                    fail(&format!(
-                        "closure takes one input, not `{flag} {value}` as well as `{f} {v}`"
-                    ));
-                }
-                source = Some((flag, value));
-            }
+            flag @ ("--load" | "--gen") => inputs.push((flag, flag_value(args, &mut i))),
             "--sparse" => sparse = true,
             "--stats" => stats = true,
             "--show" => show = true,
             other if other.len() > 1 && other.starts_with('-') => {
                 fail(&format!("unknown closure flag `{other}`"))
             }
-            other if file.is_some() => {
-                fail(&format!("closure takes one input file, not `{other}`"))
-            }
-            other => file = Some(other.to_string()),
+            file => inputs.push(("", file)),
         }
         i += 1;
     }
-    let graph = match (source, file) {
-        (Some((flag, value)), Some(file)) => fail(&format!(
-            "closure takes one input, not `{file}` as well as `{flag} {value}`"
-        )),
-        (Some(("--load", path)), None) => CsrGraph::load(std::path::Path::new(path))
-            .unwrap_or_else(|e| fail(&format!("loading {path}: {e}"))),
-        (Some((_, spec)), None) => parse_gen(spec),
-        (None, Some(file)) => {
-            let (n, edges) = parse_edges(&read_input(&file), false);
-            let pairs: Vec<(u32, u32)> = edges
+    let graph = match inputs[..] {
+        [("--gen", spec)] => parse_gen(spec),
+        [(_, path)] => read_graph(path),
+        [] => fail("closure needs an input (file, -, --load or --gen)"),
+        _ => fail(&format!(
+            "closure takes one input, not {}",
+            inputs
                 .iter()
-                .map(|&(u, v, _)| (u as u32, v as u32))
-                .collect();
-            CsrGraph::from_edges(n, &pairs)
-        }
-        (None, None) => fail("closure needs an input (file, -, --load or --gen)"),
+                .map(|&(flag, value)| match flag {
+                    "" => format!("`{value}`"),
+                    _ => format!("`{flag} {value}`"),
+                })
+                .collect::<Vec<_>>()
+                .join(", ")
+        )),
     };
+    let sparse = sparse || (!backend_explicit && graph.n() > SPARSE_AUTO_THRESHOLD);
+    if !sparse {
+        dense_limit(graph.n());
+    }
     if stats {
         println!("graph: {}", graph.stats());
     }
-    let use_sparse = sparse || (!backend_explicit && graph.n() > SPARSE_AUTO_THRESHOLD);
-    if use_sparse {
+    if sparse {
         closure_sparse(&graph, stats, show);
         return;
     }
@@ -380,7 +353,17 @@ fn cmd_paths(args: &[String]) {
     let [file, src, dst] = args else {
         fail("paths needs <file> <src> <dst>")
     };
-    let (n, edges) = parse_edges(&read_input(file), true);
+    let mut edges = Vec::new();
+    let n = read_entries(graph_input(file), |u, v, w: Option<u64>| {
+        edges.push((
+            u as usize,
+            v as usize,
+            w.ok_or("paths needs a weight on every edge")?,
+        ));
+        Ok(())
+    })
+    .unwrap_or_else(|e| fail(&format!("reading {file}: {e}")));
+    dense_limit(n);
     let mut g = WeightedDiGraph::new(n);
     for (u, v, w) in edges {
         g.add_edge(u, v, w);
@@ -492,26 +475,14 @@ fn cmd_algo(args: &[String]) {
     let mut timed = false;
     let mut i = 0;
     while i < args.len() {
-        let value = |i: usize| -> &str {
-            args.get(i)
-                .map(String::as_str)
-                .unwrap_or_else(|| fail(&format!("{} needs a value", args[i - 1])))
-        };
         match args[i].as_str() {
             "lu" => algo = Some(Algo::Lu),
             "faddeev" => algo = Some(Algo::Faddeev),
             "--mapping" => {
-                i += 1;
-                mapping = parse_array("algo mapping", value(i), ALGO_MAPPINGS);
+                mapping = parse_array("algo mapping", flag_value(args, &mut i), ALGO_MAPPINGS)
             }
-            "-n" | "--n" => {
-                i += 1;
-                n = positive("-n", value(i).parse().unwrap_or_else(|_| fail("bad -n")));
-            }
-            "--seed" => {
-                i += 1;
-                seed = value(i).parse().unwrap_or_else(|_| fail("bad --seed"));
-            }
+            "-n" | "--n" => n = positive("-n", parsed(args, &mut i)),
+            "--seed" => seed = parsed(args, &mut i),
             "--timed" => timed = true,
             other => fail(&format!("unknown algo argument `{other}`")),
         }
@@ -600,44 +571,19 @@ fn cmd_campaign(args: &[String]) {
     let mut rate_set = false;
     let mut i = 0;
     while i < args.len() {
-        let value = |i: usize| -> &str {
-            args.get(i)
-                .map(String::as_str)
-                .unwrap_or_else(|| fail(&format!("{} needs a value", args[i - 1])))
-        };
         match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                cfg.seed = value(i).parse().unwrap_or_else(|_| fail("bad --seed"));
-            }
-            "--n" => {
-                i += 1;
-                cfg.n = value(i).parse().unwrap_or_else(|_| fail("bad --n"));
-            }
-            "--cells" => {
-                i += 1;
-                cfg.cells = value(i).parse().unwrap_or_else(|_| fail("bad --cells"));
-            }
-            "--instances" => {
-                i += 1;
-                cfg.instances = value(i).parse().unwrap_or_else(|_| fail("bad --instances"));
-            }
+            "--seed" => cfg.seed = parsed(args, &mut i),
+            "--n" => cfg.n = parsed(args, &mut i),
+            "--cells" => cfg.cells = parsed(args, &mut i),
+            "--instances" => cfg.instances = parsed(args, &mut i),
             "--rate" => {
-                i += 1;
-                cfg.rate = value(i).parse().unwrap_or_else(|_| fail("bad --rate"));
+                cfg.rate = parsed(args, &mut i);
                 rate_set = true;
             }
-            "--density" => {
-                i += 1;
-                cfg.density = value(i).parse().unwrap_or_else(|_| fail("bad --density"));
-            }
-            "--retries" => {
-                i += 1;
-                cfg.max_retries = value(i).parse().unwrap_or_else(|_| fail("bad --retries"));
-            }
+            "--density" => cfg.density = parsed(args, &mut i),
+            "--retries" => cfg.max_retries = parsed(args, &mut i),
             "--hot" => {
-                i += 1;
-                let (c, w) = value(i)
+                let (c, w) = flag_value(args, &mut i)
                     .split_once(':')
                     .unwrap_or_else(|| fail("--hot takes CELL:WEIGHT"));
                 cfg.hot_cell = Some((
@@ -645,14 +591,7 @@ fn cmd_campaign(args: &[String]) {
                     w.parse().unwrap_or_else(|_| fail("bad --hot weight")),
                 ));
             }
-            "--packed-lane" => {
-                i += 1;
-                packed_lane = Some(
-                    value(i)
-                        .parse()
-                        .unwrap_or_else(|_| fail("bad --packed-lane")),
-                );
-            }
+            "--packed-lane" => packed_lane = Some(parsed(args, &mut i)),
             other => fail(&format!("unknown campaign flag `{other}`")),
         }
         i += 1;
@@ -748,28 +687,11 @@ fn cmd_plancache(args: &[String]) {
     let (mut n, mut m, mut instances, mut iters) = (24usize, 4usize, 8usize, 5u32);
     let mut i = 0;
     while i < args.len() {
-        let value = |i: usize| -> &str {
-            args.get(i)
-                .map(String::as_str)
-                .unwrap_or_else(|| fail(&format!("{} needs a value", args[i - 1])))
-        };
         match args[i].as_str() {
-            "--n" => {
-                i += 1;
-                n = value(i).parse().unwrap_or_else(|_| fail("bad --n"));
-            }
-            "--cells" => {
-                i += 1;
-                m = value(i).parse().unwrap_or_else(|_| fail("bad --cells"));
-            }
-            "--instances" => {
-                i += 1;
-                instances = value(i).parse().unwrap_or_else(|_| fail("bad --instances"));
-            }
-            "--iters" => {
-                i += 1;
-                iters = value(i).parse().unwrap_or_else(|_| fail("bad --iters"));
-            }
+            "--n" => n = parsed(args, &mut i),
+            "--cells" => m = parsed(args, &mut i),
+            "--instances" => instances = parsed(args, &mut i),
+            "--iters" => iters = parsed(args, &mut i),
             other => fail(&format!("unknown plancache flag `{other}`")),
         }
         i += 1;
@@ -825,28 +747,11 @@ fn cmd_packed(args: &[String]) {
     let (mut n, mut m, mut instances, mut iters) = (24usize, 4usize, 64usize, 5u32);
     let mut i = 0;
     while i < args.len() {
-        let value = |i: usize| -> &str {
-            args.get(i)
-                .map(String::as_str)
-                .unwrap_or_else(|| fail(&format!("{} needs a value", args[i - 1])))
-        };
         match args[i].as_str() {
-            "--n" => {
-                i += 1;
-                n = value(i).parse().unwrap_or_else(|_| fail("bad --n"));
-            }
-            "--cells" => {
-                i += 1;
-                m = value(i).parse().unwrap_or_else(|_| fail("bad --cells"));
-            }
-            "--instances" => {
-                i += 1;
-                instances = value(i).parse().unwrap_or_else(|_| fail("bad --instances"));
-            }
-            "--iters" => {
-                i += 1;
-                iters = value(i).parse().unwrap_or_else(|_| fail("bad --iters"));
-            }
+            "--n" => n = parsed(args, &mut i),
+            "--cells" => m = parsed(args, &mut i),
+            "--instances" => instances = parsed(args, &mut i),
+            "--iters" => iters = parsed(args, &mut i),
             other => fail(&format!("unknown packed flag `{other}`")),
         }
         i += 1;
@@ -910,89 +815,34 @@ fn cmd_serve(args: &[String]) {
         serve, serve_tcp, Durability, ReachService, SessionLimits, SharedService,
     };
     let mut vertices: Option<usize> = None;
-    let mut file: Option<String> = None;
-    let mut socket: Option<String> = None;
+    let mut file: Option<&str> = None;
+    let mut socket: Option<&str> = None;
     let mut sessions = 4usize;
     let mut accept: Option<usize> = None;
     let mut batched = false;
     let mut cells = 4usize;
-    let mut wal: Option<String> = None;
+    let mut wal: Option<&str> = None;
     let mut snapshot_every: Option<u64> = None;
     let mut max_pending: Option<u64> = None;
     let mut limits = SessionLimits::default();
     let mut i = 0;
     while i < args.len() {
-        let value = |i: usize| -> &str {
-            args.get(i)
-                .map(String::as_str)
-                .unwrap_or_else(|| fail(&format!("{} needs a value", args[i - 1])))
-        };
         match args[i].as_str() {
-            "--vertices" => {
-                i += 1;
-                vertices = Some(value(i).parse().unwrap_or_else(|_| fail("bad --vertices")));
-            }
-            "--file" => {
-                i += 1;
-                file = Some(value(i).to_string());
-            }
-            "--socket" => {
-                i += 1;
-                socket = Some(value(i).to_string());
-            }
-            "--sessions" => {
-                i += 1;
-                sessions = positive(
-                    "--sessions",
-                    value(i).parse().unwrap_or_else(|_| fail("bad --sessions")),
-                );
-            }
-            "--accept" => {
-                i += 1;
-                accept = Some(positive(
-                    "--accept",
-                    value(i).parse().unwrap_or_else(|_| fail("bad --accept")),
-                ));
-            }
-            "--wal" => {
-                i += 1;
-                wal = Some(value(i).to_string());
-            }
-            "--snapshot-every" => {
-                i += 1;
-                snapshot_every = Some(
-                    value(i)
-                        .parse()
-                        .unwrap_or_else(|_| fail("bad --snapshot-every")),
-                );
-            }
-            "--max-pending" => {
-                i += 1;
-                max_pending = Some(
-                    value(i)
-                        .parse()
-                        .unwrap_or_else(|_| fail("bad --max-pending")),
-                );
-            }
-            "--max-line" => {
-                i += 1;
-                limits.max_line = positive(
-                    "--max-line",
-                    value(i).parse().unwrap_or_else(|_| fail("bad --max-line")),
-                );
-            }
+            "--vertices" => vertices = Some(parsed(args, &mut i)),
+            "--file" => file = Some(flag_value(args, &mut i)),
+            "--socket" => socket = Some(flag_value(args, &mut i)),
+            "--sessions" => sessions = positive("--sessions", parsed(args, &mut i)),
+            "--accept" => accept = Some(positive("--accept", parsed(args, &mut i))),
+            "--wal" => wal = Some(flag_value(args, &mut i)),
+            "--snapshot-every" => snapshot_every = Some(parsed(args, &mut i)),
+            "--max-pending" => max_pending = Some(parsed(args, &mut i)),
+            "--max-line" => limits.max_line = positive("--max-line", parsed(args, &mut i)),
             "--read-timeout-ms" => {
-                i += 1;
-                let ms: u64 = value(i)
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --read-timeout-ms"));
+                let ms: u64 = parsed(args, &mut i);
                 limits.read_timeout = (ms > 0).then(|| std::time::Duration::from_millis(ms));
             }
             "--batched" => batched = true,
-            "--cells" => {
-                i += 1;
-                cells = value(i).parse().unwrap_or_else(|_| fail("bad --cells"));
-            }
+            "--cells" => cells = parsed(args, &mut i),
             other => fail(&format!("unknown serve flag `{other}`")),
         }
         i += 1;
@@ -1002,14 +852,7 @@ fn cmd_serve(args: &[String]) {
     }
     let graph = match (&file, vertices) {
         (Some(_), Some(_)) => fail("serve takes --vertices or --file, not both"),
-        (Some(f), None) => {
-            let (n, edges) = parse_edges(&read_input(f), false);
-            let mut g = DiGraph::new(n);
-            for (u, v, _) in edges {
-                g.add_edge(u, v);
-            }
-            g
-        }
+        (Some(f), None) => read_graph(f).to_digraph(),
         (None, n) => {
             let n = n.unwrap_or(64);
             if n < 2 {
@@ -1020,7 +863,7 @@ fn cmd_serve(args: &[String]) {
     };
     // Recover from the WAL+snapshot before building the service, so the
     // closure is computed from exactly the committed history.
-    let (graph, durability) = match &wal {
+    let (graph, durability) = match wal {
         Some(path) => {
             let (d, g, report) =
                 Durability::open(std::path::Path::new(path), snapshot_every, graph)
@@ -1056,14 +899,12 @@ fn cmd_serve(args: &[String]) {
         svc.n(),
         if batched { "batched" } else { "software" },
         if wal.is_some() { ", durable" } else { "" },
-        socket
-            .as_deref()
-            .map_or(String::new(), |s| format!(" on {s}")),
+        socket.map_or(String::new(), |s| format!(" on {s}")),
     );
     let shared = Arc::new(SharedService::new(svc, limits));
     let summary = match socket {
         Some(addr) => {
-            let listener = std::net::TcpListener::bind(&addr)
+            let listener = std::net::TcpListener::bind(addr)
                 .unwrap_or_else(|e| fail(&format!("binding {addr}: {e}")));
             serve_tcp(&shared, &listener, sessions, accept)
         }

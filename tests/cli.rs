@@ -634,3 +634,179 @@ fn algo_bad_usage_exits_cleanly() {
         assert!(!err.contains("panicked"), "{args:?}: {err}");
     }
 }
+
+/// The 4-vertex graph of `closure_on_edge_file` in the Matrix-Market
+/// dialect (1-based).
+const CYCLE_MTX: &str =
+    "%%MatrixMarket matrix coordinate pattern general\n4 4 4\n1 2\n2 3\n3 1\n3 4\n";
+
+#[test]
+fn closure_reads_both_dialects_from_every_input() {
+    let mtx = write_temp("dialects.mtx", CYCLE_MTX);
+    let edges = write_temp("dialects-edges", "0 1\n1 2\n2 0\n2 3\n");
+    for input in [
+        vec![mtx.to_str().unwrap()],
+        vec!["--load", mtx.to_str().unwrap()],
+        vec![edges.to_str().unwrap()],
+        vec!["--load", edges.to_str().unwrap()],
+    ] {
+        let out = bin()
+            .args(["closure", "--backend", "bit", "--show"])
+            .args(&input)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{input:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.contains("4 vertices, 4 edges → 13 reachable pairs"),
+            "{input:?}: {text}"
+        );
+        assert!(
+            text.ends_with("1111\n1111\n1111\n...1\n"),
+            "{input:?}: {text}"
+        );
+    }
+    let mut child = bin()
+        .args(["closure", "--backend", "reference", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(CYCLE_MTX.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("13 reachable pairs"));
+    std::fs::remove_file(mtx).ok();
+    std::fs::remove_file(edges).ok();
+}
+
+#[test]
+fn paths_reads_both_dialects_and_needs_weights() {
+    let mtx = write_temp(
+        "weights.mtx",
+        "%%MatrixMarket matrix coordinate integer general\n3 3 3\n1 2 5\n2 3 2\n1 3 9\n",
+    );
+    let edges = write_temp("weights-edges", "0 1 5\n1 2 2\n0 2 9\n");
+    for f in [&mtx, &edges] {
+        let out = bin().arg("paths").arg(f).args(["0", "2"]).output().unwrap();
+        assert!(out.status.success(), "{f:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(text, "distance 7 via [0, 1, 2]\n", "{f:?}");
+    }
+    let unweighted = write_temp("weights-missing", "0 1 5\n1 2\n");
+    let out = bin()
+        .arg("paths")
+        .arg(&unweighted)
+        .args(["0", "2"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("line 2: paths needs a weight"));
+    for f in [mtx, edges, unweighted] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+#[test]
+fn serve_file_and_load_read_both_dialects() {
+    let mtx = write_temp("serve-dialects.mtx", CYCLE_MTX);
+    let edges = write_temp("serve-dialects-edges", "0 1\n1 2\n2 0\n2 3\n");
+    let session = |args: &[&str], commands: String| -> String {
+        let mut child = bin()
+            .arg("serve")
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        child
+            .stdin
+            .take()
+            .unwrap()
+            .write_all(commands.as_bytes())
+            .unwrap();
+        let out = child.wait_with_output().unwrap();
+        assert!(out.status.success(), "{args:?}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let queries = "REACH 2 1\nREACH 3 0\nQUIT\n";
+    for f in [&mtx, &edges] {
+        let text = session(&["--file", f.to_str().unwrap()], queries.to_string());
+        assert_eq!(text, "REACH 2 1 true\nREACH 3 0 false\nBYE\n", "{f:?}");
+        let text = session(
+            &["--vertices", "2"],
+            format!("LOAD {}\n{queries}", f.display()),
+        );
+        assert_eq!(
+            text, "OK LOAD n=4 edges=4\nREACH 2 1 true\nREACH 3 0 false\nBYE\n",
+            "{f:?}"
+        );
+    }
+    std::fs::remove_file(mtx).ok();
+    std::fs::remove_file(edges).ok();
+}
+
+#[test]
+fn ids_past_the_u32_space_exit_cleanly() {
+    // Regression: `max_v + 1` wrapped to 0, so `closure` panicked with
+    // `edge source 0 out of range (n=0)` and `paths` with `vertex out of
+    // range`.
+    let f = write_temp("edges-u64-id", "0 18446744073709551615\n");
+    for args in [vec!["closure"], vec!["paths"]] {
+        let mut cmd = bin();
+        cmd.args(&args).arg(&f);
+        if args[0] == "paths" {
+            cmd.args(["0", "1"]);
+        }
+        let out = cmd.output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("line 1: bad vertex id"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+    std::fs::remove_file(f).ok();
+}
+
+#[test]
+fn dense_closure_past_the_sparse_threshold_exits_cleanly() {
+    // An explicit dense backend used to build the n×n matrix at any size
+    // (at n = 200 000, a 40 GB allocation that aborted).
+    let out = bin()
+        .args([
+            "closure",
+            "--backend",
+            "bit",
+            "--stats",
+            "--gen",
+            "gnp:n=5000,p=0.0001,seed=1",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing closed");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("4096") && err.contains("--sparse") && err.contains("usage:"),
+        "{err}"
+    );
+    // `paths` closes a dense n×n distance matrix too; the largest legal id
+    // used to ask for a 2⁶⁴-byte one.
+    let f = write_temp("weights-huge-id", "0 4294967294 1\n");
+    let out = bin()
+        .arg("paths")
+        .arg(&f)
+        .args(["0", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("4294967295") && err.contains("4096"), "{err}");
+    std::fs::remove_file(f).ok();
+}

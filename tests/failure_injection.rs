@@ -157,7 +157,7 @@ fn pass_through_chain_preserves_order_under_backpressure() {
 
 use systolic::arraysim::FaultPlan;
 use systolic::partition::{
-    Escalation, FaultyLinearEngine, RecoveringEngine, RecoveryPolicy, Verifier,
+    verify_closure, Escalation, FaultyLinearEngine, RecoveringEngine, RecoveryPolicy,
 };
 use systolic_semiring::{warshall, Semiring};
 use systolic_util::Rng;
@@ -226,7 +226,7 @@ fn single_bool_corruptions_are_detected_masked_or_principled_escapes() {
         }
         assert!(events[0].kind.is_value_corrupting());
         fired += 1;
-        let verdict = Verifier::full().verify(0, &a, &res);
+        let verdict = verify_closure(&a, &res);
         if res == reference {
             assert_eq!(verdict, Ok(()), "false alarm on an exact result");
             masked += 1;
@@ -273,7 +273,7 @@ fn single_minplus_corruptions_are_detected_masked_or_principled_escapes() {
             continue;
         }
         fired += 1;
-        let verdict = Verifier::full().verify(0, &a, &res);
+        let verdict = verify_closure(&a, &res);
         if res == reference {
             assert_eq!(verdict, Ok(()), "false alarm on an exact result");
         } else if verdict.is_err() {
