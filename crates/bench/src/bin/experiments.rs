@@ -6,59 +6,37 @@
 //! cargo run --release -p systolic-bench --bin experiments e08 e09   # some
 //! ```
 //! Prints a Markdown report to stdout (redirect into `EXPERIMENTS.md`).
+//! An unknown name exits 2 before any experiment runs.
 
-use systolic_bench as exp;
+use systolic_bench::EXPERIMENTS;
+
+const HEADER: &str = "# EXPERIMENTS — paper vs measured\n\n\
+    Reproduction of Moreno & Lang, *Graph-based Partitioning of Matrix\n\
+    Algorithms for Systolic Arrays* (1988). Every table below is\n\
+    regenerated by `cargo run --release -p systolic-bench --bin\n\
+    experiments`; \"paper\" columns are the closed forms of §3–§4,\n\
+    \"measured\" columns come from the cycle-level simulator.\n\n";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let header = "# EXPERIMENTS — paper vs measured\n\n\
-        Reproduction of Moreno & Lang, *Graph-based Partitioning of Matrix\n\
-        Algorithms for Systolic Arrays* (1988). Every table below is\n\
-        regenerated by `cargo run --release -p systolic-bench --bin\n\
-        experiments`; \"paper\" columns are the closed forms of §3–§4,\n\
-        \"measured\" columns come from the cycle-level simulator.\n\n";
-    print!("{header}");
-    if args.is_empty() {
-        print!("{}", exp::run_all());
-        return;
-    }
-    for a in &args {
-        let section = match a.as_str() {
-            "e01" => exp::e01(),
-            "e02" => exp::e02(),
-            "e03" => exp::e03(),
-            "e04" => exp::e04(),
-            "e05" => exp::e05(),
-            "e06" => exp::e06(),
-            "e07" => exp::e07(),
-            "e08" => exp::e08(),
-            "e09" => exp::e09(),
-            "e10" => exp::e10(),
-            "e11" => exp::e11(),
-            "e12" => exp::e12(),
-            "e13" => exp::e13(),
-            "e14" => exp::e14(),
-            "e15" => exp::e15(),
-            "e16" => exp::e16(),
-            "e17" => exp::e17(),
-            "e18" => exp::e18(),
-            "e19" => exp::e19(),
-            "e20" => exp::e20(),
-            "e21" => exp::e21(),
-            "e22" => exp::e22(),
-            "e23" => exp::e23(),
-            "e24" => exp::e24(),
-            "e25" => exp::e25(),
-            "e26" => exp::e26(),
-            "e27" => exp::e27(),
-            "e28" => exp::e28(),
-            "e29" => exp::e29(),
-            "e30" => exp::e30(),
-            other => {
-                eprintln!("unknown experiment {other}; expected e01..e30");
-                std::process::exit(2);
-            }
-        };
-        print!("{section}");
+    let chosen: Vec<_> = if args.is_empty() {
+        EXPERIMENTS.iter().collect()
+    } else {
+        args.iter()
+            .map(|a| {
+                EXPERIMENTS
+                    .iter()
+                    .find(|e| e.name.eq_ignore_ascii_case(a))
+                    .unwrap_or_else(|| {
+                        eprintln!("unknown experiment {a}; expected e01..e30");
+                        std::process::exit(2);
+                    })
+            })
+            .collect()
+    };
+    print!("{HEADER}");
+    for e in chosen {
+        eprintln!("running {}…", e.name);
+        print!("{}", (e.run)());
     }
 }

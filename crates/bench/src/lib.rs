@@ -1,18 +1,19 @@
 //! Experiment implementations regenerating every quantitative claim of the
-//! paper (the E01–E26 index of `DESIGN.md`).
+//! paper (the E01–E30 index of `DESIGN.md`).
 //!
-//! Each `eNN` function runs its experiment and returns a Markdown section
-//! with paper-vs-measured rows; the `experiments` binary assembles them
-//! into `EXPERIMENTS.md`. Criterion benches under `benches/` wrap the same
-//! workloads for wall-clock measurement.
+//! Each experiment runs its workload, asserts its claims and returns a
+//! Markdown section with paper-vs-measured rows. [`EXPERIMENTS`] is the one
+//! list of them: the `experiments` binary prints their sections as
+//! `EXPERIMENTS.md`, and `tests/experiments_pinned.rs` holds every section
+//! to that file with the wall-clock cells each entry declares masked.
 
 #![forbid(unsafe_code)]
 
 pub mod campaign;
-pub mod serve;
+mod serve;
 pub mod sparse;
 
-pub use sparse::e29;
+use sparse::e29;
 
 use campaign::{run_campaign, CampaignConfig};
 use std::fmt::Write as _;
@@ -44,19 +45,19 @@ fn adj(n: usize, seed: u64) -> DenseMatrix<Bool> {
     g.adjacency_matrix()
 }
 
-/// Deterministic Boolean batch shared by the `parallel_batch` bench and
-/// E21: `instances` random `n × n` adjacency matrices.
-pub fn parallel_batch_input(instances: usize, n: usize, seed: u64) -> Vec<DenseMatrix<Bool>> {
+/// Deterministic Boolean batch of E21, E23, E24 and E28: `instances`
+/// random `n × n` adjacency matrices.
+fn parallel_batch_input(instances: usize, n: usize, seed: u64) -> Vec<DenseMatrix<Bool>> {
     (0..instances)
         .map(|i| adj(n, seed.wrapping_add(i as u64)))
         .collect()
 }
 
-/// Deterministic weighted batch for the packed min-plus bench and E28:
-/// `instances` random `n × n` distance matrices whose finite weights are
-/// `1..=wmax`, chosen so the batch stays inside the SWAR u8 lanes' exact
-/// domain when `(n − 1) · wmax < 255`.
-pub fn minplus_batch_input(
+/// Deterministic weighted batch of E28: `instances` random `n × n`
+/// distance matrices whose finite weights are `1..=wmax`, chosen so the
+/// batch stays inside the SWAR u8 lanes' exact domain when
+/// `(n − 1) · wmax < 255`.
+fn minplus_batch_input(
     instances: usize,
     n: usize,
     seed: u64,
@@ -105,7 +106,7 @@ fn marginal_cycles<E: ClosureEngine<Bool>>(
 }
 
 /// E01 — Fig. 10: fully-parallel graph structure.
-pub fn e01() -> String {
+fn e01() -> String {
     let mut out = String::from("## E01 — Fully-parallel dependence graph (Fig. 10)\n\n");
     let _ = writeln!(
         out,
@@ -130,7 +131,7 @@ pub fn e01() -> String {
 }
 
 /// E02 — Fig. 11: superfluous-node elimination.
-pub fn e02() -> String {
+fn e02() -> String {
     let mut out = String::from("## E02 — Superfluous nodes (Fig. 11, §4.2)\n\n");
     let _ = writeln!(
         out,
@@ -148,7 +149,7 @@ pub fn e02() -> String {
 }
 
 /// E03 — Fig. 12: broadcast removal by pipelining.
-pub fn e03() -> String {
+fn e03() -> String {
     let mut out = String::from("## E03 — Broadcast removal (Fig. 12)\n\n");
     let _ = writeln!(out, "| n | max fan-out before | after pipelining |");
     let _ = writeln!(out, "|---:|---:|---:|");
@@ -165,7 +166,7 @@ pub fn e03() -> String {
 }
 
 /// E04 — Fig. 13–14: bi-directional flow removal.
-pub fn e04() -> String {
+fn e04() -> String {
     let mut out = String::from("## E04 — Flipping to uni-directional flow (Fig. 13–14)\n\n");
     let _ = writeln!(out, "| n | stage | unidirectional x | unidirectional y |");
     let _ = writeln!(out, "|---:|---|---|---|");
@@ -190,7 +191,7 @@ pub fn e04() -> String {
 }
 
 /// E05 — Fig. 15–16: communication regularization.
-pub fn e05() -> String {
+fn e05() -> String {
     let mut out = String::from("## E05 — Regularization by delay nodes (Fig. 15–16)\n\n");
     let _ = writeln!(
         out,
@@ -211,7 +212,7 @@ pub fn e05() -> String {
 }
 
 /// E06 — Fig. 17: fixed-size array throughput 1/n.
-pub fn e06() -> String {
+fn e06() -> String {
     let mut out = String::from("## E06 — Fixed-size array (Fig. 17): throughput 1/n\n\n");
     let _ = writeln!(
         out,
@@ -237,7 +238,7 @@ pub fn e06() -> String {
 }
 
 /// E07 — §3.2: linear fixed-size array, throughput 1/(n(n+1)).
-pub fn e07() -> String {
+fn e07() -> String {
     let mut out =
         String::from("## E07 — Linear fixed-size array (§3.2): throughput 1/(n(n+1))\n\n");
     let _ = writeln!(
@@ -261,7 +262,7 @@ pub fn e07() -> String {
 }
 
 /// E08 — Fig. 18 / §4.2: linear partitioned array.
-pub fn e08() -> String {
+fn e08() -> String {
     let mut out = String::from("## E08 — Linear partitioned array (Fig. 18, §4.2)\n\n");
     for (n, m) in [(N_SIM, 4usize), (N_SIM, 8), (32, 4)] {
         let batch: Vec<_> = (0..3).map(|i| adj(n, 20 + i as u64)).collect();
@@ -292,7 +293,7 @@ pub fn e08() -> String {
 }
 
 /// E09 — Fig. 19 / §4.2: 2-D partitioned array.
-pub fn e09() -> String {
+fn e09() -> String {
     let mut out = String::from("## E09 — Two-dimensional partitioned array (Fig. 19, §4.2)\n\n");
     for (n, s) in [(N_SIM, 2usize), (N_SIM, 3), (32, 2)] {
         let batch: Vec<_> = (0..3).map(|i| adj(n, 30 + i as u64)).collect();
@@ -319,7 +320,7 @@ pub fn e09() -> String {
 }
 
 /// E10 — Fig. 20: G-set scheduling legality and pipelining.
-pub fn e10() -> String {
+fn e10() -> String {
     let mut out = String::from("## E10 — G-set schedule (Fig. 20)\n\n");
     let _ = writeln!(
         out,
@@ -357,7 +358,7 @@ pub fn e10() -> String {
 }
 
 /// E11 — Fig. 21: host I/O bandwidth m/n.
-pub fn e11() -> String {
+fn e11() -> String {
     let mut out = String::from("## E11 — Host I/O bandwidth (Fig. 21): D = m/n\n\n");
     let _ = writeln!(
         out,
@@ -403,7 +404,7 @@ pub fn e11() -> String {
 }
 
 /// E12 — §4.2: linear vs 2-D trade-off sweep.
-pub fn e12() -> String {
+fn e12() -> String {
     let mut out = String::from("## E12 — Linear vs 2-D trade-off (§4.2)\n\n");
     let _ = writeln!(
         out,
@@ -432,7 +433,7 @@ pub fn e12() -> String {
 }
 
 /// E13 — Fig. 22 / §4.3: varying G-node computation time.
-pub fn e13() -> String {
+fn e13() -> String {
     let mut out =
         String::from("## E13 — Varying G-node times (Fig. 22, §4.3): LU decomposition\n\n");
     let _ = writeln!(
@@ -464,7 +465,7 @@ pub fn e13() -> String {
 }
 
 /// E14 — §3.2 vs \[23\]: Kung's array comparison.
-pub fn e14() -> String {
+fn e14() -> String {
     let mut out = String::from("## E14 — Fixed-size array vs S.Y. Kung's array [23]\n\n");
     let _ = writeln!(out, "| n | ours cycles/instance (measured) | Kung load+reuse (model) | speedup | ours control modes | Kung control modes |");
     let _ = writeln!(out, "|---:|---:|---:|---:|---:|---:|");
@@ -486,7 +487,7 @@ pub fn e14() -> String {
 /// E15 — §1 vs \[22\]: Núñez–Torralba decomposition overhead, with both
 /// partitioning schemes *measured* on the cycle-level simulator at equal
 /// cell count (`m = b²`).
-pub fn e15() -> String {
+fn e15() -> String {
     use systolic_baselines::NunezSimEngine;
     let mut out = String::from("## E15 — Decomposition baseline (Núñez–Torralba [22])\n\n");
     let _ = writeln!(out, "### Analytic sub-problem accounting\n");
@@ -538,7 +539,7 @@ pub fn e15() -> String {
 }
 
 /// E16 — §2: coalescing (LSGP) memory requirements.
-pub fn e16() -> String {
+fn e16() -> String {
     let mut out = String::from("## E16 — Coalescing (LSGP) memory vs cut-and-pile (§2)\n\n");
     let _ = writeln!(
         out,
@@ -562,7 +563,7 @@ pub fn e16() -> String {
 
 /// E17 — semiring generality: the same arrays solve the whole algebraic
 /// path family.
-pub fn e17() -> String {
+fn e17() -> String {
     use systolic_closure::Backend;
     let mut out = String::from("## E17 — Semiring generality (methodology extension)\n\n");
     let _ = writeln!(
@@ -592,7 +593,7 @@ pub fn e17() -> String {
 
 /// E18 — Fig. 6/Fig. 8: G-node grouping alternatives and their computation
 /// time patterns.
-pub fn e18() -> String {
+fn e18() -> String {
     use systolic_transform::{grouping_profile, GroupingAxis};
     let mut out = String::from("## E18 — Grouping alternatives (Fig. 6, Fig. 8)\n\n");
     let _ = writeln!(
@@ -627,7 +628,7 @@ pub fn e18() -> String {
 }
 
 /// E19 — §5: fault tolerance of linear vs 2-D arrays, measured.
-pub fn e19() -> String {
+fn e19() -> String {
     use systolic_partition::{grid_fault_capacity, linear_fault_capacity, FaultyLinearEngine};
     let mut out = String::from("## E19 — Fault tolerance (§5)\n\n");
     let n = 16;
@@ -676,7 +677,7 @@ pub fn e19() -> String {
 
 /// E20 — §4.3's full algorithm list: varying-time profiles for LU, Faddeev,
 /// Givens and triangular inverse, with linear vs 2-D mapping utilization.
-pub fn e20() -> String {
+fn e20() -> String {
     use systolic_transform::{faddeev_time_grid, givens_time_grid, triangular_inverse_time_grid};
     let mut out = String::from("## E20 — §4.3 algorithm family: varying G-node times\n\n");
     let _ = writeln!(
@@ -720,7 +721,7 @@ pub fn e20() -> String {
 /// E21 — host-side batch parallelism: `ParallelEngine` sharding a batch
 /// across engine replicas is bit-identical to the serial chained batch for
 /// every thread count, with thread-count-invariant merged counters.
-pub fn e21() -> String {
+fn e21() -> String {
     let mut out = String::from("## E21 — host-side batch parallelism (ParallelEngine)\n\n");
     let batch = parallel_batch_input(8, N_SIM, 77);
     let serial = LinearEngine::new(8);
@@ -749,14 +750,14 @@ pub fn e21() -> String {
     }
     let _ = writeln!(
         out,
-        "\nEach instance runs the exact single-instance simulation on a pool replica; merged stats fold in instance order, so only wall time depends on the thread count (see the `parallel_batch` bench for the speedup).\n"
+        "\nEach instance runs the exact single-instance simulation on a pool replica; merged stats fold in instance order, so only wall time depends on the thread count. The section pins that identity, not a speedup.\n"
     );
     out
 }
 
 /// E22 — fault-injection campaign: ABFT checksum detection coverage and
 /// checkpoint-retry recovery on the linear partitioned array.
-pub fn e22() -> String {
+fn e22() -> String {
     let mut out =
         String::from("## E22 — fault-injection campaign (detection coverage and recovery)\n\n");
     let _ = writeln!(
@@ -891,7 +892,7 @@ fn plan_reuse_row<E: ClosureEngine<Bool>>(
 /// E23 — compile-once G-set schedules: executing a batch from the memoized
 /// `CompiledPlan` (and a recycled simulator) is byte-identical to
 /// rebuilding the schedule on every call; only construction time differs.
-pub fn e23() -> String {
+fn e23() -> String {
     let mut out = String::from("## E23 — compile-once schedules (plan-cache reuse)\n\n");
     let _ = writeln!(
         out,
@@ -917,7 +918,7 @@ pub fn e23() -> String {
 /// merged stats are bit-identical to the scalar per-instance runs; the
 /// simulated-event count (and with it wall time) drops by the lane
 /// occupancy of each group.
-pub fn e24() -> String {
+fn e24() -> String {
     let mut out = String::from("## E24 — bit-sliced 64-lane Boolean batches (PackedEngine)\n\n");
     let _ = writeln!(
         out,
@@ -971,7 +972,7 @@ pub fn e24() -> String {
 /// `⌈n/m⌉·n` words (the live column window — half the model's `⌈2n/m⌉·n`
 /// upper bound over all owned columns, same `Θ(n²/m)`), and the measured
 /// makespan must track the model's sequential component time.
-pub fn e25() -> String {
+fn e25() -> String {
     let mut out =
         String::from("## E25 — simulated coalescing (LSGP) engine vs analytic model (§2)\n\n");
     let _ = writeln!(
@@ -1023,7 +1024,7 @@ pub fn e25() -> String {
 /// software, or packed with other tenants through the admission batcher
 /// onto the 64-lane engine. Every answer is cross-checked against
 /// a full-recompute Warshall oracle before a number is reported.
-pub fn e26() -> String {
+fn e26() -> String {
     let mut out = String::from("## E26 — reachability service throughput & latency (serve)\n\n");
     let _ = writeln!(
         out,
@@ -1031,7 +1032,7 @@ pub fn e26() -> String {
     );
     let _ = writeln!(out, "|---|---:|---:|---:|---:|---:|---:|---:|---|");
     for (n, count, cells) in [(64usize, 20_000usize, None), (24, 2_000, Some(4usize))] {
-        let r = serve::run_serve_bench(n, count, 20_260_808, cells);
+        let r = serve::run_stream(n, count, 20_260_808, cells);
         assert!(r.ok, "serve stream diverged from the recompute oracle");
         let _ = writeln!(
             out,
@@ -1044,10 +1045,11 @@ pub fn e26() -> String {
         "\np50 is a component lookup and one row test of the maintained `R*`; the \
          tail (p99/max) is where a preceding `DELETE` forces the recompute through \
          the condensation, so it tracks the condensation cost rather than the \
-         query. Absolute numbers are machine-dependent — the perf smoke \
-         (`scripts/bench_smoke.sh`) records them in `BENCH_partition.json` and \
-         gates only on protocol correctness (`ok=true`). Reproduce with `systolic \
-         serve` or `cargo run --release -p systolic-bench --bin serve_bench`.\n"
+         query. Absolute numbers are machine-dependent, so the section asserts \
+         only protocol correctness (every answer against the oracle); the \
+         repository benchmark's `serve_read` and `serve_write` workloads time the \
+         service end to end. Reproduce with `systolic serve` or `cargo run \
+         --release -p systolic-bench --bin experiments e26`.\n"
     );
     out
 }
@@ -1056,7 +1058,7 @@ pub fn e26() -> String {
 /// reopened (recovery timed, closure oracle-checked), and four concurrent
 /// TCP sessions over one shared closure, every answer oracle-checked by
 /// its client.
-pub fn e27() -> String {
+fn e27() -> String {
     let mut out =
         String::from("## E27 — hardened service: recovery correctness & concurrent sessions\n\n");
     let _ = writeln!(
@@ -1064,14 +1066,14 @@ pub fn e27() -> String {
         "| run | n | work | wal bytes | recover ms | qps | oracle-checked |"
     );
     let _ = writeln!(out, "|---|---:|---:|---:|---:|---:|---|");
-    let r = serve::run_recover_bench(64, 5000, 20_260_808);
+    let r = serve::run_recover(64, 5000, 20_260_808);
     assert!(r.ok, "recovered closure diverged from the recompute oracle");
     let _ = writeln!(
         out,
         "| serve_recover (kill -9 + reopen) | {} | {} mutations | {} | {:.2} | — | {} |",
         r.n, r.ops, r.wal_bytes, r.recover_ms, r.ok
     );
-    let c = serve::run_concurrent_bench(48, 4, 1000, 20_260_808);
+    let c = serve::run_concurrent(48, 4, 1000, 20_260_808);
     assert!(c.ok, "a concurrent answer diverged or a session failed");
     let _ = writeln!(
         out,
@@ -1091,11 +1093,10 @@ pub fn e27() -> String {
          round trips (`TCP_NODELAY` — Nagle + delayed-ACK otherwise caps a \
          write-then-read protocol at ~46 qps). Each request and each reply leaves \
          in one write (DESIGN §13, reply framing), so the round trip is one \
-         segment each way. Absolute numbers are machine-dependent; the perf smoke \
-         records both rows in `BENCH_partition.json` (`\"chaos\"` array) and fails \
-         on a lost session, an oracle mismatch, or a missing `recover_ms` key. \
-         Reproduce with `cargo run --release -p systolic-bench --bin experiments \
-         e27`.\n"
+         segment each way. Absolute numbers are machine-dependent; the section \
+         fails on a lost session or an oracle mismatch, and the experiments test \
+         fails if either row goes missing. Reproduce with `cargo run --release -p \
+         systolic-bench --bin experiments e27`.\n"
     );
     out
 }
@@ -1104,16 +1105,17 @@ pub fn e27() -> String {
 /// (64/128/256 lanes), the SWAR tropical plane vs scalar min-plus, and
 /// the lane-targeted fault campaign's containment audit.
 ///
-/// Wall-clock numbers are machine-dependent (the perf smoke gates the
-/// ratios); the containment columns are deterministic in the pinned seed.
-pub fn e28() -> String {
+/// Wall-clock numbers are machine-dependent; in optimized builds the
+/// section asserts its two speedup bars on its own same-run timings. The
+/// containment columns are deterministic in the pinned seed.
+fn e28() -> String {
     use campaign::{run_packed_campaign, PackedCampaignConfig};
     use systolic_semiring::{BoolLanes, MinPlusSwar8};
 
     fn timed<R>(mut f: impl FnMut() -> R) -> f64 {
         f(); // warm the plan cache so only streaming is measured
         let started = std::time::Instant::now();
-        systolic_util::black_box(f());
+        std::hint::black_box(f());
         started.elapsed().as_secs_f64() * 1e3
     }
 
@@ -1180,6 +1182,12 @@ pub fn e28() -> String {
         "| min-plus-swar-8x8 | 8 | {swar_ms:.2} | {:.1}× | {exact} |",
         mp_ms / swar_ms
     );
+    // Claims about optimized code, so unoptimized builds skip them.
+    if !cfg!(debug_assertions) {
+        let (packed, swar) = (scalar_ms / w1_ms, mp_ms / swar_ms);
+        assert!(packed >= 8.0, "W=1 packed ran {packed:.1}× scalar, bar 8×");
+        assert!(swar >= 4.0, "SWAR min-plus ran {swar:.1}× scalar, bar 4×");
+    }
 
     // Lane-targeted fault campaign: containment audit (deterministic).
     let cfg = PackedCampaignConfig::default();
@@ -1212,50 +1220,45 @@ pub fn e28() -> String {
          out-of-domain batches fall back to the scalar path automatically. The \
          campaign shows a lane-targeted fault corrupting only its own instance, with \
          per-instance blame and no scalar fallback — `systolic campaign --packed-lane L` \
-         reproduces it. Wall-clock gates live in `scripts/bench_smoke.sh`.\n"
+         reproduces it. In optimized builds the section asserts W=1 ≥ 8× scalar \
+         and SWAR ≥ 4× scalar min-plus on these same-run timings.\n"
     );
     out
 }
 
-/// The §4.3 numbers behind E30 and the perf smoke's
-/// `varying_utilization/` line: LU with per-level durations `n - k` run on
+/// The §4.3 numbers behind E30: LU with per-level durations `n - k` run on
 /// a 4-cell linear chain and a 2×2 grid, measured cell occupancy next to
 /// the lock-step analytic model over the same time grid.
-#[derive(Clone, Debug)]
-pub struct VaryingMeasurement {
+struct VaryingMeasurement {
     /// LU problem size.
-    pub n: usize,
+    n: usize,
     /// Cells in both arrays (m = s² = 4).
-    pub cells: usize,
+    cells: usize,
     /// Measured occupancy of the linear chain (m = 4).
-    pub measured_linear: f64,
+    measured_linear: f64,
     /// Measured occupancy of the 2×2 grid.
-    pub measured_grid: f64,
+    measured_grid: f64,
     /// Lock-step analytic utilization, linear mapping.
-    pub analytic_linear: f64,
+    analytic_linear: f64,
     /// Lock-step analytic utilization, two-dimensional mapping.
-    pub analytic_grid: f64,
+    analytic_grid: f64,
     /// Analytic interior utilization (boundary raggedness excluded),
     /// linear mapping — 1.0, since equal-time paths never mix.
-    pub interior_linear: f64,
+    interior_linear: f64,
     /// Analytic interior utilization, two-dimensional mapping.
-    pub interior_grid: f64,
-    /// Simulated cycles, linear chain.
-    pub cycles_linear: u64,
-    /// Simulated cycles, 2×2 grid.
-    pub cycles_grid: u64,
+    interior_grid: f64,
 }
 
 /// Pinned tolerance between measured occupancy and the lock-step analytic
 /// model: the simulator pays pipeline fill/drain and link latency the
 /// closed form ignores, which lands within ±0.02 for n ≥ 16.
-pub const E30_TOLERANCE: f64 = 0.02;
+const E30_TOLERANCE: f64 = 0.02;
 
 impl VaryingMeasurement {
     /// True when the §4.3 claims hold on this run: linear occupancy is at
     /// least the grid's, and both measurements sit within
     /// [`E30_TOLERANCE`] of their analytic predictions.
-    pub fn gates_hold(&self) -> bool {
+    fn gates_hold(&self) -> bool {
         self.measured_linear >= self.measured_grid
             && (self.measured_linear - self.analytic_linear).abs() <= E30_TOLERANCE
             && (self.measured_grid - self.analytic_grid).abs() <= E30_TOLERANCE
@@ -1264,7 +1267,7 @@ impl VaryingMeasurement {
 
 /// Runs the E30 workload at problem size `n` and cross-checks that both
 /// mappings produce bit-identical factors before reporting utilization.
-pub fn varying_measurement(n: usize) -> VaryingMeasurement {
+fn varying_measurement(n: usize) -> VaryingMeasurement {
     let durs = level_durations(Algo::Lu, n);
     let a = elimination_input(n, 24);
     let (f_lin, lin) = run_elimination_timed(&LinearEngine::new(4), Algo::Lu, &a, &durs)
@@ -1284,15 +1287,13 @@ pub fn varying_measurement(n: usize) -> VaryingMeasurement {
         analytic_grid: a_grid.utilization,
         interior_linear: a_lin.interior_utilization(),
         interior_grid: a_grid.interior_utilization(),
-        cycles_linear: lin.cycles,
-        cycles_grid: grid.cycles,
     }
 }
 
 /// E30 — §4.3 linear vs grid utilization under varying G-node times,
 /// measured on the simulated LU pipeline and cross-validated against the
 /// lock-step analytic model of `systolic_metrics::varying`.
-pub fn e30() -> String {
+fn e30() -> String {
     let mut out = String::from(
         "## E30 — varying G-node times: measured linear vs grid utilization (§4.3, LU)\n\n",
     );
@@ -1341,43 +1342,86 @@ pub fn e30() -> String {
     out
 }
 
-/// Runs every experiment, returning the full Markdown report body.
-pub fn run_all() -> String {
-    let mut out = String::new();
-    for (name, f) in [
-        ("E01", e01 as fn() -> String),
-        ("E02", e02),
-        ("E03", e03),
-        ("E04", e04),
-        ("E05", e05),
-        ("E06", e06),
-        ("E07", e07),
-        ("E08", e08),
-        ("E09", e09),
-        ("E10", e10),
-        ("E11", e11),
-        ("E12", e12),
-        ("E13", e13),
-        ("E14", e14),
-        ("E15", e15),
-        ("E16", e16),
-        ("E17", e17),
-        ("E18", e18),
-        ("E19", e19),
-        ("E20", e20),
-        ("E21", e21),
-        ("E22", e22),
-        ("E23", e23),
-        ("E24", e24),
-        ("E25", e25),
-        ("E26", e26),
-        ("E27", e27),
-        ("E28", e28),
-        ("E29", e29),
-        ("E30", e30),
-    ] {
-        eprintln!("running {name}…");
-        out.push_str(&f());
-    }
-    out
+/// One experiment of the E01–E30 index: the function that regenerates its
+/// section of `EXPERIMENTS.md`, and the cells of that section that hold
+/// wall-clock figures. Every other cell is a simulated count, a closed
+/// form or a seeded tally, and is pinned byte for byte.
+pub struct Experiment {
+    /// Section name, `E01`–`E30`.
+    pub name: &'static str,
+    /// Runs the experiment, asserting its claims, and returns its section.
+    pub run: fn() -> String,
+    /// Headers of the table columns whose cells are wall-clock figures.
+    pub timed_columns: &'static [&'static str],
+    /// Opening words of the prose lines whose `… ms` figures and `N×`
+    /// ratios are wall-clock figures.
+    pub timed_lines: &'static [&'static str],
 }
+
+const fn untimed(name: &'static str, run: fn() -> String) -> Experiment {
+    Experiment {
+        name,
+        run,
+        timed_columns: &[],
+        timed_lines: &[],
+    }
+}
+
+/// Every experiment, in report order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    untimed("E01", e01),
+    untimed("E02", e02),
+    untimed("E03", e03),
+    untimed("E04", e04),
+    untimed("E05", e05),
+    untimed("E06", e06),
+    untimed("E07", e07),
+    untimed("E08", e08),
+    untimed("E09", e09),
+    untimed("E10", e10),
+    untimed("E11", e11),
+    untimed("E12", e12),
+    untimed("E13", e13),
+    untimed("E14", e14),
+    untimed("E15", e15),
+    untimed("E16", e16),
+    untimed("E17", e17),
+    untimed("E18", e18),
+    untimed("E19", e19),
+    untimed("E20", e20),
+    untimed("E21", e21),
+    untimed("E22", e22),
+    Experiment {
+        name: "E23",
+        run: e23,
+        timed_columns: &["fresh build", "cached plan", "speedup"],
+        timed_lines: &[],
+    },
+    untimed("E24", e24),
+    untimed("E25", e25),
+    Experiment {
+        name: "E26",
+        run: e26,
+        timed_columns: &["cmd/s", "p50 µs", "p99 µs", "max µs"],
+        timed_lines: &[],
+    },
+    Experiment {
+        name: "E27",
+        run: e27,
+        timed_columns: &["recover ms", "qps"],
+        timed_lines: &[],
+    },
+    Experiment {
+        name: "E28",
+        run: e28,
+        timed_columns: &["batch ms", "speedup vs scalar", "speedup"],
+        timed_lines: &[],
+    },
+    Experiment {
+        name: "E29",
+        run: e29,
+        timed_columns: &["gen ms", "close ms"],
+        timed_lines: &["Head-to-head"],
+    },
+    untimed("E30", e30),
+];

@@ -1,11 +1,12 @@
-//! Serve-stream benchmark driver (E26): replays a pinned seeded command
-//! stream through a [`ReachService`], measuring per-`REACH` latency
-//! percentiles and sustained command throughput.
+//! The service runs behind E26 and E27: a pinned seeded command stream
+//! replayed through a [`ReachService`] (per-`REACH` latency percentiles
+//! and sustained command throughput), concurrent TCP sessions, and a
+//! kill-and-recover.
 //!
-//! The driver is self-gating on protocol correctness: every `REACH`
-//! answer is checked against a full-recompute Warshall oracle (outside
-//! the timed region), so a throughput number from a service that answers
-//! wrong is impossible — `ok` flips false and the smoke script fails.
+//! Every run checks itself for protocol correctness: each `REACH` answer
+//! is checked against a full-recompute Warshall oracle (outside the timed
+//! region), so a throughput number from a service that answers wrong is
+//! impossible — `ok` flips false and the experiment's assert fails.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -37,23 +38,6 @@ pub struct ServeBenchReport {
     pub ok: bool,
 }
 
-impl ServeBenchReport {
-    /// One parse-stable line for the perf-smoke script.
-    pub fn smoke_line(&self) -> String {
-        format!(
-            "serve_stream/{} n={} cmds={} qps={:.0} p50_us={:.3} p99_us={:.3} max_us={:.3} ok={}",
-            self.id,
-            self.n,
-            self.commands,
-            self.qps,
-            self.p50_us,
-            self.p99_us,
-            self.max_us,
-            self.ok
-        )
-    }
-}
-
 fn percentile(sorted_us: &[f64], p: f64) -> f64 {
     if sorted_us.is_empty() {
         return 0.0;
@@ -65,12 +49,7 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
 /// Replays `seeded_stream(n, count, seed)` through a service; `cells`
 /// selects the batched recompute path on a packed engine of that many
 /// cells, `None` the software path.
-pub fn run_serve_bench(
-    n: usize,
-    count: usize,
-    seed: u64,
-    cells: Option<usize>,
-) -> ServeBenchReport {
+pub fn run_stream(n: usize, count: usize, seed: u64, cells: Option<usize>) -> ServeBenchReport {
     let (id, mut svc) = match cells {
         Some(m) => (
             format!("batched_m{m}"),
@@ -146,21 +125,11 @@ pub struct ConcurrentBenchReport {
     pub ok: bool,
 }
 
-impl ConcurrentBenchReport {
-    /// One parse-stable line for the perf-smoke script.
-    pub fn smoke_line(&self) -> String {
-        format!(
-            "serve_concurrent/c{} n={} queries={} qps={:.0} ok={}",
-            self.clients, self.n, self.queries, self.qps, self.ok
-        )
-    }
-}
-
 /// Serves a seeded pre-built graph over TCP to `clients` concurrent
 /// sessions of `queries` oracle-checked `REACH`es each, measuring
 /// aggregate throughput (connection setup included, oracle build
 /// excluded).
-pub fn run_concurrent_bench(
+pub fn run_concurrent(
     n: usize,
     clients: usize,
     queries: usize,
@@ -255,20 +224,10 @@ pub struct RecoverBenchReport {
     pub ok: bool,
 }
 
-impl RecoverBenchReport {
-    /// One parse-stable line for the perf-smoke script.
-    pub fn smoke_line(&self) -> String {
-        format!(
-            "serve_recover/n{} ops={} wal_bytes={} recover_ms={:.2} ok={}",
-            self.n, self.ops, self.wal_bytes, self.recover_ms, self.ok
-        )
-    }
-}
-
 /// Commits a seeded mutation stream through a durable service, drops it
 /// cold (simulated `kill -9`), then times `Durability::open` + closure
 /// rebuild and checks the result against a Warshall recompute.
-pub fn run_recover_bench(n: usize, ops: usize, seed: u64) -> RecoverBenchReport {
+pub fn run_recover(n: usize, ops: usize, seed: u64) -> RecoverBenchReport {
     use systolic_service::Durability;
     use systolic_util::Rng;
 
@@ -321,37 +280,34 @@ mod tests {
 
     #[test]
     fn software_run_is_correct_and_counts_add_up() {
-        let r = run_serve_bench(16, 400, 3, None);
+        let r = run_stream(16, 400, 3, None);
         assert!(r.ok, "service diverged from oracle");
         assert_eq!(r.commands, 400);
         assert!(r.reaches > 200 && r.reaches < 400);
         assert!(r.p50_us <= r.p99_us && r.p99_us <= r.max_us);
         assert!(r.qps > 0.0);
-        assert!(r.smoke_line().contains("ok=true"));
     }
 
     #[test]
     fn batched_run_is_correct() {
-        let r = run_serve_bench(12, 120, 9, Some(2));
+        let r = run_stream(12, 120, 9, Some(2));
         assert!(r.ok, "batched service diverged from oracle");
         assert_eq!(r.id, "batched_m2");
     }
 
     #[test]
     fn concurrent_run_is_correct() {
-        let r = run_concurrent_bench(16, 3, 50, 5);
+        let r = run_concurrent(16, 3, 50, 5);
         assert!(r.ok, "a concurrent answer diverged or a session failed");
         assert_eq!(r.queries, 150);
         assert!(r.qps > 0.0);
-        assert!(r.smoke_line().starts_with("serve_concurrent/c3 "));
     }
 
     #[test]
     fn recover_run_is_correct() {
-        let r = run_recover_bench(24, 300, 11);
+        let r = run_recover(24, 300, 11);
         assert!(r.ok, "recovered closure diverged from the oracle");
         assert!(r.wal_bytes > 0, "mutations were committed");
         assert!(r.recover_ms >= 0.0);
-        assert!(r.smoke_line().contains("recover_ms="));
     }
 }

@@ -1,10 +1,9 @@
-//! The sparse data plane's scaling sweep: shared by experiment E29, the
-//! `sparse_bench` binary (whose `sparse_scale/...` lines feed
-//! `scripts/bench_smoke.sh`) and the `sparse_closure` criterion-style
-//! bench.
+//! The sparse data plane's scaling sweep: experiment E29, and the
+//! `scale_row` that `tests/sparse_peak_rss.rs` holds under its memory
+//! ceiling.
 
 use std::fmt::Write as _;
-use systolic_closure::{powerlaw, ClosureMode, CsrGraph, SparseClosure};
+use systolic_closure::{powerlaw, CsrGraph, SparseClosure};
 
 /// Average out-edges per vertex for the pinned power-law workload. With
 /// the generator's ~28 % reciprocal edges the mean total out-degree lands
@@ -29,8 +28,6 @@ pub struct ScaleRow {
     pub scc: usize,
     /// Condensed-DAG edge count.
     pub dag_edges: usize,
-    /// Closure representation chosen by the memory budget.
-    pub mode: ClosureMode,
     /// Reachable pairs (reflexive).
     pub fill_pairs: f64,
     /// Whether the fill figure is exact.
@@ -59,7 +56,6 @@ pub fn scale_row(n: usize) -> ScaleRow {
         close_ms,
         scc: stats.scc_count,
         dag_edges: stats.dag_edges,
-        mode: stats.mode,
         fill_pairs: stats.fill.pairs,
         fill_exact: stats.fill.exact,
         mem_bytes: stats.memory_bytes,
@@ -67,13 +63,13 @@ pub fn scale_row(n: usize) -> ScaleRow {
     }
 }
 
-/// The pinned n=4096 comparison graph for the sparse-vs-dense gate.
-pub fn compare_graph() -> CsrGraph {
+/// The pinned n=4096 graph of E29's sparse-vs-dense head-to-head.
+fn compare_graph() -> CsrGraph {
     powerlaw(4096, POWERLAW_D, POWERLAW_SEED)
 }
 
 /// E29 — sparse data plane scaling (CSR + condensation vs dense n×n).
-pub fn e29() -> String {
+pub(crate) fn e29() -> String {
     let mut out = String::from("## E29 — sparse data plane: 10⁴–10⁶-node power-law closure\n\n");
     let _ = writeln!(
         out,
@@ -104,8 +100,8 @@ pub fn e29() -> String {
             r.close_ms,
         );
     }
-    // The head-to-head the smoke gate pins: sparse vs dense BitMatrix at
-    // n = 4096 on the same graph.
+    // The head-to-head: sparse vs dense BitMatrix at n = 4096 on the same
+    // graph.
     let g = compare_graph();
     let t0 = std::time::Instant::now();
     let sc = SparseClosure::new(&g);
@@ -125,13 +121,21 @@ pub fn e29() -> String {
         dense,
         "sparse and dense closures diverged at n=4096"
     );
+    let speedup = dense_ms / sparse_ms;
     let _ = writeln!(
         out,
         "\nHead-to-head at n = 4096 (same graph, bit-identical results): sparse {sparse_ms:.1} ms \
-         vs dense BitMatrix {dense_ms:.1} ms — {:.0}× (`bench_smoke.sh` gates ≥ 20×). Peak \
-         resident memory at n = 10⁵ is gated by the same script.\n",
-        dense_ms / sparse_ms
+         vs dense BitMatrix {dense_ms:.1} ms — {speedup:.0}× (optimized builds assert the bar, \
+         20×). `tests/sparse_peak_rss.rs` holds the peak resident memory of the n = 10⁵ row \
+         under 128 MiB.\n"
     );
+    // A claim about optimized code, so unoptimized builds skip it.
+    if !cfg!(debug_assertions) {
+        assert!(
+            speedup >= 20.0,
+            "sparse ran {speedup:.0}× dense at n=4096, bar 20×"
+        );
+    }
     out
 }
 

@@ -1,58 +1,7 @@
-//! Guards against the missing-dispatch bug class: every `pub fn eNN`
-//! experiment exported by the bench library must be reachable both from
-//! the `experiments` binary's by-name dispatch and from `run_all`'s
-//! labeled list. Two earlier PRs each shipped an experiment that silently
-//! fell out of one of those two paths; this test scans the sources so the
-//! third never lands.
+//! The `experiments` binary dispatches by name through the experiment
+//! table and refuses a name the table does not hold.
 
 use std::process::Command;
-
-fn source(rel: &str) -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/src/").to_string() + rel;
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
-}
-
-/// Every `pub fn eNN` in the library sources, sorted and deduplicated.
-fn exported_experiments() -> Vec<String> {
-    let mut names: Vec<String> = Vec::new();
-    for file in ["lib.rs", "sparse.rs"] {
-        let text = source(file);
-        for line in text.lines() {
-            let Some(rest) = line.trim_start().strip_prefix("pub fn e") else {
-                continue;
-            };
-            let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-            if digits.len() == 2 && rest[digits.len()..].starts_with('(') {
-                names.push(format!("e{digits}"));
-            }
-        }
-    }
-    names.sort();
-    names.dedup();
-    names
-}
-
-#[test]
-fn every_experiment_is_dispatched_by_name_and_listed_in_run_all() {
-    let names = exported_experiments();
-    assert!(
-        names.len() >= 29,
-        "expected at least 29 experiments, found {names:?}"
-    );
-    let dispatch = source("bin/experiments.rs");
-    let lib = source("lib.rs");
-    for name in &names {
-        assert!(
-            dispatch.contains(&format!("\"{name}\" => exp::{name}()")),
-            "{name} has no by-name arm in src/bin/experiments.rs"
-        );
-        let label = name.to_uppercase();
-        assert!(
-            lib.contains(&format!("(\"{label}\"")),
-            "{label} is missing from run_all's labeled list in lib.rs"
-        );
-    }
-}
 
 #[test]
 fn experiments_binary_runs_e30_and_rejects_unknown_names() {
