@@ -5,7 +5,8 @@
 //! Markdown section with paper-vs-measured rows. [`EXPERIMENTS`] is the one
 //! list of them: the `experiments` binary prints their sections as
 //! `EXPERIMENTS.md`, and `tests/experiments_pinned.rs` holds every section
-//! to that file with the wall-clock cells each entry declares masked.
+//! to that file with the wall-clock cells each entry declares masked (E29
+//! and E30 through `tests/e29_pinned.rs` and `tests/e30_pinned.rs`).
 
 #![forbid(unsafe_code)]
 

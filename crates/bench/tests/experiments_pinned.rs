@@ -1,97 +1,46 @@
-//! EXPERIMENTS.md is what the experiment table prints. The test
-//! regenerates every section in table order, one at a time, so a timed
-//! ratio never runs beside another section, and compares it line by line
-//! with its section of the file. Only the wall-clock cells each
-//! experiment declares are masked; every simulated count, closed form and
-//! seeded tally must match byte for byte. A section missing on either
-//! side, or a row missing within one, fails the test.
+//! EXPERIMENTS.md is what the experiment table prints. The test checks
+//! that the table and the file hold the same sections in the same order,
+//! then regenerates every section in table order, one at a time, so a
+//! timed ratio never runs beside another section, and compares it line by
+//! line with its section of the file (see `common::pin`). Only the
+//! wall-clock cells each experiment declares are masked. E29 and E30 are
+//! pinned the same way by binaries of their own.
 //!
 //! In builds without debug assertions the sections also assert their
-//! speedup bars (E28, E29), so the release run is the one that holds
-//! those claims.
+//! speedup bars (E28 here, E29 in `e29_pinned`), so the release run is
+//! the one that holds those claims.
 
-use systolic_bench::{Experiment, EXPERIMENTS};
+mod common;
 
-const MASK: &str = "…";
+use systolic_bench::EXPERIMENTS;
 
-/// The section's lines with every wall-clock figure `e` declares replaced
-/// by [`MASK`]: in a table, the cells under a declared column header; in
-/// a prose line opening with a declared phrase, each number followed by
-/// `ms` and each `N×` ratio.
-fn masked(e: &Experiment, section: &str) -> Vec<String> {
-    let number = |w: &str| w.parse::<f64>().is_ok();
-    // The masked columns of the table being read, if a line is in one.
-    let mut timed: Option<Vec<usize>> = None;
-    section
-        .lines()
-        .map(|line| {
-            if line.starts_with('|') {
-                let mut cells: Vec<&str> = line.split('|').collect();
-                match &timed {
-                    None => {
-                        let columns = (0..cells.len())
-                            .filter(|&i| e.timed_columns.contains(&cells[i].trim()))
-                            .collect();
-                        timed = Some(columns);
-                    }
-                    Some(columns) => columns.iter().for_each(|&i| cells[i] = MASK),
-                }
-                return cells.join("|");
-            }
-            timed = None;
-            if !e.timed_lines.iter().any(|&p| line.starts_with(p)) {
-                return line.to_string();
-            }
-            let words: Vec<&str> = line.split(' ').collect();
-            let wall_clock = |i: usize| {
-                number(words[i]) && words.get(i + 1) == Some(&"ms")
-                    || words[i].strip_suffix('×').is_some_and(number)
-            };
-            (0..words.len())
-                .map(|i| if wall_clock(i) { MASK } else { words[i] })
-                .collect::<Vec<_>>()
-                .join(" ")
-        })
-        .collect()
-}
-
-/// The `## ` sections of `doc` as `(name, text)`, in file order; a
-/// section runs to the next one or to the end of the file.
-fn sections(doc: &str) -> Vec<(&str, &str)> {
-    let starts: Vec<usize> = doc.match_indices("\n## ").map(|(i, _)| i + 1).collect();
-    starts
-        .iter()
-        .enumerate()
-        .map(|(k, &start)| {
-            let text = &doc[start..starts.get(k + 1).copied().unwrap_or(doc.len())];
-            (text[3..].split(' ').next().unwrap_or(""), text)
-        })
-        .collect()
-}
+/// Sections pinned by `tests/eNN_pinned.rs`, a binary of their own: E29
+/// (its timed head-to-head and its 10⁶-vertex row, about 16 s of a debug
+/// run) and E30.
+const OWN_BINARY: [&str; 2] = ["E29", "E30"];
 
 #[test]
 fn every_section_matches_experiments_md() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
-    let doc = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let sections = sections(&doc);
-    let names: Vec<&str> = sections.iter().map(|&(name, _)| name).collect();
+    let doc = common::experiments_md();
+    let names: Vec<&str> = common::sections(&doc)
+        .iter()
+        .map(|&(name, _)| name)
+        .collect();
     let table: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     assert_eq!(
         table, names,
         "experiment table vs sections of EXPERIMENTS.md"
     );
-    for (e, &(_, section)) in EXPERIMENTS.iter().zip(&sections) {
-        let (got, want) = (masked(e, &(e.run)()), masked(e, section));
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(
-                g,
-                w,
-                "{} line {} (left generated, right file)",
-                e.name,
-                i + 1
-            );
-        }
-        assert_eq!(got.len(), want.len(), "{} line count", e.name);
+    for name in OWN_BINARY {
+        let test = format!(
+            "{}/tests/{}_pinned.rs",
+            env!("CARGO_MANIFEST_DIR"),
+            name.to_lowercase()
+        );
+        assert!(std::path::Path::new(&test).exists(), "{name} has no {test}");
+    }
+    for e in EXPERIMENTS.iter().filter(|e| !OWN_BINARY.contains(&e.name)) {
+        common::pin(e.name);
     }
 }
 
@@ -166,6 +115,6 @@ fn the_mask_hides_only_wall_clock_figures() {
     ];
     for (name, section, want) in cases {
         let e = EXPERIMENTS.iter().find(|e| e.name == name).unwrap();
-        assert_eq!(masked(e, section), want, "{name}");
+        assert_eq!(common::masked(e, section), want, "{name}");
     }
 }

@@ -31,18 +31,20 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # command streams through the service against a recompute oracle and pins
 # every reply byte by digest. In the member crates, experiments_pinned
 # regenerates every section of EXPERIMENTS.md and compares it with the
-# file, wall-clock cells masked; sparse_peak_rss holds the 10⁵-vertex
+# file, wall-clock cells masked, except E29 and E30, which e29_pinned and
+# e30_pinned hold the same way in binaries of their own; sparse_peak_rss holds the 10⁵-vertex
 # sparse close under 128 MiB of peak RSS; elimination_graph_pins pins the
 # LU and Faddeev dependence graphs of the one elimination builder.
 #
 # The simulator's ring index arithmetic and its inlining differ between
 # the debug and release profiles (overflow checks, debug assertions), so
-# its pinning suites also run optimized. experiments_pinned runs optimized
-# too: E28's and E29's speedup bars (packed ≥ 8× scalar, SWAR min-plus ≥ 4×
+# its pinning suites also run optimized. The experiments pins run
+# optimized too: E28's and E29's speedup bars (packed ≥ 8× scalar, SWAR min-plus ≥ 4×
 # scalar, sparse ≥ 20× dense) are claims about optimized code, asserted
 # only where debug assertions are off.
 cargo test -q --release --test determinism_and_goldens --test proptest_lanes \
     --test proptest_plan_cache
-cargo test -q --release -p systolic-bench --test experiments_pinned
+cargo test -q --release -p systolic-bench --test experiments_pinned \
+    --test e29_pinned --test e30_pinned
 
 echo "check.sh: all gates passed"
