@@ -241,15 +241,20 @@ impl<S: Semiring> Fabric<'_, S> {
     fn dst_put(&mut self, dst: StreamDst, e: S::Elem, cell: usize) {
         // Sink writes have no physical register, so no fault can land there
         // (and an unobservable corruption would poison coverage accounting).
-        if self.inject.is_some() && dst != StreamDst::Sink {
-            self.put_armed(dst, e, cell);
-        } else {
-            self.deliver(dst, e);
+        // An armed put whose draws all land on quiet stream positions takes
+        // them inline and delivers as a clean put does.
+        if let Some(inj) = self.inject.as_deref_mut() {
+            if dst != StreamDst::Sink && !inj.skip_put(matches!(dst, StreamDst::Link(_))) {
+                self.put_armed(dst, e, cell);
+                return;
+            }
         }
+        self.deliver(dst, e);
     }
 
-    /// An armed emit: the injector rolls for corruption, then a link-bound
-    /// word's fate, in that order.
+    /// An armed emit with a candidate position among its draws: the
+    /// injector rolls for corruption, then a link-bound word's fate, in
+    /// that order.
     #[inline(never)]
     fn put_armed(&mut self, dst: StreamDst, mut e: S::Elem, cell: usize) {
         let inj = self

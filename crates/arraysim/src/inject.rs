@@ -19,6 +19,19 @@
 //! is single-threaded, and every decision draw happens at a schedule-fixed
 //! point — the same seed over the same task programs reproduces the same
 //! fault sequence bit for bit.
+//!
+//! Each consult point (an emit, a link write, and the stick and bank-flip
+//! rolls of each cycle) takes one position of that stream and fires iff
+//! the position's top 53 bits fall below the rate's integer
+//! [`fire_threshold`], which is exactly `gen_bool(rate)`'s decision. At
+//! realistic rates almost every position lies above every threshold of the
+//! plan, so no consult could fire on it. The [`FaultInjector`] scans the
+//! stream ahead in bounded chunks and counts those quiet positions: the
+//! simulator's emits and cycles take their draws off that count inline,
+//! and only a position below the largest threshold runs the exact
+//! per-kind decision out of line. Every draw, fire, pick and log entry is
+//! the one the per-opportunity roll made (`tests/fault_stream.rs` keeps
+//! that roll as the oracle).
 
 use systolic_semiring::Semiring;
 use systolic_util::Rng;
@@ -138,11 +151,20 @@ impl FaultReport {
 
 /// A seeded description of the transient faults to inject into a run.
 ///
-/// All rates are per-opportunity probabilities: `emit_corrupt`, `link_drop`
-/// and `link_dup` are rolled once per emitted/linked word, `bank_flip` and
-/// `stick` once per cycle. `max_faults` caps the total number of applied
-/// faults; a zero-rate plan (the [`FaultPlan::none`] constructor) injects
-/// nothing and leaves the simulation bit-identical to an uninstrumented run.
+/// All rates are per-opportunity probabilities, and each opportunity is
+/// one draw of the plan's stream: `emit_corrupt` is rolled once per emitted
+/// word, `link_drop` and `link_dup` once per word written to a link (the
+/// duplicate roll only when the word was not dropped), `bank_flip` and
+/// `stick` once per cycle. A rate draws only when it is positive, except
+/// `emit_corrupt`, which draws unless it is `<= 0.0`: a NaN emit rate
+/// takes its draws and never fires. Rates above 1 fire on every draw. The
+/// injector skips the draws that cannot fire without rolling them one by
+/// one (module docs), so a low rate costs little more than a zero one,
+/// yet the stream, and every decision on it, stays the per-draw one.
+/// `max_faults` caps the total number of applied faults; once it is
+/// reached no consult draws again. A zero-rate plan (the
+/// [`FaultPlan::none`] constructor) draws nothing, injects nothing and
+/// leaves the simulation bit-identical to an uninstrumented run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Base seed of the plan's deterministic decision stream.
@@ -298,8 +320,42 @@ pub enum LinkFate {
     Duplicate,
 }
 
-/// Runtime state of an active fault plan: the decision RNG, the applied
-/// log and the per-cell stick deadlines.
+/// Stream positions the injector generates past the last consult, at most.
+const SCAN_CHUNK: u64 = 64;
+
+/// The integer form of [`Rng::gen_bool`]'s decision: a draw `x` fires
+/// with probability `p` iff `(x >> 11) < fire_threshold(p)`.
+///
+/// `gen_bool(p)` fires iff `(x >> 11)·2⁻⁵³ < clamp(p, 0, 1)`. Both sides
+/// scale exactly by 2⁵³ (the left is an integer below 2⁵³, the right a
+/// power-of-two multiple), and an integer lies below a real exactly when
+/// it lies below the real's ceiling, so the threshold is
+/// `⌈clamp(p)·2⁵³⌉ ∈ [0, 2⁵³]`. A NaN rate compares false against every
+/// draw, so its threshold is 0.
+pub fn fire_threshold(p: f64) -> u64 {
+    if p.is_nan() {
+        return 0;
+    }
+    (p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Runtime state of an active fault plan: the decision stream, the
+/// applied log and the per-cell stick deadlines.
+///
+/// Every consult point takes the next position of the plan's stream, as
+/// one `gen_bool` draw did, and fires iff the position's `x >> 11` lies
+/// below the consult's [`fire_threshold`]. The thresholds are derived
+/// once, here; a position at or above the largest of them (`floor`) is
+/// *quiet*: no consult can fire on it. The injector scans the stream
+/// ahead, at most one chunk of 64 positions past the last consult, and
+/// counts the quiet run before the next *candidate* position, which it
+/// holds. A consult on the quiet run is a decrement
+/// ([`FaultInjector::skip_put`] and the fast path of
+/// [`FaultInjector::begin_cycle`] take a whole put's or cycle's draws at
+/// once); only a candidate runs the exact per-kind comparison. The scan
+/// stops at the candidate, so the raw picks that follow a fire (the stuck
+/// cell, the bank and the word) read the positions right after it, the
+/// ones a roll of every draw in turn reads.
 #[derive(Clone, Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -309,19 +365,74 @@ pub struct FaultInjector {
     /// The latest `stuck_until` deadline: some cell is stuck at `now`
     /// exactly when it lies past `now`.
     stuck_horizon: u64,
+    /// Per-kind thresholds; `None` where the plan's guard skips the draw
+    /// (`emit_corrupt <= 0.0`, every other rate `!(rate > 0.0)`, so a NaN
+    /// emit rate draws and never fires while a NaN link, bank or stick
+    /// rate draws nothing).
+    emit: Option<u64>,
+    /// The hot cell and its emit threshold (`emit_corrupt · weight`).
+    hot: Option<(usize, u64)>,
+    drop: Option<u64>,
+    dup: Option<u64>,
+    stick: Option<u64>,
+    flip: Option<u64>,
+    /// Draws a quiet put takes, indexed by whether it writes a link: its
+    /// emit roll, plus a link write's drop and duplicate rolls.
+    put_draws: [u64; 2],
+    /// Draws a quiet cycle takes, indexed by whether the array has banks:
+    /// the stick roll, plus the bank-flip roll. Both tables follow the
+    /// guards above while the fault budget lasts and are zero after.
+    cycle_draws: [u64; 2],
+    /// The largest threshold: positions with `x >> 11` at or above it are
+    /// quiet.
+    floor: u64,
+    /// Scanned positions ahead of the cursor, all quiet.
+    quiet: u64,
+    /// The scanned position right after the quiet run, when the last scan
+    /// ended on a candidate rather than at its chunk's end.
+    candidate: Option<u64>,
 }
 
 impl FaultInjector {
     /// Creates the injector for `cells` cells.
     pub fn new(plan: FaultPlan, cells: usize) -> Self {
-        let rng = Rng::seed_from_u64(plan.seed);
-        Self {
+        let positive = |p: f64| (p > 0.0).then(|| fire_threshold(p));
+        let emit = if plan.emit_corrupt <= 0.0 {
+            None
+        } else {
+            Some(fire_threshold(plan.emit_corrupt))
+        };
+        let hot = plan
+            .hot_cell
+            .filter(|_| emit.is_some())
+            .map(|(cell, w)| (cell, fire_threshold(plan.emit_corrupt * w)));
+        let (drop, dup) = (positive(plan.link_drop), positive(plan.link_dup));
+        let (stick, flip) = (positive(plan.stick), positive(plan.bank_flip));
+        let floor = [emit, hot.map(|(_, t)| t), drop, dup, stick, flip]
+            .into_iter()
+            .flatten()
+            .max()
+            .unwrap_or(0);
+        let mut inj = Self {
+            rng: Rng::seed_from_u64(plan.seed),
             plan,
-            rng,
             log: FaultLog::default(),
             stuck_until: vec![0; cells],
             stuck_horizon: 0,
-        }
+            emit,
+            hot,
+            drop,
+            dup,
+            stick,
+            flip,
+            put_draws: [0; 2],
+            cycle_draws: [0; 2],
+            floor,
+            quiet: 0,
+            candidate: None,
+        };
+        inj.count_draws();
+        inj
     }
 
     /// The applied-fault log so far.
@@ -334,41 +445,134 @@ impl FaultInjector {
         self.plan.target_lane
     }
 
+    /// False once no consult point draws: every rate is zero or the fault
+    /// budget is spent. Nothing can fire after that, and a put or cycle
+    /// takes no position of the stream.
+    pub(crate) fn draws(&self) -> bool {
+        self.put_draws[1] + self.cycle_draws[1] > 0
+    }
+
     /// Takes the applied-fault events out of the log without cloning.
     pub fn take_events(&mut self) -> Vec<FaultEvent> {
-        std::mem::take(&mut self.log.events)
+        let events = std::mem::take(&mut self.log.events);
+        self.count_draws();
+        events
     }
 
     fn budget_left(&self) -> bool {
         (self.log.len() as u64) < self.plan.max_faults
     }
 
+    /// Re-evaluates each consult point's guards; the budget is the only
+    /// one that changes, and only when the log does.
+    fn count_draws(&mut self) {
+        let live = u64::from(self.budget_left());
+        let n = |t: Option<u64>| live * u64::from(t.is_some());
+        let emit = n(self.emit);
+        self.put_draws = [emit, emit + n(self.drop) + n(self.dup)];
+        let stick = n(self.stick);
+        self.cycle_draws = [stick, stick + n(self.flip)];
+    }
+
     fn record(&mut self, cycle: u64, kind: FaultKind) {
         self.log.events.push(FaultEvent { cycle, kind });
+        self.count_draws();
+    }
+
+    /// Scans up to one chunk past the last scanned position: counts quiet
+    /// positions and stops on the first candidate.
+    fn scan(&mut self) {
+        // Locals, so the loop keeps the generator and the count in registers.
+        let mut rng = self.rng.clone();
+        let mut quiet = 0;
+        while quiet < SCAN_CHUNK {
+            let x = rng.next_u64();
+            if (x >> 11) < self.floor {
+                self.candidate = Some(x);
+                break;
+            }
+            quiet += 1;
+        }
+        self.quiet += quiet;
+        self.rng = rng;
+    }
+
+    /// Takes the next position as one draw against threshold `t`.
+    fn draw(&mut self, t: u64) -> bool {
+        loop {
+            if self.quiet > 0 {
+                self.quiet -= 1;
+                return false;
+            }
+            if let Some(x) = self.candidate.take() {
+                return (x >> 11) < t;
+            }
+            self.scan();
+        }
+    }
+
+    /// Takes `need` draws at once when every one lands on a quiet
+    /// position; false leaves the stream as it was.
+    #[inline(always)]
+    fn skip(&mut self, need: u64) -> bool {
+        if self.quiet < need && !self.refill(need) {
+            return false;
+        }
+        self.quiet -= need;
+        true
+    }
+
+    /// Scans until `need` positions are known quiet or a candidate ends
+    /// the quiet run.
+    #[inline(never)]
+    fn refill(&mut self, need: u64) -> bool {
+        while self.quiet < need && self.candidate.is_none() {
+            self.scan();
+        }
+        self.quiet >= need
+    }
+
+    /// Takes the draws of one emit, and of its link write when `link`,
+    /// when none of them can fire: the caller then delivers the word
+    /// untouched. False leaves the stream as it was, for the exact path
+    /// ([`FaultInjector::on_emit`], then [`FaultInjector::on_link_write`]).
+    #[inline(always)]
+    pub fn skip_put(&mut self, link: bool) -> bool {
+        self.skip(self.put_draws[usize::from(link)])
     }
 
     /// Rolls the per-cycle faults: possibly schedules a stick and possibly
     /// requests a bank flip. Returns `Some((bank_pick, word_pick))` when a
     /// flip should be applied; the caller maps `word_pick` onto the bank's
     /// resident words (an empty bank absorbs the fault harmlessly).
+    #[inline(always)]
     pub fn begin_cycle(&mut self, now: u64, banks: usize) -> Option<(usize, usize)> {
-        if self.plan.stick > 0.0 && self.budget_left() && self.rng.gen_bool(self.plan.stick) {
-            let cell = self.rng.gen_usize(self.stuck_until.len().max(1));
-            if cell < self.stuck_until.len() && self.stuck_until[cell] <= now {
-                let d = self.plan.stick_cycles.max(1);
-                self.stuck_until[cell] = now + d;
-                self.stuck_horizon = self.stuck_horizon.max(now + d);
-                self.record(now, FaultKind::StickCell { cell, cycles: d });
+        if self.skip(self.cycle_draws[usize::from(banks > 0)]) {
+            return None;
+        }
+        self.roll_cycle(now, banks)
+    }
+
+    /// [`FaultInjector::begin_cycle`] with a candidate among its draws.
+    #[inline(never)]
+    fn roll_cycle(&mut self, now: u64, banks: usize) -> Option<(usize, usize)> {
+        if let Some(t) = self.stick.filter(|_| self.budget_left()) {
+            if self.draw(t) {
+                let cell = self.rng.gen_usize(self.stuck_until.len().max(1));
+                if cell < self.stuck_until.len() && self.stuck_until[cell] <= now {
+                    let d = self.plan.stick_cycles.max(1);
+                    self.stuck_until[cell] = now + d;
+                    self.stuck_horizon = self.stuck_horizon.max(now + d);
+                    self.record(now, FaultKind::StickCell { cell, cycles: d });
+                }
             }
         }
-        if self.plan.bank_flip > 0.0
-            && banks > 0
-            && self.budget_left()
-            && self.rng.gen_bool(self.plan.bank_flip)
-        {
-            let bank = self.rng.gen_usize(banks);
-            let word = self.rng.next_u64() as usize;
-            return Some((bank, word));
+        if let Some(t) = self.flip.filter(|_| banks > 0 && self.budget_left()) {
+            if self.draw(t) {
+                let bank = self.rng.gen_usize(banks);
+                let word = self.rng.next_u64() as usize;
+                return Some((bank, word));
+            }
         }
         None
     }
@@ -391,18 +595,16 @@ impl FaultInjector {
     }
 
     /// Decides whether the word cell `cell` emits this cycle is corrupted.
-    #[inline]
     pub fn on_emit(&mut self, now: u64, cell: usize) -> bool {
-        if self.plan.emit_corrupt <= 0.0 || !self.budget_left() {
+        let Some(mut t) = self.emit.filter(|_| self.budget_left()) else {
             return false;
-        }
-        let mut p = self.plan.emit_corrupt;
-        if let Some((hot, w)) = self.plan.hot_cell {
+        };
+        if let Some((hot, ht)) = self.hot {
             if hot == cell {
-                p *= w;
+                t = ht;
             }
         }
-        if self.rng.gen_bool(p) {
+        if self.draw(t) {
             self.record(now, FaultKind::CorruptEmit { cell });
             true
         } else {
@@ -411,18 +613,21 @@ impl FaultInjector {
     }
 
     /// Decides the fate of a word written to link `link` this cycle.
-    #[inline]
     pub fn on_link_write(&mut self, now: u64, link: usize) -> LinkFate {
-        if (self.plan.link_drop <= 0.0 && self.plan.link_dup <= 0.0) || !self.budget_left() {
+        if !self.budget_left() {
             return LinkFate::Deliver;
         }
-        if self.plan.link_drop > 0.0 && self.rng.gen_bool(self.plan.link_drop) {
-            self.record(now, FaultKind::DropWord { link });
-            return LinkFate::Drop;
+        if let Some(t) = self.drop {
+            if self.draw(t) {
+                self.record(now, FaultKind::DropWord { link });
+                return LinkFate::Drop;
+            }
         }
-        if self.plan.link_dup > 0.0 && self.rng.gen_bool(self.plan.link_dup) {
-            self.record(now, FaultKind::DuplicateWord { link });
-            return LinkFate::Duplicate;
+        if let Some(t) = self.dup {
+            if self.draw(t) {
+                self.record(now, FaultKind::DuplicateWord { link });
+                return LinkFate::Duplicate;
+            }
         }
         LinkFate::Deliver
     }
@@ -494,9 +699,12 @@ mod tests {
 
     #[test]
     fn sticks_expire() {
-        let mut inj = FaultInjector::new(FaultPlan::transients(9, 0.0), 2);
-        inj.plan.stick = 1.0;
-        inj.plan.stick_cycles = 2;
+        let plan = FaultPlan {
+            stick: 1.0,
+            stick_cycles: 2,
+            ..FaultPlan::transients(9, 0.0)
+        };
+        let mut inj = FaultInjector::new(plan, 2);
         inj.begin_cycle(10, 0);
         let stuck: Vec<usize> = (0..2).filter(|&c| inj.is_stuck(c, 10)).collect();
         assert_eq!(stuck.len(), 1);

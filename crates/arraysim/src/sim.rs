@@ -303,7 +303,10 @@ impl<S: Semiring> ArraySim<S> {
                     host: &mut self.host,
                     outputs: &mut self.outputs,
                     now,
-                    inject: self.injector.as_mut(),
+                    // An injector that draws nothing more (a zero-rate
+                    // plan, a spent fault budget) leaves the puts on the
+                    // clean path, unless a stick still has to be honoured.
+                    inject: self.injector.as_mut().filter(|i| stuck || i.draws()),
                     bank_delta: 0,
                 };
                 for cell in &mut self.cells {

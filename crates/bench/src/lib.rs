@@ -262,9 +262,41 @@ fn e07() -> String {
     out
 }
 
+/// The §4.2 claims on one partitioned run's rows (`compare_*_run`'s, then
+/// the marginal throughput): memory connections exactly as the model
+/// counts them; throughput, utilization and host I/O at most the paper's
+/// values, which assume no fill, drain or boundary-set idling; and a
+/// steady state at least as fast as the whole run, whose gap is fill.
+/// Returns the throughput's measured/paper ratio.
+fn assert_partitioned_claims(label: &str, connections: usize, rows: &[MetricRow]) -> f64 {
+    let [throughput, utilization, io, memory, _stalls, marginal] = rows else {
+        panic!("{label}: expected six rows, got {}", rows.len());
+    };
+    assert_eq!(
+        memory.measured, connections as f64,
+        "{label}: memory connections"
+    );
+    for r in [throughput, utilization, io] {
+        assert!(
+            r.ratio() <= 1.0,
+            "{label}: {} measured/paper {:.3} above 1",
+            r.metric,
+            r.ratio()
+        );
+    }
+    assert!(
+        marginal.measured >= throughput.measured,
+        "{label}: marginal throughput {} below total {}",
+        marginal.measured,
+        throughput.measured
+    );
+    throughput.ratio()
+}
+
 /// E08 — Fig. 18 / §4.2: linear partitioned array.
 fn e08() -> String {
     let mut out = String::from("## E08 — Linear partitioned array (Fig. 18, §4.2)\n\n");
+    let mut ratio = std::collections::HashMap::new();
     for (n, m) in [(N_SIM, 4usize), (N_SIM, 8), (32, 4)] {
         let batch: Vec<_> = (0..3).map(|i| adj(n, 20 + i as u64)).collect();
         let eng = LinearEngine::new(m);
@@ -283,9 +315,17 @@ fn e08() -> String {
             paper: LinearModel { n, m }.throughput(),
             measured: 1.0 / marginal_cycles(&eng, n, 20, 2, 5),
         });
+        let label = format!("E08 n={n} m={m}");
+        ratio.insert((n, m), assert_partitioned_claims(&label, m + 1, &rows));
         rows_table(&mut out, &rows);
         out.push('\n');
     }
+    assert!(
+        ratio[&(32, 4)] > ratio[&(N_SIM, 4)],
+        "E08 m=4: throughput ratio {:.3} at n=32 not above {:.3} at n={N_SIM}",
+        ratio[&(32, 4)],
+        ratio[&(N_SIM, 4)]
+    );
     let _ = writeln!(
         out,
         "The gap between total and steady-state throughput is pipeline fill; the residual steady-state gap is the paper's acknowledged boundary-set idling (partial G-sets at the parallelogram edges), which vanishes as n/m grows.\n"
@@ -296,6 +336,7 @@ fn e08() -> String {
 /// E09 — Fig. 19 / §4.2: 2-D partitioned array.
 fn e09() -> String {
     let mut out = String::from("## E09 — Two-dimensional partitioned array (Fig. 19, §4.2)\n\n");
+    let mut ratio = std::collections::HashMap::new();
     for (n, s) in [(N_SIM, 2usize), (N_SIM, 3), (32, 2)] {
         let batch: Vec<_> = (0..3).map(|i| adj(n, 30 + i as u64)).collect();
         let eng = GridEngine::new(s);
@@ -314,9 +355,17 @@ fn e09() -> String {
             paper: LinearModel { n, m: s * s }.throughput(),
             measured: 1.0 / marginal_cycles(&eng, n, 30, 2, 5),
         });
+        let label = format!("E09 n={n} √m={s}");
+        ratio.insert((n, s), assert_partitioned_claims(&label, 2 * s, &rows));
         rows_table(&mut out, &rows);
         out.push('\n');
     }
+    assert!(
+        ratio[&(32, 2)] > ratio[&(N_SIM, 2)],
+        "E09 √m=2: throughput ratio {:.3} at n=32 not above {:.3} at n={N_SIM}",
+        ratio[&(32, 2)],
+        ratio[&(N_SIM, 2)]
+    );
     out
 }
 

@@ -38,12 +38,14 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 #
 # The simulator's ring index arithmetic and its inlining differ between
 # the debug and release profiles (overflow checks, debug assertions), so
-# its pinning suites also run optimized. The experiments pins run
+# its pinning suites also run optimized, and so does fault_stream, which
+# pins the fault injector's inlined quiet-position skips to the
+# per-opportunity roll they replaced, call for call. The experiments pins run
 # optimized too: E28's and E29's speedup bars (packed ≥ 8× scalar, SWAR min-plus ≥ 4×
 # scalar, sparse ≥ 20× dense) are claims about optimized code, asserted
 # only where debug assertions are off.
-cargo test -q --release --test determinism_and_goldens --test proptest_lanes \
-    --test proptest_plan_cache
+cargo test -q --release --test determinism_and_goldens --test fault_stream \
+    --test proptest_lanes --test proptest_plan_cache
 cargo test -q --release -p systolic-bench --test experiments_pinned \
     --test e29_pinned --test e30_pinned
 

@@ -155,7 +155,7 @@ fn pass_through_chain_preserves_order_under_backpressure() {
 // Runtime fault injection: plans, checksum detection, checkpoint recovery.
 // ---------------------------------------------------------------------------
 
-use systolic::arraysim::FaultPlan;
+use systolic::arraysim::{FaultKind, FaultPlan};
 use systolic::partition::{
     verify_closure, Escalation, FaultyLinearEngine, RecoveringEngine, RecoveryPolicy,
 };
@@ -201,6 +201,38 @@ fn zero_fault_plan_is_bit_identical_to_uninstrumented_runs() {
     assert_eq!(res_r, res_p);
     assert!(stats_r.fault.is_empty());
     assert!(rec.outcomes().iter().all(|o| o.attempts == 1));
+}
+
+#[test]
+fn a_spent_fault_budget_still_honours_a_pending_stick() {
+    // The first cycle sticks a cell for 40 cycles and spends the budget of
+    // one fault, so from then on the injector draws nothing and the puts
+    // take the clean path; the stuck cell must still lose its cycles.
+    let batch = [random_bool(9, 0.2, 410)];
+    let plan = FaultPlan {
+        stick: 1.0,
+        stick_cycles: 40,
+        ..FaultPlan::none(5)
+    }
+    .with_max_faults(1);
+    let plain = LinearEngine::new(3);
+    let armed = LinearEngine::new(3).with_fault_plan(plan);
+    let (res_p, stats_p) = ClosureEngine::<Bool>::closure_many(&plain, &batch).unwrap();
+    let (res_a, stats_a) = ClosureEngine::<Bool>::closure_many(&armed, &batch).unwrap();
+    assert_eq!(res_a, res_p, "a stick only costs time");
+    let [event] = stats_a.fault_events[..] else {
+        panic!("expected one fault, got {:?}", stats_a.fault_events);
+    };
+    let FaultKind::StickCell { cell, cycles: 40 } = event.kind else {
+        panic!("expected a 40-cycle stick, got {event:?}");
+    };
+    assert_eq!(event.cycle, 0);
+    assert!(stats_a.stalls[cell] >= 40, "stalls {:?}", stats_a.stalls);
+    assert_ne!(
+        (stats_a.cycles, &stats_a.stalls),
+        (stats_p.cycles, &stats_p.stalls),
+        "the stick was not honoured"
+    );
 }
 
 #[test]
