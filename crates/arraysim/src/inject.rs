@@ -195,7 +195,9 @@ pub struct FaultPlan {
     /// scalar semirings are unaffected either way, since their one lane
     /// *is* the whole element. This is what lets a lane-packed engine keep
     /// an armed plan on the packed path: the fault blast radius is one
-    /// resident instance, not all of them.
+    /// resident instance, not all of them. The Boolean packed engine runs a
+    /// targeted batch in 64-lane groups (a clean batch takes up to 256 per
+    /// group), so the mask names lane `target_lane % 64` of every group.
     pub target_lane: Option<usize>,
 }
 

@@ -333,7 +333,8 @@ impl PackedCampaignReport {
     }
 }
 
-/// Runs a packed-plane fault campaign over the 64-lane Boolean engine.
+/// Runs a packed-plane fault campaign over the Boolean packed engine,
+/// which keeps a lane-targeted batch in 64-lane groups.
 ///
 /// Phase 1 (raw audit) runs the batch straight through a [`PackedEngine`]
 /// whose armed plan targets one lane, and checks the blast radius: the run

@@ -962,14 +962,15 @@ fn e23() -> String {
     out
 }
 
-/// E24 — bit-sliced 64-lane Boolean data plane: `PackedEngine` transposes
-/// a Boolean batch into `u64` lane words and runs the cached single-
-/// instance plan once per 64-instance group. Results and instance-order
-/// merged stats are bit-identical to the scalar per-instance runs; the
-/// simulated-event count (and with it wall time) drops by the lane
-/// occupancy of each group.
+/// E24 — bit-sliced Boolean data plane: `PackedEngine` transposes a
+/// Boolean batch into lane words and runs the cached single-instance plan
+/// once per group of up to 256 instances, each group on the narrowest
+/// lane word that holds it. Results and instance-order merged stats are
+/// bit-identical to the scalar per-instance runs; the simulated-event
+/// count (and with it wall time) drops by the lane occupancy of each
+/// group.
 fn e24() -> String {
-    let mut out = String::from("## E24 — bit-sliced 64-lane Boolean batches (PackedEngine)\n\n");
+    let mut out = String::from("## E24 — bit-sliced Boolean batches (PackedEngine)\n\n");
     let _ = writeln!(
         out,
         "| batch | lane groups | results identical | merged stats identical | scalar cycles | packed sim cycles | cycle ratio |"
@@ -991,13 +992,12 @@ fn e24() -> String {
             }
         }
         let want_stats = want_stats.expect("non-empty batch");
-        let (got, got_stats) = packed.closure_many(&batch).expect("packed closure");
+        let (got, got_stats, groups) = packed.closure_many_counted(&batch).expect("packed closure");
         let results_ok = got == want;
         let stats_ok = got_stats == want_stats;
         // Cycles actually *simulated* by the packed path: merged cycles
         // are lane-scaled for the per-instance contract, so divide each
         // group back down to the single shared run it really executed.
-        let groups = instances.div_ceil(64);
         let per_run = want_stats.cycles / instances as u64;
         let sim_cycles = per_run * groups as u64;
         let _ = writeln!(
@@ -1008,10 +1008,11 @@ fn e24() -> String {
         );
         assert!(results_ok, "packed results diverged at batch {instances}");
         assert!(stats_ok, "packed stats diverged at batch {instances}");
+        assert_eq!(groups, 1, "a batch of {instances} is one simulation");
     }
     let _ = writeln!(
         out,
-        "\nThe schedule never inspects values, so 64 Boolean instances ride the lanes of one `u64` through a single simulated run per group (`OR`/`AND` are per-lane word ops — SWAR bit-slicing); armed fault plans fall back to the scalar path so injection semantics are untouched. Reproduce with `systolic packed`.\n"
+        "\nThe schedule never inspects values, so up to 256 Boolean instances ride the lanes of one lane word through a single simulated run (`OR`/`AND` are per-lane word ops — SWAR bit-slicing); each group takes the narrowest word that holds it, 64 lanes up to 64 instances, 128 up to 128 and 256 above, so every batch here is one simulation. Armed fault plans without a target lane fall back to the scalar path so injection semantics are untouched. Reproduce with `systolic packed`.\n"
     );
     out
 }
@@ -1072,7 +1073,7 @@ fn e25() -> String {
 /// rebuilds those rows, and deletes dirty the closure and coalesce into
 /// one recompute through the condensation at the next read — in
 /// software, or packed with other tenants through the admission batcher
-/// onto the 64-lane engine. Every answer is cross-checked against
+/// onto the packed engine. Every answer is cross-checked against
 /// a full-recompute Warshall oracle before a number is reported.
 fn e26() -> String {
     let mut out = String::from("## E26 — reachability service throughput & latency (serve)\n\n");
@@ -1151,16 +1152,17 @@ fn e27() -> String {
     out
 }
 
-/// E28 — the widened packed data plane: Boolean lane-width sweep
-/// (64/128/256 lanes), the SWAR tropical plane vs scalar min-plus, and
-/// the lane-targeted fault campaign's containment audit.
+/// E28 — the widened packed data plane: the one Boolean packed engine
+/// against the same batches cut into 64-instance calls (and the scalar
+/// engine), the SWAR tropical plane vs scalar min-plus, and the
+/// lane-targeted fault campaign's containment audit.
 ///
 /// Wall-clock numbers are machine-dependent; in optimized builds the
-/// section asserts its two speedup bars on its own same-run timings. The
-/// containment columns are deterministic in the pinned seed.
+/// section asserts its three speedup bars on its own same-run timings. The
+/// simulation counts and the containment columns are deterministic.
 fn e28() -> String {
     use campaign::{run_packed_campaign, PackedCampaignConfig};
-    use systolic_semiring::{BoolLanes, MinPlusSwar8};
+    use systolic_semiring::MinPlusSwar8;
 
     fn timed<R>(mut f: impl FnMut() -> R) -> f64 {
         f(); // warm the plan cache so only streaming is measured
@@ -1170,38 +1172,56 @@ fn e28() -> String {
     }
 
     let mut out = String::from(
-        "## E28 — widened packed data plane (W-word lanes, SWAR min-plus, packed faults)\n\n",
+        "## E28 — widened packed data plane (one Boolean engine over 64/128/256-lane words, SWAR min-plus, packed faults)\n\n",
     );
     let (m, n) = (4usize, 32usize);
 
-    // Boolean lane-width sweep over one 128-instance batch.
-    let wide = parallel_batch_input(128, n, 0x5eed);
+    // The one Boolean engine: each batch in one call, and cut into
+    // 64-instance calls, best of `reps` alternating timings after a warm
+    // call; the scalar engine on the 128-instance batch.
+    let reps = if cfg!(debug_assertions) { 1 } else { 3 };
+    let batch = parallel_batch_input(320, n, 0x5eed);
     let scalar = LinearEngine::new(m);
-    let scalar_ms = timed(|| scalar.closure_many(&wide).unwrap());
-    let w1 = PackedEngine::new(m);
-    let w2 = PackedEngine::<BoolLanes<2>>::over(m);
-    let w4 = PackedEngine::<BoolLanes<4>>::over(m);
-    let (w1_ms, w2_ms, w4_ms) = (
-        timed(|| w1.closure_many(&wide).unwrap()),
-        timed(|| w2.closure_many(&wide).unwrap()),
-        timed(|| w4.closure_many(&wide).unwrap()),
-    );
+    let scalar_ms = timed(|| scalar.closure_many(&batch[..128]).unwrap());
+    let packed = PackedEngine::new(m);
     let _ = writeln!(
         out,
-        "| engine | lanes | groups for 128×n={n} | batch ms | speedup vs scalar |"
+        "| batch (n = {n}) | simulations | batch ms | 64-instance calls | calls ms | speedup vs calls | scalar ms | speedup vs scalar |"
     );
-    let _ = writeln!(out, "|---|---:|---:|---:|---:|");
-    for (name, lanes, ms) in [
-        ("linear (scalar)", 1usize, scalar_ms),
-        ("linear-packed (W=1)", 64, w1_ms),
-        ("linear-packed-w2", 128, w2_ms),
-        ("linear-packed-w4", 256, w4_ms),
-    ] {
+    let _ = writeln!(out, "|---:|---:|---:|---:|---:|---:|---:|---:|");
+    let (mut vs_scalar, mut vs_calls) = (0.0, 0.0);
+    for len in [64usize, 128, 256, 320] {
+        let b = &batch[..len];
+        packed.closure_many(b).unwrap();
+        let (mut one_ms, mut calls_ms) = (f64::INFINITY, f64::INFINITY);
+        let (mut simulations, mut calls) = (0, 0);
+        for _ in 0..reps {
+            let started = std::time::Instant::now();
+            simulations = std::hint::black_box(packed.closure_many_counted(b).unwrap()).2;
+            one_ms = one_ms.min(started.elapsed().as_secs_f64() * 1e3);
+            let started = std::time::Instant::now();
+            calls = b
+                .chunks(64)
+                .map(|c| std::hint::black_box(packed.closure_many_counted(c).unwrap()).2)
+                .sum();
+            calls_ms = calls_ms.min(started.elapsed().as_secs_f64() * 1e3);
+        }
+        // The rule: one simulation per 256 instances, in batch order.
+        assert_eq!(simulations, len.div_ceil(256), "simulations for {len}");
+        assert_eq!(calls, len.div_ceil(64), "64-instance calls for {len}");
+        let (scalar_cell, scalar_ratio) = if len == 128 {
+            vs_scalar = scalar_ms / one_ms;
+            (format!("{scalar_ms:.2}"), format!("{vs_scalar:.1}×"))
+        } else {
+            ("—".to_string(), "—".to_string())
+        };
+        if len == 256 {
+            vs_calls = calls_ms / one_ms;
+        }
         let _ = writeln!(
             out,
-            "| {name} | {lanes} | {} | {ms:.2} | {:.1}× |",
-            wide.len().div_ceil(lanes),
-            scalar_ms / ms
+            "| {len} | {simulations} | {one_ms:.2} | {calls} | {calls_ms:.2} | {:.2}× | {scalar_cell} | {scalar_ratio} |",
+            calls_ms / one_ms
         );
     }
 
@@ -1234,8 +1254,15 @@ fn e28() -> String {
     );
     // Claims about optimized code, so unoptimized builds skip them.
     if !cfg!(debug_assertions) {
-        let (packed, swar) = (scalar_ms / w1_ms, mp_ms / swar_ms);
-        assert!(packed >= 8.0, "W=1 packed ran {packed:.1}× scalar, bar 8×");
+        let swar = mp_ms / swar_ms;
+        assert!(
+            vs_scalar >= 8.0,
+            "packed ran {vs_scalar:.1}× scalar, bar 8×"
+        );
+        assert!(
+            vs_calls >= 1.5,
+            "one 256-instance simulation ran {vs_calls:.2}× four 64-lane calls, bar 1.5×"
+        );
         assert!(swar >= 4.0, "SWAR min-plus ran {swar:.1}× scalar, bar 4×");
     }
 
@@ -1263,15 +1290,21 @@ fn e28() -> String {
     assert!(r.contained(), "packed campaign containment must hold");
     let _ = writeln!(
         out,
-        "\nThe W-word planes pay one simulated event stream per 64·W instances, so \
-         throughput rises until a single group covers the batch; past that the wider \
-         word only adds per-event cost. The SWAR plane carries 8 saturating u8 \
-         distances per word and is exact whenever (n−1)·wmax < 255 (here 31·8 = 248); \
-         out-of-domain batches fall back to the scalar path automatically. The \
-         campaign shows a lane-targeted fault corrupting only its own instance, with \
-         per-instance blame and no scalar fallback — `systolic campaign --packed-lane L` \
-         reproduces it. In optimized builds the section asserts W=1 ≥ 8× scalar \
-         and SWAR ≥ 4× scalar min-plus on these same-run timings.\n"
+        "\nThe Boolean packed engine is one engine: a clean batch runs as one \
+         simulation per 256 instances, in batch order, each on the narrowest lane \
+         word that holds it (64 lanes up to 64 instances, 128 up to 128, 256 \
+         above), and the section asserts that count. One 256-instance simulation \
+         pays one simulated event stream where four 64-instance calls pay four; a \
+         64-instance batch runs on the 64-lane word either way. The SWAR plane \
+         carries 8 saturating u8 distances per word and is exact whenever \
+         (n−1)·wmax < 255 (here 31·8 = 248); out-of-domain batches fall back to the \
+         scalar path automatically. The campaign shows a lane-targeted fault \
+         corrupting only its own instance, with per-instance blame and no scalar \
+         fallback; a targeted batch keeps 64-lane groups, so the mask names lane \
+         `L mod 64` of every group — `systolic campaign --packed-lane L` reproduces \
+         it. In optimized builds the section asserts the packed engine ≥ 8× scalar \
+         at 128 instances, one 256-instance simulation ≥ 1.5× four 64-instance \
+         calls, and SWAR ≥ 4× scalar min-plus, on these same-run timings.\n"
     );
     out
 }
@@ -1464,7 +1497,14 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "E28",
         run: e28,
-        timed_columns: &["batch ms", "speedup vs scalar", "speedup"],
+        timed_columns: &[
+            "batch ms",
+            "calls ms",
+            "speedup vs calls",
+            "scalar ms",
+            "speedup vs scalar",
+            "speedup",
+        ],
         timed_lines: &[],
     },
     Experiment {

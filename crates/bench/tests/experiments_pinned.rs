@@ -80,8 +80,9 @@ fn the_mask_hides_only_wall_clock_figures() {
         ),
         (
             "E28",
-            "| engine | lanes | groups for 128×n=32 | batch ms | speedup vs scalar |\n\
-             | linear-packed (W=1) | 64 | 2 | 6.06 | 54.2× |\n\
+            "| batch (n = 32) | simulations | batch ms | 64-instance calls | calls ms | speedup vs calls | scalar ms | speedup vs scalar |\n\
+             | 128 | 1 | 1.19 | 2 | 2.15 | 1.81× | 133.25 | 112.1× |\n\
+             | 256 | 1 | 1.58 | 4 | 4.45 | 2.82× | — | — |\n\
              \n\
              | weighted plane | lanes | batch ms | speedup | bit-identical |\n\
              | min-plus-swar-8x8 | 8 | 9.83 | 10.0× | true |\n\
@@ -89,8 +90,9 @@ fn the_mask_hides_only_wall_clock_figures() {
              | packed campaign | injected | mismatched | contained |\n\
              | lane 5 of 64 (seed 7) | 41 | 1 | true |",
             &[
-                "| engine | lanes | groups for 128×n=32 | batch ms | speedup vs scalar |",
-                "| linear-packed (W=1) | 64 | 2 |…|…|",
+                "| batch (n = 32) | simulations | batch ms | 64-instance calls | calls ms | speedup vs calls | scalar ms | speedup vs scalar |",
+                "| 128 | 1 |…| 2 |…|…|…|…|",
+                "| 256 | 1 |…| 4 |…|…|…|…|",
                 "",
                 "| weighted plane | lanes | batch ms | speedup | bit-identical |",
                 "| min-plus-swar-8x8 | 8 |…|…| true |",

@@ -2,25 +2,26 @@
 //!
 //! A long-running reachability server produces closure work in dribbles:
 //! one delete-fallback recompute here, a tenant's refresh there. Running
-//! each through [`crate::PackedEngine`] alone wastes 63 of its 64 lanes.
-//! [`AdmissionBatcher`] is the admission queue in front of the engine:
-//! callers [`submit`](AdmissionBatcher::submit) independent closure
-//! requests and receive a [`Ticket`]; a [`flush`](AdmissionBatcher::flush)
-//! groups everything pending by problem size and drives each group through
-//! `closure_many`, so up to [`LANES`] same-size requests share one
-//! `BoolLanes` run on the memoized single-instance plan. Results are
-//! claimed by ticket with [`take`](AdmissionBatcher::take).
+//! each through [`crate::PackedEngine`] alone wastes 63 of the 64 lanes
+//! of its narrowest word. [`AdmissionBatcher`] is the admission queue in
+//! front of the engine: callers [`submit`](AdmissionBatcher::submit)
+//! independent closure requests and receive a [`Ticket`]; a
+//! [`flush`](AdmissionBatcher::flush) groups everything pending by problem
+//! size and drives each group through the packed engine, so up to 256
+//! same-size requests share one simulated run on the memoized
+//! single-instance plan. Results are claimed by ticket with
+//! [`take`](AdmissionBatcher::take).
 //!
 //! The batcher also proves the "warm server never recompiles" property:
 //! each flush records, per size group, whether the plan was already
 //! compiled ([`PackedEngine::has_plan`]) — after the first flush of a
 //! size, every later flush of that size must be warm.
 
-use crate::engine::{ClosureEngine, EngineError};
+use crate::engine::EngineError;
 use crate::packed::PackedEngine;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
-use systolic_semiring::{Bool, DenseMatrix, LANES};
+use systolic_semiring::{Bool, DenseMatrix};
 
 /// Claim check for a submitted closure request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,7 +36,8 @@ pub struct AdmissionStats {
     pub flushes: u64,
     /// Closure instances executed.
     pub executed: u64,
-    /// `BoolLanes` runs (lane groups of ≤ 64 instances).
+    /// Simulations the packed engine ran (one per group of up to 256
+    /// instances).
     pub lane_runs: u64,
     /// Size groups whose plan was already compiled when flushed.
     pub warm_groups: u64,
@@ -50,7 +52,8 @@ pub struct FlushReport {
     pub executed: usize,
     /// Distinct problem sizes (one `closure_many` call each).
     pub groups: usize,
-    /// `BoolLanes` runs across all groups (`Σ ⌈group/64⌉`).
+    /// Simulations the packed engine ran across all groups, as it
+    /// counted them.
     pub lane_runs: usize,
     /// Groups that ran on an already-compiled plan.
     pub warm_groups: usize,
@@ -64,7 +67,7 @@ struct Inner {
 }
 
 /// Packs pending Boolean closure requests into shared [`PackedEngine`]
-/// lane runs. Thread-safe: submissions and flushes may interleave freely
+/// simulations. Thread-safe: submissions and flushes may interleave freely
 /// (a flush drains only what was pending when it started).
 pub struct AdmissionBatcher {
     engine: PackedEngine,
@@ -158,9 +161,10 @@ impl AdmissionBatcher {
         self.inner.lock().expect("admission queue poisoned").stats
     }
 
-    /// Runs everything pending: groups by problem size, one `closure_many`
-    /// per size (the packed engine slices each into ≤ 64-lane runs), and
-    /// files the results for [`take`](AdmissionBatcher::take).
+    /// Runs everything pending: groups by problem size, one packed batch
+    /// per size (the engine cuts each into simulations of up to 256
+    /// instances), and files the results for
+    /// [`take`](AdmissionBatcher::take).
     ///
     /// # Errors
     /// Propagates the engine's error; the failed flush's requests are
@@ -186,9 +190,9 @@ impl AdmissionBatcher {
         for (n, group) in by_size {
             let warm = self.engine.has_plan(n);
             let mats: Vec<DenseMatrix<Bool>> = group.iter().map(|(_, a)| a.clone()).collect();
-            let (closed, _stats) = self.engine.closure_many(&mats)?;
+            let (closed, _stats, simulations) = self.engine.closure_many_counted(&mats)?;
             report.executed += group.len();
-            report.lane_runs += group.len().div_ceil(LANES);
+            report.lane_runs += simulations;
             report.warm_groups += usize::from(warm);
             finished.extend(group.into_iter().map(|(t, _)| t).zip(closed));
         }
@@ -288,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn spillover_past_64_lanes_splits_runs() {
+    fn spillover_past_256_lanes_splits_runs() {
         let mut rng = Rng::seed_from_u64(13);
         let b = AdmissionBatcher::new(PackedEngine::new(2));
         for _ in 0..70 {
@@ -296,7 +300,13 @@ mod tests {
         }
         let report = b.flush().unwrap();
         assert_eq!(report.groups, 1);
-        assert_eq!(report.lane_runs, 2, "70 requests = 64 + 6 lanes");
+        assert_eq!(report.lane_runs, 1, "70 requests share one 128-lane run");
+        for _ in 0..300 {
+            b.submit(random_bool(3, &mut rng)).unwrap();
+        }
+        let report = b.flush().unwrap();
+        assert_eq!(report.lane_runs, 2, "300 requests = 256 + 44 lanes");
+        assert_eq!(b.stats().lane_runs, 3);
     }
 
     #[test]

@@ -88,9 +88,10 @@ pub trait ClosureEngine<S: PathSemiring> {
     /// Smallest batch slice this engine processes at full efficiency.
     ///
     /// Batch sharders (e.g. [`crate::ParallelEngine`]) hand out work in
-    /// multiples of this: 1 for scalar engines (the default), the lane
-    /// count for lane-packed engines, whose throughput collapses when a
-    /// sharder feeds them one instance — one lane — at a time.
+    /// multiples of this: 1 for scalar engines (the default), one whole
+    /// simulation's group for lane-packed engines, whose throughput
+    /// collapses when a sharder feeds them one instance — one lane — at a
+    /// time.
     fn preferred_chunk(&self) -> usize {
         1
     }

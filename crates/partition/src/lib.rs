@@ -40,12 +40,13 @@
 //! bit-identical results for any thread count, merged stats folded in
 //! instance order.
 //!
-//! [`PackedEngine`] bit-slices Boolean batches: up to 64 same-`n`
-//! instances travel in the lanes of one `u64` word through a single
-//! simulated run of the cached single-instance plan — bit-identical to
-//! [`LinearEngine`] with ~64× the batch throughput. It composes under
-//! [`ParallelEngine`], which shards such batches in whole lane groups
-//! ([`ClosureEngine::preferred_chunk`]).
+//! [`PackedEngine`] bit-slices Boolean batches: up to 256 same-`n`
+//! instances travel in the lanes of one lane word through a single
+//! simulated run of the cached single-instance plan, each group on the
+//! narrowest word that holds it (64, 128 or 256 lanes) — bit-identical to
+//! [`LinearEngine`] at a fraction of the simulated events. It composes
+//! under [`ParallelEngine`], which shards such batches in whole
+//! simulations ([`ClosureEngine::preferred_chunk`]).
 //!
 //! The sparse data plane (`systolic-closure`) closes component DAGs in
 //! software, by one ascending-id sweep. It meets these engines only
@@ -95,7 +96,7 @@ pub use grid::{GridEngine, GridMapping};
 pub use linear::{LinearEngine, LpgsMapping};
 pub use lsgp::{LsgpEngine, LsgpMapping};
 pub use mapping::{GraphMapping, MappedEngine, Mapping};
-pub use packed::PackedEngine;
+pub use packed::{PackedEngine, PackedPlane};
 pub use parallel::ParallelEngine;
 pub use plan::CompiledPlan;
 pub use recover::{Escalation, FaultAware, RecoveringEngine, RecoveryPolicy};

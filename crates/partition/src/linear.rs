@@ -25,10 +25,11 @@
 //! once per `(G-graph, batch_len)` into a [`CompiledPlan`] and memoized;
 //! repeat calls reset and reload a cached simulator instead of rebuilding
 //! anything. The plan never inspects *values*, so the engine is generic
-//! over the semiring — including the 64-lane `BoolLanes` packing
-//! [`crate::PackedEngine`] drives through it, which shares this engine's
-//! plan cache (a packed group and a scalar single run use the same
-//! `(n, 1)` closure plan).
+//! over the semiring — including the 64-, 128- and 256-lane `BoolLanes`
+//! words [`crate::PackedEngine`] drives through it, which share this
+//! engine's plan cache (a packed group of any width and a scalar single
+//! run use the same `(n, 1)` closure plan) and keep one cached simulator
+//! per element type.
 
 use crate::compile::{compile, graph_budget, Assignment, Input};
 use crate::engine::ideal_cycles_per_instance;
@@ -295,8 +296,8 @@ mod tests {
         assert_eq!(g1, warshall(&a5));
         assert_eq!(g2, warshall(&a6));
         assert_eq!(g1, g3);
-        // Same shape, different semiring: the plan is reused, the cached
-        // simulator is type-mismatched and rebuilt.
+        // Same shape, different semiring: the plan is reused, and the
+        // min-plus run builds its own simulator beside the Boolean one.
         let mut w = DenseMatrix::<MinPlus>::zeros(5, 5);
         w.set(0, 1, 2);
         w.set(1, 2, 3);

@@ -98,7 +98,8 @@ pub struct MappedEngine<M: Mapping> {
     last_faults: Mutex<Vec<FaultEvent>>,
     /// Compiled schedules per `(G-graph, batch_len)`, shared across clones.
     plans: PlanCache,
-    /// Reusable simulator from the previous run (per engine value).
+    /// Reusable simulators from previous runs, one per element type (per
+    /// engine value).
     sims: SimSlot,
 }
 
@@ -173,7 +174,7 @@ impl<M: Mapping> MappedEngine<M> {
         std::mem::take(&mut self.last_faults.lock().expect("fault log poisoned"))
     }
 
-    /// Drops the memoized plans and the cached simulator, forcing the next
+    /// Drops the memoized plans and the cached simulators, forcing the next
     /// call to compile from scratch (the fault-nonce sequence continues
     /// unchanged). Mainly for cache-vs-fresh equivalence tests.
     pub fn clear_caches(&self) {

@@ -1,4 +1,4 @@
-//! Lane-packed batch execution: up to `LANE_COUNT` instances per run.
+//! Lane-packed batch execution: one simulated run per group of instances.
 //!
 //! The linear array's schedule is a pure function of the problem shape
 //! (that is why [`crate::plan::CompiledPlan`] exists), so over any
@@ -6,16 +6,21 @@
 //! in the lanes of one element word ([`systolic_semiring::lanes`],
 //! [`systolic_semiring::swar`]). A `closure_many` batch need not chain its
 //! instances through the array one scalar element per stream event:
-//! [`PackedEngine`] transposes each group of `≤ LANE_COUNT` instances into
-//! a single lane matrix, runs the wrapped [`LinearEngine`]'s simulator
-//! **once** per group against the cached single-instance plan, and transposes the result back — the same
-//! simulated events now carry one result per lane.
+//! [`PackedEngine`] cuts the batch, in batch order, into groups of at most
+//! [`PackedPlane::GROUP`] instances, transposes each group into a single
+//! lane matrix, runs the wrapped [`LinearEngine`]'s simulator **once** per
+//! group against the cached single-instance plan, and transposes the result
+//! back — the same simulated events now carry one result per lane.
 //!
-//! `PackedEngine` (no type argument) is the original 64-lane Boolean
-//! plane; `PackedEngine<BoolLanes<2>>`/`<BoolLanes<4>>` run 128/256
-//! Boolean lanes, and `PackedEngine<MinPlusSwar8>`/`<MinPlusSwar16>` give
-//! weighted (min-plus) batches the packed path with 8×u8 / 4×u16
-//! saturating tropical lanes.
+//! `PackedEngine` (no type argument) is the one Boolean packed engine. A
+//! group takes up to 256 instances and runs on the narrowest lane word that
+//! holds it: [`BoolLanes`] (64 lanes) up to 64 instances, `BoolLanes<2>` up
+//! to 128 and `BoolLanes<4>` above that. The narrowest word matters for
+//! small groups: one instance closes in less time on 64 lanes than on 256,
+//! while a full 256-instance group costs one simulation instead of four
+//! (DESIGN §16). `PackedEngine<MinPlusSwar8>`/`<MinPlusSwar16>` give
+//! weighted (min-plus) batches the packed path with 8×u8 / 4×u16 saturating
+//! tropical lanes, one word width each.
 //!
 //! Results are bit-identical to the scalar engine whenever
 //! [`LaneSemiring::batch_exact`] holds (always for Boolean lanes; on the
@@ -24,16 +29,18 @@
 //! [`RunStats`] keep the scalar per-instance contract: a group's stats are
 //! [`RunStats::scaled`] by its lane count, which equals the instance-order
 //! merge of the per-instance scalar runs — so packed, scalar and
-//! thread-parallel batch stats all agree under `PartialEq`.
+//! thread-parallel batch stats all agree under `PartialEq`, whatever the
+//! group sizes.
 //!
 //! **Faults.** A whole-element value corruption is meaningless across
 //! superimposed instances (one flipped word would fault all lanes at once,
 //! breaking per-instance blame and the replay contract), so an armed
 //! [`FaultPlan`] *without* a target lane routes the batch to the wrapped
-//! engine's scalar path unchanged — PR 2's inject/verify/recover semantics
-//! are untouched. A plan *with* [`FaultPlan::target_lane`] stays packed:
-//! the simulator corrupts only that lane (via `Semiring::corrupt_lane`),
-//! so the blast radius is the single resident instance
+//! engine's scalar path unchanged — the scalar inject/verify/recover
+//! semantics are untouched. A plan *with* [`FaultPlan::target_lane`] stays
+//! packed, in groups of one plane word (64 instances on the Boolean plane):
+//! the simulator corrupts only that lane (via `Semiring::corrupt_lane`), so
+//! the blast radius is the single resident instance
 //! `group_base + target_lane % LANE_COUNT`, and the engine records that
 //! attribution in [`PackedEngine::take_lane_blame`] for campaign audits.
 //! `RecoveringEngine` campaigns over a lane-targeted plan therefore never
@@ -48,10 +55,86 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use systolic_arraysim::{FaultEvent, RunStats};
-use systolic_semiring::{pack_into_lanes, unpack_from_lanes, BoolLanes, DenseMatrix, LaneSemiring};
+use systolic_semiring::{
+    pack_into_lanes, unpack_from_lanes, Bool, BoolLanes, DenseMatrix, LaneSemiring, MinPlusSwar16,
+    MinPlusSwar8, Semiring,
+};
+
+/// Closed matrices of a group or a batch, in order, with their merged
+/// stats.
+type Closed<S> = (Vec<DenseMatrix<S>>, RunStats);
+
+/// A packed batch's closed matrices in batch order, its merged stats, and
+/// the number of simulations that produced them.
+pub type Counted<S> = (Vec<DenseMatrix<S>>, RunStats, usize);
+
+/// A lane plane [`PackedEngine`] runs: its engine name, the most instances
+/// one simulation carries, and how one group is packed, run and unpacked.
+///
+/// The planes are [`BoolLanes`] (the Boolean engine, whose groups pick
+/// their lane word), [`MinPlusSwar8`] and [`MinPlusSwar16`].
+pub trait PackedPlane: LaneSemiring {
+    /// Engine name the packed engine reports over this plane.
+    const ENGINE_NAME: &'static str;
+
+    /// Most instances one simulation of a clean batch carries; a plane
+    /// whose `GROUP` exceeds its `LANE_COUNT` overrides
+    /// [`PackedPlane::run_group`] to pick a wider word.
+    const GROUP: usize = Self::LANE_COUNT;
+
+    /// Closes `group` (`1..=GROUP` instances) in one simulation on `inner`.
+    ///
+    /// # Errors
+    /// The wrapped engine's error for the group's run.
+    fn run_group(
+        inner: &LinearEngine,
+        group: &[DenseMatrix<Self::Scalar>],
+    ) -> Result<Closed<Self::Scalar>, EngineError> {
+        run_on::<Self>(inner, group)
+    }
+}
+
+/// The Boolean plane: groups of up to 256 instances, each on the narrowest
+/// lane word that holds it.
+impl PackedPlane for BoolLanes {
+    const ENGINE_NAME: &'static str = "linear-packed";
+    const GROUP: usize = <BoolLanes<4> as Semiring>::LANE_COUNT;
+
+    fn run_group(
+        inner: &LinearEngine,
+        group: &[DenseMatrix<Bool>],
+    ) -> Result<Closed<Bool>, EngineError> {
+        if group.len() <= <BoolLanes<1> as Semiring>::LANE_COUNT {
+            run_on::<BoolLanes<1>>(inner, group)
+        } else if group.len() <= <BoolLanes<2> as Semiring>::LANE_COUNT {
+            run_on::<BoolLanes<2>>(inner, group)
+        } else {
+            run_on::<BoolLanes<4>>(inner, group)
+        }
+    }
+}
+
+impl PackedPlane for MinPlusSwar8 {
+    const ENGINE_NAME: &'static str = "linear-packed-minplus8";
+}
+
+impl PackedPlane for MinPlusSwar16 {
+    const ENGINE_NAME: &'static str = "linear-packed-minplus16";
+}
+
+/// One simulation on lane word `L`: packs `group`, closes the lane matrix
+/// on the wrapped engine's cached single-instance plan, and unpacks.
+fn run_on<L: LaneSemiring>(
+    inner: &LinearEngine,
+    group: &[DenseMatrix<L::Scalar>],
+) -> Result<Closed<L::Scalar>, EngineError> {
+    let packed = pack_into_lanes::<L>(group);
+    let (closed, stats) = ClosureEngine::<L>::closure(inner, &packed)?;
+    Ok((unpack_from_lanes::<L>(&closed, group.len()), stats))
+}
 
 /// Lane-packed executor over a [`LinearEngine`], generic in the lane
-/// semiring. The default type parameter is the 64-lane Boolean plane.
+/// plane. The default type parameter is the Boolean engine.
 ///
 /// ```
 /// use systolic_partition::{ClosureEngine, PackedEngine};
@@ -60,22 +143,20 @@ use systolic_semiring::{pack_into_lanes, unpack_from_lanes, BoolLanes, DenseMatr
 /// let mut a = DenseMatrix::<Bool>::zeros(5, 5);
 /// a.set(0, 3, true);
 /// a.set(3, 1, true);
-/// let batch = vec![a.clone(); 70]; // two lane groups
+/// let batch = vec![a.clone(); 300]; // a 256-lane group and a 64-lane one
 /// let eng = PackedEngine::new(4);
-/// let (closed, _stats) = eng.closure_many(&batch).unwrap();
-/// assert_eq!(closed[69], warshall(&a));
+/// let (closed, _stats, simulations) = eng.closure_many_counted(&batch).unwrap();
+/// assert_eq!(closed[299], warshall(&a));
+/// assert_eq!(simulations, 2);
 /// ```
 ///
-/// Wider Boolean planes and the weighted plane are explicit
-/// instantiations:
+/// The weighted planes are explicit instantiations:
 ///
 /// ```
 /// use systolic_partition::{ClosureEngine, PackedEngine};
 /// use systolic_semiring::instances::INF;
-/// use systolic_semiring::{BoolLanes, DenseMatrix, MinPlus, MinPlusSwar8};
+/// use systolic_semiring::{DenseMatrix, MinPlus, MinPlusSwar8};
 ///
-/// let wide = PackedEngine::<BoolLanes<4>>::over(4); // 256 Boolean lanes
-/// assert_eq!(ClosureEngine::cells(&wide), 4);
 /// let mut d = DenseMatrix::<MinPlus>::from_fn(4, 4, |i, j| if i == j { 0 } else { INF });
 /// d.set(0, 2, 7);
 /// let weighted = PackedEngine::<MinPlusSwar8>::over(2); // 8 tropical lanes
@@ -83,7 +164,7 @@ use systolic_semiring::{pack_into_lanes, unpack_from_lanes, BoolLanes, DenseMatr
 /// assert_eq!(*c[0].get(0, 2), 7);
 /// ```
 #[derive(Debug)]
-pub struct PackedEngine<L: LaneSemiring = BoolLanes> {
+pub struct PackedEngine<L: PackedPlane = BoolLanes> {
     inner: LinearEngine,
     /// Per-instance blame from the last packed armed run: for every
     /// value-corrupting fault event, the batch index of the one instance
@@ -97,7 +178,7 @@ pub struct PackedEngine<L: LaneSemiring = BoolLanes> {
     _lane: PhantomData<L>,
 }
 
-impl<L: LaneSemiring> Clone for PackedEngine<L> {
+impl<L: PackedPlane> Clone for PackedEngine<L> {
     fn clone(&self) -> Self {
         // Run diagnostics (blame, path counters) describe *this* engine's
         // history; a clone starts with a clean slate, like the caches.
@@ -106,20 +187,20 @@ impl<L: LaneSemiring> Clone for PackedEngine<L> {
 }
 
 impl PackedEngine {
-    /// Creates a 64-lane Boolean packed engine over a fresh `m`-cell
+    /// Creates the Boolean packed engine over a fresh `m`-cell
     /// [`LinearEngine`].
     pub fn new(m: usize) -> Self {
         Self::from_engine(LinearEngine::new(m))
     }
 
     /// Wraps an existing engine (keeping its plan cache, link delays and
-    /// any armed fault plan) in the 64-lane Boolean plane.
+    /// any armed fault plan) in the Boolean packed engine.
     pub fn from_engine(inner: LinearEngine) -> Self {
         Self::wrapping(inner)
     }
 }
 
-impl<L: LaneSemiring> PackedEngine<L> {
+impl<L: PackedPlane> PackedEngine<L> {
     /// Creates a packed engine in lane plane `L` over a fresh `m`-cell
     /// [`LinearEngine`] (e.g. `PackedEngine::<MinPlusSwar8>::over(4)`).
     pub fn over(m: usize) -> Self {
@@ -172,48 +253,55 @@ impl<L: LaneSemiring> PackedEngine<L> {
     pub fn fallback_runs(&self) -> u64 {
         self.fallback_runs.load(Ordering::Relaxed)
     }
-}
 
-impl<L: LaneSemiring> ClosureEngine<L::Scalar> for PackedEngine<L> {
-    fn name(&self) -> &'static str {
-        L::ENGINE_NAME
+    /// Most instances one simulation of the next batch carries:
+    /// [`PackedPlane::GROUP`], or one plane word (`L::LANE_COUNT`) under a
+    /// lane-targeted fault plan, whose mask names lane
+    /// `target_lane % LANE_COUNT` of every group.
+    fn group_cap(&self) -> usize {
+        match self.inner.fault_plan() {
+            Some(p) if p.target_lane.is_some() => L::LANE_COUNT,
+            _ => L::GROUP,
+        }
     }
 
-    fn cells(&self) -> usize {
-        ClosureEngine::<L::Scalar>::cells(&self.inner)
-    }
-
-    fn preferred_chunk(&self) -> usize {
-        L::LANE_COUNT
-    }
-
-    fn closure_many(
+    /// [`ClosureEngine::closure_many`], also returning the number of
+    /// simulations the packed path ran: one per group of at most
+    /// [`PackedPlane::GROUP`] instances (one plane word under a
+    /// lane-targeted fault plan), 0 when the batch took the scalar path.
+    ///
+    /// # Errors
+    /// As [`ClosureEngine::closure_many`].
+    pub fn closure_many_counted(
         &self,
         mats: &[DenseMatrix<L::Scalar>],
-    ) -> Result<(Vec<DenseMatrix<L::Scalar>>, RunStats), EngineError> {
+    ) -> Result<Counted<L::Scalar>, EngineError> {
         let armed_lane = self.inner.fault_plan().and_then(|p| p.target_lane);
         let untargeted_plan = self.inner.fault_plan().is_some() && armed_lane.is_none();
         if untargeted_plan || !L::batch_exact(mats) {
             // Scalar fallback: whole-element value faults don't compose
             // across lanes, and out-of-domain values don't fit them.
             self.fallback_runs.fetch_add(1, Ordering::Relaxed);
-            return self.inner.closure_many(mats);
+            let (results, stats) = self.inner.closure_many(mats)?;
+            return Ok((results, stats, 0));
         }
         validate_batch(mats)?;
         self.packed_runs.fetch_add(1, Ordering::Relaxed);
         self.lane_blame.lock().expect("blame lock poisoned").clear();
-        let lanes = L::LANE_COUNT;
+        let cap = self.group_cap();
         let started = std::time::Instant::now();
         let mut results = Vec::with_capacity(mats.len());
         let mut merged: Option<RunStats> = None;
-        for (gi, group) in mats.chunks(lanes).enumerate() {
-            let packed = pack_into_lanes::<L>(group);
-            let run = ClosureEngine::<L>::closure(&self.inner, &packed);
+        let mut simulations = 0;
+        for (gi, group) in mats.chunks(cap).enumerate() {
+            let base = gi * cap;
+            let run = L::run_group(&self.inner, group);
+            simulations += 1;
             if let Some(target) = armed_lane {
                 // The lane mask confines every value fault of this group's
                 // run to one batch instance; record the attribution (runs
                 // that error still log their faults before failing).
-                let instance = gi * lanes + target % lanes;
+                let instance = base + target % L::LANE_COUNT;
                 if instance < mats.len() {
                     let mut blame = self.lane_blame.lock().expect("blame lock poisoned");
                     blame.extend(
@@ -230,13 +318,13 @@ impl<L: LaneSemiring> ClosureEngine<L::Scalar> for PackedEngine<L> {
                     // A packed structural corruption has no single lane;
                     // charge the group's first instance.
                     EngineError::Corrupt { detail, .. } => EngineError::Corrupt {
-                        instance: gi * lanes,
+                        instance: base,
                         detail: format!("lane group of {}: {detail}", group.len()),
                     },
                     other => other,
                 }
             })?;
-            results.extend(unpack_from_lanes::<L>(&closed, group.len()));
+            results.extend(closed);
             let stats = stats.scaled(group.len() as u64);
             match &mut merged {
                 None => merged = Some(stats),
@@ -245,11 +333,35 @@ impl<L: LaneSemiring> ClosureEngine<L::Scalar> for PackedEngine<L> {
         }
         let mut merged = merged.expect("validated batch is non-empty");
         merged.wall_nanos = started.elapsed().as_nanos() as u64;
-        Ok((results, merged))
+        Ok((results, merged, simulations))
     }
 }
 
-impl<L: LaneSemiring> crate::recover::FaultAware<L::Scalar> for PackedEngine<L> {
+impl<L: PackedPlane> ClosureEngine<L::Scalar> for PackedEngine<L> {
+    fn name(&self) -> &'static str {
+        L::ENGINE_NAME
+    }
+
+    fn cells(&self) -> usize {
+        ClosureEngine::<L::Scalar>::cells(&self.inner)
+    }
+
+    /// One whole simulation: [`PackedPlane::GROUP`] instances, or one
+    /// plane word under a lane-targeted fault plan.
+    fn preferred_chunk(&self) -> usize {
+        self.group_cap()
+    }
+
+    fn closure_many(
+        &self,
+        mats: &[DenseMatrix<L::Scalar>],
+    ) -> Result<Closed<L::Scalar>, EngineError> {
+        let (results, stats, _) = self.closure_many_counted(mats)?;
+        Ok((results, stats))
+    }
+}
+
+impl<L: PackedPlane> crate::recover::FaultAware<L::Scalar> for PackedEngine<L> {
     fn recent_faults(&self) -> Vec<FaultEvent> {
         // Both paths run on the wrapped engine, which records the events
         // of the most recent batch whether it was packed or scalar.
@@ -295,7 +407,8 @@ mod tests {
         let batch: Vec<_> = (0..67).map(|_| random_bool(6, &mut rng)).collect();
         let eng = PackedEngine::new(3);
         let scalar = LinearEngine::new(3);
-        let (got, _) = eng.closure_many(&batch).unwrap();
+        let (got, _, simulations) = eng.closure_many_counted(&batch).unwrap();
+        assert_eq!(simulations, 1, "67 instances fit one 128-lane word");
         assert_eq!(got.len(), batch.len());
         for (a, c) in batch.iter().zip(&got) {
             assert_eq!(*c, warshall(a));
@@ -307,22 +420,21 @@ mod tests {
     #[test]
     fn wide_planes_equal_scalar_across_group_boundaries() {
         let mut rng = Rng::seed_from_u64(10);
-        let batch: Vec<_> = (0..130).map(|_| random_bool(5, &mut rng)).collect();
-        let w2 = PackedEngine::<BoolLanes<2>>::over(3);
-        let w4 = PackedEngine::<BoolLanes<4>>::over(3);
-        let (got2, _) = w2.closure_many(&batch).unwrap();
-        let (got4, _) = w4.closure_many(&batch).unwrap();
-        for ((a, c2), c4) in batch.iter().zip(&got2).zip(&got4) {
-            let expect = warshall(a);
-            assert_eq!(*c2, expect);
-            assert_eq!(*c4, expect);
+        let batch: Vec<_> = (0..300).map(|_| random_bool(5, &mut rng)).collect();
+        let eng = PackedEngine::new(3);
+        // 130 instances run on the 256-lane word, 300 as 256 + 44 lanes.
+        for (len, simulations) in [(130, 1), (300, 2)] {
+            let (got, _, ran) = eng.closure_many_counted(&batch[..len]).unwrap();
+            assert_eq!(ran, simulations, "len={len}");
+            for (a, c) in batch.iter().zip(&got) {
+                assert_eq!(*c, warshall(a));
+            }
         }
         assert_eq!(
-            ClosureEngine::<Bool>::preferred_chunk(&w2),
-            128,
-            "W-word planes advertise their W·64 chunk"
+            ClosureEngine::<Bool>::preferred_chunk(&eng),
+            256,
+            "the Boolean engine advertises one 256-instance simulation"
         );
-        assert_eq!(ClosureEngine::<Bool>::preferred_chunk(&w4), 256);
     }
 
     #[test]
@@ -409,12 +521,14 @@ mod tests {
         }
         .with_target_lane(target);
         let eng = PackedEngine::from_engine(LinearEngine::new(2).with_fault_plan(plan));
-        let (got, stats) = eng.closure_many(&batch).unwrap();
+        assert_eq!(ClosureEngine::<Bool>::preferred_chunk(&eng), 64);
+        let (got, stats, simulations) = eng.closure_many_counted(&batch).unwrap();
         assert_eq!(
             (eng.packed_runs(), eng.fallback_runs()),
             (1, 0),
             "targeted plan must not force the scalar path"
         );
+        assert_eq!(simulations, 2, "a targeted batch keeps 64-lane groups");
         assert!(
             stats.fault.injected > 0,
             "the pinned seed injects at least one fault"

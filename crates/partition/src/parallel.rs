@@ -5,11 +5,12 @@
 //! batch across replicas of the wrapped engine, one replica per worker of a
 //! persistent thread pool, with workers stealing slices of
 //! [`ClosureEngine::preferred_chunk`] instances from a shared index (one
-//! instance at a time for scalar engines; whole lane groups for
-//! [`crate::PackedEngine`], which would waste 63 of its 64 lanes on
-//! single-instance steals). Each chunk still runs exactly as the wrapped
-//! engine would run it, so results are bit-identical to the serial engine
-//! for any thread count; only host wall-clock time changes.
+//! instance at a time for scalar engines; one whole simulation, up to 256
+//! instances, for [`crate::PackedEngine`], which would otherwise spend a
+//! simulation on every single-instance steal). Each chunk still runs
+//! exactly as the wrapped engine would run it, so results are
+//! bit-identical to the serial engine for any thread count; only host
+//! wall-clock time changes.
 //!
 //! Merged [`RunStats`] are folded in chunk order (not completion order) —
 //! instance order when the chunk is 1 — so every measured counter is

@@ -18,7 +18,7 @@
 //! original `u64` key as a sort key, preserving `corrupt_resident`'s
 //! deterministic sorted-key visit order for fault injection.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -225,17 +225,23 @@ struct CachedSim<S: Semiring> {
 
 /// Per-engine-value simulator cache (NOT shared across clones — a simulator
 /// is single-threaded state). Type-erased so non-generic engines can cache
-/// a simulator for whichever semiring they last ran.
+/// one simulator per element type: the Boolean packed engine moves between
+/// 64-, 128- and 256-lane words from call to call, and a scalar or
+/// min-plus run in between must not evict them.
 #[derive(Default)]
 pub(crate) struct SimSlot {
-    slot: Mutex<Option<Box<dyn Any + Send>>>,
+    slots: Mutex<HashMap<TypeId, Box<dyn Any + Send>>>,
 }
 
 impl SimSlot {
-    /// Takes the cached simulator if it was built from exactly `plan` (by
-    /// `Arc` identity) over the same semiring, reset and ready to reload.
+    /// Takes the cached simulator of element type `S` if it was built from
+    /// exactly `plan` (by `Arc` identity), reset and ready to reload.
     pub(crate) fn take<S: Semiring>(&self, plan: &Arc<CompiledPlan>) -> Option<ArraySim<S>> {
-        let boxed = self.slot.lock().expect("sim cache poisoned").take()?;
+        let boxed = self
+            .slots
+            .lock()
+            .expect("sim cache poisoned")
+            .remove(&TypeId::of::<S>())?;
         let cached = boxed.downcast::<CachedSim<S>>().ok()?;
         if Arc::ptr_eq(&cached.plan, plan) {
             let mut sim = cached.sim;
@@ -246,13 +252,17 @@ impl SimSlot {
         }
     }
 
-    /// Stores a simulator for reuse by the next same-shape call.
+    /// Stores a simulator for reuse by the next same-shape call over `S`,
+    /// replacing only the one cached for `S`.
     pub(crate) fn store<S: Semiring>(&self, plan: Arc<CompiledPlan>, sim: ArraySim<S>) {
-        *self.slot.lock().expect("sim cache poisoned") = Some(Box::new(CachedSim { plan, sim }));
+        self.slots
+            .lock()
+            .expect("sim cache poisoned")
+            .insert(TypeId::of::<S>(), Box::new(CachedSim { plan, sim }));
     }
 
     pub(crate) fn clear(&self) {
-        *self.slot.lock().expect("sim cache poisoned") = None;
+        self.slots.lock().expect("sim cache poisoned").clear();
     }
 }
 
@@ -265,8 +275,8 @@ impl Clone for SimSlot {
 
 impl fmt::Debug for SimSlot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let occupied = self.slot.lock().map(|s| s.is_some()).unwrap_or(false);
-        write!(f, "SimSlot(occupied: {occupied})")
+        let cached = self.slots.lock().map(|s| s.len()).unwrap_or(0);
+        write!(f, "SimSlot(cached: {cached})")
     }
 }
 
@@ -274,7 +284,7 @@ impl fmt::Debug for SimSlot {
 mod tests {
     use super::*;
     use systolic_arraysim::{StreamDst, StreamSrc, TaskKind, TaskLabel};
-    use systolic_semiring::MinPlus;
+    use systolic_semiring::{Bool, MinPlus};
 
     /// One cell passing a preloaded column straight to the output.
     fn trivial_plan() -> CompiledPlan {
@@ -335,12 +345,16 @@ mod tests {
         // Identical shape but different Arc: no match.
         assert!(slot.take::<MinPlus>(&other).is_none());
         slot.store::<MinPlus>(Arc::clone(&plan), plan.instantiate(false));
-        // Different semiring: no match.
-        assert!(slot.take::<systolic_semiring::Bool>(&plan).is_none());
-        slot.store::<MinPlus>(Arc::clone(&plan), plan.instantiate(false));
+        // Different semiring: no match, and the min-plus simulator stays.
+        assert!(slot.take::<Bool>(&plan).is_none());
+        // Each element type keeps its own simulator.
+        slot.store::<Bool>(Arc::clone(&plan), plan.instantiate(false));
+        assert_eq!(format!("{slot:?}"), "SimSlot(cached: 2)");
         assert!(slot.take::<MinPlus>(&plan).is_some());
+        assert!(slot.take::<Bool>(&plan).is_some());
         // Take empties the slot.
         assert!(slot.take::<MinPlus>(&plan).is_none());
+        assert_eq!(format!("{slot:?}"), "SimSlot(cached: 0)");
     }
 
     #[test]

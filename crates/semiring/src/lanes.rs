@@ -13,29 +13,27 @@
 //! Since the schedule is value-width-agnostic, the word does not have to
 //! stop at 64 bits: [`LaneWord<W>`](LaneWord) carries `W` words — 64·W
 //! Boolean lanes — per element, so one simulated pass closes 64, 128 or
-//! 256 instances for the same number of simulated events. `W = 1` is the
-//! original plane and stays the default type parameter, so `LaneWord` and
-//! `BoolLanes` written without arguments mean exactly what they did before.
+//! 256 instances for the same number of simulated events. `W = 1` stays
+//! the default type parameter, so `LaneWord` and `BoolLanes` written
+//! without arguments are the 64-lane word. The three widths are lane
+//! words, not engine settings: `partition::PackedEngine` runs each group
+//! of a Boolean batch on the narrowest of them that holds it.
 //!
 //! [`BoolLanes`] is a lawful [`PathSemiring`] (it is the 64·W-fold product
 //! of [`Bool`] with itself, and semiring laws hold lane-wise), so every
 //! generic kernel and engine in the workspace accepts it unchanged — the
 //! scalar Boolean path is simply the 1-lane instantiation.
 //!
-//! The [`LaneSemiring`] trait is the packed plane's engine-facing contract:
-//! it names the scalar semiring one lane carries and provides the
-//! pack/unpack transpose, which is what lets `PackedEngine` run *any*
-//! lane semiring — Boolean lanes of any width, or the SWAR min-plus lanes
-//! of [`crate::swar`] — through one generic code path.
+//! The [`LaneSemiring`] trait is the packed plane's data contract: it names
+//! the scalar semiring one lane carries and provides the pack/unpack
+//! transpose, which is what lets `PackedEngine` run Boolean lanes of any
+//! width and the SWAR min-plus lanes of [`crate::swar`] through one generic
+//! code path.
 
 use crate::instances::Bool;
 use crate::matrix::DenseMatrix;
 use crate::traits::{PathSemiring, Semiring};
 use std::fmt;
-
-/// Number of Boolean lanes per *word* of a [`LaneWord`] (the `W = 1`
-/// plane's total lane count, kept for compatibility).
-pub const LANES: usize = 64;
 
 /// `W` machine words carrying `64·W` independent Boolean values, one per
 /// bit: lane `l` is bit `l % 64` of word `l / 64`.
@@ -115,7 +113,8 @@ impl<const W: usize> fmt::Debug for LaneWord<W> {
 /// The `64·W`-lane Boolean semiring: per-lane `OR` as `⊕` and per-lane
 /// `AND` as `⊗`, one word instruction per packed word. Zero is
 /// all-lanes-false, one is all-lanes-true. `W = 1` (the default) is the
-/// original 64-lane plane.
+/// 64-lane word; `W ∈ {1, 2, 4}` are the widths the packed engine picks
+/// from.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct BoolLanes<const W: usize = 1>;
 
@@ -177,16 +176,13 @@ impl<const W: usize> PathSemiring for BoolLanes<W> {}
 /// [`Semiring::LANE_COUNT`] independent instances of a scalar semiring.
 ///
 /// This is the contract `partition::PackedEngine` programs against: the
-/// engine packs a chunk of [`LaneSemiring::Scalar`] matrices into one
+/// engine packs a group of [`LaneSemiring::Scalar`] matrices into one
 /// lane matrix, runs the ordinary generic simulation once, and unpacks —
 /// so Boolean lanes of any width and the SWAR min-plus lanes share one
-/// engine.
+/// code path.
 pub trait LaneSemiring: PathSemiring {
     /// Scalar semiring a single lane carries.
     type Scalar: PathSemiring;
-
-    /// Engine name the packed engine reports when running over this plane.
-    const ENGINE_NAME: &'static str;
 
     /// Value of lane `lane` of `e`, as a scalar element.
     fn read_lane(e: &Self::Elem, lane: usize) -> <Self::Scalar as Semiring>::Elem;
@@ -210,12 +206,6 @@ pub trait LaneSemiring: PathSemiring {
 
 impl<const W: usize> LaneSemiring for BoolLanes<W> {
     type Scalar = Bool;
-    const ENGINE_NAME: &'static str = match W {
-        1 => "linear-packed",
-        2 => "linear-packed-w2",
-        4 => "linear-packed-w4",
-        _ => "linear-packed-wide",
-    };
 
     #[inline]
     fn read_lane(e: &LaneWord<W>, lane: usize) -> bool {
@@ -401,9 +391,9 @@ mod tests {
             let packed = pack_into_lanes::<BoolLanes>(&mats);
             assert_eq!(unpack_from_lanes(&packed, count), mats, "count={count}");
             // Unused lanes are the empty graph.
-            if count < LANES {
+            if count < 64 {
                 assert_eq!(
-                    unpack_lane_of(&packed, LANES - 1),
+                    unpack_lane_of(&packed, 63),
                     DenseMatrix::<Bool>::zeros(5, 5)
                 );
             }
@@ -432,7 +422,7 @@ mod tests {
     #[test]
     fn warshall_over_lanes_is_64_closures_at_once() {
         let mut rng = systolic_util::Rng::seed_from_u64(42);
-        let mats: Vec<_> = (0..LANES)
+        let mats: Vec<_> = (0..64)
             .map(|_| DenseMatrix::<Bool>::from_fn(7, 7, |i, j| i != j && rng.gen_bool(0.2)))
             .collect();
         let packed_closure = warshall(&pack_into_lanes::<BoolLanes>(&mats));

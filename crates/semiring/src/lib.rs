@@ -11,8 +11,9 @@
 //! * [`MinPlus`] — all-pairs shortest paths (Floyd–Warshall),
 //! * [`MaxMin`] — maximum-capacity (bottleneck) paths,
 //! * [`MinMax`] — minimax paths (smallest maximum edge weight),
-//! * [`BoolLanes`] — 64 independent Boolean instances bit-sliced into the
-//!   lanes of one `u64` ([`lanes`]), the batch-throughput data plane.
+//! * [`BoolLanes`] — 64·W independent Boolean instances bit-sliced into
+//!   the lanes of a `W`-word element, `W ∈ {1, 2, 4}` ([`lanes`]), the
+//!   batch-throughput data plane.
 //!
 //! The non-idempotent [`Counting`] semiring is provided for matrix-product
 //! substrates and law testing; it is deliberately **not** a [`PathSemiring`]
@@ -56,7 +57,7 @@ pub use bitmatrix::BitMatrix;
 pub use instances::{Bool, Counting, MaxMin, MinMax, MinPlus, Real};
 pub use kernels::{closure_by_squaring, matmul, matmul_acc, reflexive, warshall, warshall_inplace};
 pub use lanes::{
-    pack_into_lanes, unpack_from_lanes, unpack_lane_of, BoolLanes, LaneSemiring, LaneWord, LANES,
+    pack_into_lanes, unpack_from_lanes, unpack_lane_of, BoolLanes, LaneSemiring, LaneWord,
 };
 pub use matrix::DenseMatrix;
 pub use swar::{MinPlusSwar16, MinPlusSwar8};

@@ -199,7 +199,6 @@ fn minplus_batch_exact(mats: &[DenseMatrix<MinPlus>], lane_inf: u64) -> bool {
 
 impl LaneSemiring for MinPlusSwar8 {
     type Scalar = MinPlus;
-    const ENGINE_NAME: &'static str = "linear-packed-minplus8";
 
     #[inline]
     fn read_lane(e: &u64, lane: usize) -> u64 {
@@ -230,7 +229,6 @@ impl LaneSemiring for MinPlusSwar8 {
 
 impl LaneSemiring for MinPlusSwar16 {
     type Scalar = MinPlus;
-    const ENGINE_NAME: &'static str = "linear-packed-minplus16";
 
     #[inline]
     fn read_lane(e: &u64, lane: usize) -> u64 {

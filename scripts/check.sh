@@ -41,9 +41,12 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # its pinning suites also run optimized, and so does fault_stream, which
 # pins the fault injector's inlined quiet-position skips to the
 # per-opportunity roll they replaced, call for call. The experiments pins run
-# optimized too: E28's and E29's speedup bars (packed ≥ 8× scalar, SWAR min-plus ≥ 4×
+# optimized too: E28's and E29's speedup bars (packed ≥ 8× scalar, one
+# 256-instance simulation ≥ 1.5× four 64-instance calls, SWAR min-plus ≥ 4×
 # scalar, sparse ≥ 20× dense) are claims about optimized code, asserted
-# only where debug assertions are off.
+# only where debug assertions are off. proptest_lanes holds the packed
+# engine's grouping: one simulation per 256 instances on the narrowest lane
+# word, 64-lane groups under a lane-targeted fault plan.
 cargo test -q --release --test determinism_and_goldens --test fault_stream \
     --test proptest_lanes --test proptest_plan_cache
 cargo test -q --release -p systolic-bench --test experiments_pinned \

@@ -777,8 +777,8 @@ fn cmd_packed(args: &[String]) {
     }
     let want_stats = want_stats.expect("non-empty batch");
     let packed = PackedEngine::new(m);
-    let (got, got_stats) = packed
-        .closure_many(&batch)
+    let (got, got_stats, groups) = packed
+        .closure_many_counted(&batch)
         .unwrap_or_else(|e| fail(&e.to_string()));
     let identical = got == want && got_stats == want_stats;
     let t0 = Instant::now();
@@ -792,9 +792,8 @@ fn cmd_packed(args: &[String]) {
     }
     let packed_t = t0.elapsed().as_secs_f64() / f64::from(iters);
     println!(
-        "packed m = {m}, n = {n}, batch {instances} ({} lane group{}):",
-        instances.div_ceil(64),
-        if instances > 64 { "s" } else { "" }
+        "packed m = {m}, n = {n}, batch {instances} ({groups} lane group{}):",
+        if groups > 1 { "s" } else { "" }
     );
     println!(
         "scalar batch {:.2} ms, lane-packed {:.2} ms, speedup {:.2}×",

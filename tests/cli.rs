@@ -189,7 +189,7 @@ fn plancache_verifies_cached_reuse() {
 
 #[test]
 fn packed_verifies_lane_identity() {
-    // 70 instances = one full lane group plus a partial one.
+    // 70 instances share one simulation on the 128-lane word.
     let out = bin()
         .args([
             "packed",
@@ -210,7 +210,7 @@ fn packed_verifies_lane_identity() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("2 lane groups"), "{text}");
+    assert!(text.contains("(1 lane group)"), "{text}");
     assert!(text.contains("byte-identical to scalar: true"), "{text}");
     assert!(text.contains("speedup"), "{text}");
 }

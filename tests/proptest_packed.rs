@@ -5,7 +5,8 @@
 //! equal to the instance-order merge of the per-instance scalar runs (the
 //! same lane/thread-count-invariant contract `ParallelEngine` keeps; wall
 //! time is excluded from equality as always). Batch sizes straddle the
-//! 64-lane group boundary on both sides, including a partial last group.
+//! 64-lane word and the 256-instance group boundaries on both sides,
+//! including a partial last group.
 
 use systolic::partition::{ClosureEngine, LinearEngine, PackedEngine, ParallelEngine};
 use systolic_arraysim::RunStats;
@@ -13,9 +14,9 @@ use systolic_semiring::{warshall, Bool, DenseMatrix};
 use systolic_util::{Checker, Rng};
 
 /// The boundary-straddling batch sizes the lane grouping must survive:
-/// single instance, one-short group, exact group, one-over, and a large
-/// batch whose last group is partial.
-const BATCH_SIZES: [usize; 5] = [1, 63, 64, 65, 130];
+/// single instance, one short of the 64-lane word, exactly it, one over,
+/// a 256-lane group, and a batch whose last group is partial.
+const BATCH_SIZES: [usize; 6] = [1, 63, 64, 65, 130, 257];
 
 fn random_batch(rng: &mut Rng, len: usize, n: usize) -> Vec<DenseMatrix<Bool>> {
     (0..len)
@@ -68,7 +69,7 @@ fn packed_engine_matches_chained_closure_many_results() {
         let scalar = LinearEngine::new(3);
         let packed = PackedEngine::new(3);
         // The scalar engine chains the whole batch through one array; the
-        // packed engine runs lane groups. Same results either way.
+        // packed engine runs one 128-lane group. Same results either way.
         let batch = random_batch(rng, 65, n);
         let (want, _) = ClosureEngine::<Bool>::closure_many(&scalar, &batch).unwrap();
         let (got, _) = packed.closure_many(&batch).unwrap();
@@ -82,11 +83,12 @@ fn parallel_engine_shards_packed_batches_in_lane_groups() {
     Checker::new("parallel over packed is invariant", 2).run(|rng| {
         let n = 2 + rng.gen_usize(4); // 2..=5
         let serial = PackedEngine::new(2);
-        let batch = random_batch(rng, 130, n);
+        let batch = random_batch(rng, 300, n);
         let (want, want_stats) = serial.closure_many(&batch).unwrap();
         for threads in [1, 2, 3] {
             let par = ParallelEngine::new(PackedEngine::new(2), threads);
-            assert_eq!(par.inner().preferred_chunk(), 64);
+            // Whole simulations: a 256-instance chunk and a 44-instance one.
+            assert_eq!(par.inner().preferred_chunk(), 256);
             let (got, got_stats) = par.closure_many(&batch).unwrap();
             assert_eq!(got, want, "threads={threads}");
             // Chunk-order merge of lane-group stats == serial packed merge.

@@ -8,12 +8,10 @@
 //! `L + 1`. Outside the domain the batch must transparently take the
 //! scalar path and still produce exact results.
 
-use systolic::partition::{ClosureEngine, LinearEngine, PackedEngine};
+use systolic::partition::{ClosureEngine, LinearEngine, PackedEngine, PackedPlane};
 use systolic_arraysim::RunStats;
 use systolic_semiring::instances::INF;
-use systolic_semiring::{
-    warshall, DenseMatrix, LaneSemiring, MinPlus, MinPlusSwar16, MinPlusSwar8,
-};
+use systolic_semiring::{warshall, DenseMatrix, MinPlus, MinPlusSwar16, MinPlusSwar8};
 use systolic_util::{Checker, Rng};
 
 fn random_batch(rng: &mut Rng, len: usize, n: usize, wmax: u64) -> Vec<DenseMatrix<MinPlus>> {
@@ -51,7 +49,7 @@ fn per_instance_merge(
 
 fn check_plane<L>(rng: &mut Rng) -> Result<(), String>
 where
-    L: LaneSemiring<Scalar = MinPlus>,
+    L: PackedPlane<Scalar = MinPlus>,
 {
     let lanes = L::LANE_COUNT;
     let n = 2 + rng.gen_usize(4); // 2..=5
